@@ -135,7 +135,11 @@ let rec map f = function
 let rec filter pred = function
   | Empty -> Empty
   | Leaf { p; v; _ } as t -> if pred p v then t else Empty
-  | Branch { pre; bit; l; r } -> branch pre bit (filter pred l) (filter pred r)
+  | Branch { pre; bit; l; r } as t ->
+      (* keep untouched subtrees physically shared: filtering away nothing
+         allocates nothing *)
+      let l' = filter pred l and r' = filter pred r in
+      if l' == l && r' == r then t else branch pre bit l' r'
 
 let to_list t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
 let of_list l = List.fold_left (fun t (p, v) -> add p v t) empty l

@@ -1,17 +1,5 @@
 module Bgp = Ef_bgp
-
-(* Rated prefixes in the canonical consideration order: rate descending,
-   prefix ascending. A total order (no ties), so every consumer that
-   iterates rates — projection, allocator, trace — sees one byte-stable
-   sequence however the snapshot was built (fresh assembly or a chain of
-   patches). *)
-module RSet = Set.Make (struct
-  type t = Bgp.Prefix.t * float
-
-  let compare (pa, ra) (pb, rb) =
-    let c = Float.compare rb ra in
-    if c <> 0 then c else Bgp.Prefix.compare pa pb
-end)
+module Units = Ef_util.Units
 
 type change = {
   ch_prefix : Bgp.Prefix.t;
@@ -34,15 +22,15 @@ type diff = {
 
 type t = {
   time_s : int;
+  rate_trie : float Bgp.Ptrie.t; (* the rated prefixes; every rate > 0 *)
   prefix_rates : (Bgp.Prefix.t * float) list Lazy.t;
-  rate_set : RSet.t;
-  rate_trie : float Bgp.Ptrie.t;
+      (* the trie's bindings in canonical order, sorted on first use *)
   routes : Bgp.Prefix.t -> Bgp.Route.t list;
   routes_memo : (Bgp.Prefix.t, Bgp.Route.t list) Hashtbl.t;
   ifaces : Ef_netsim.Iface.t list;
   iface_index : Ef_netsim.Iface.t option array; (* indexed by iface id *)
   iface_id_of_peer : int -> int option;
-  total_rate_bps : float;
+  total_m : int64; (* exact sum of the rates in millibps *)
   prefix_count : int;
   stamp : int; (* unique per snapshot; parent links are by stamp *)
   parent : (int * change list * iface_change list) option;
@@ -60,9 +48,19 @@ let index_ifaces ifaces =
   List.iter (fun i -> index.(Ef_netsim.Iface.id i) <- Some i) ifaces;
   index
 
+(* The canonical consideration order: rate descending, prefix ascending.
+   A total order (no ties), so every consumer of [prefix_rates] sees one
+   byte-stable sequence however the snapshot was built. Nothing on the
+   cycle path needs it — projection and allocator are order-independent
+   — so the sort runs only when an off-path caller asks. *)
 let compare_rated (pa, ra) (pb, rb) =
   let c = Float.compare rb ra in
   if c <> 0 then c else Bgp.Prefix.compare pa pb
+
+let sorted_rates trie =
+  lazy
+    (List.sort compare_rated
+       (Bgp.Ptrie.fold (fun p r acc -> (p, r) :: acc) trie []))
 
 (* Interface-set delta between two indexes, ascending id order (the one
    deterministic order both sides of a diff agree on). Identity is
@@ -83,147 +81,72 @@ let iface_delta prev_index next_index =
   done;
   !acc
 
-(* --- parallel table build ---------------------------------------------
+(* Each entry of an assembled table sets its prefix's rate in list order,
+   exactly as [patch] applies [rate_updates]: the last entry for a prefix
+   wins, and a last entry at or below zero (or NaN) leaves the prefix
+   unrated. Entries go into the trie as they come, non-positive ones
+   included, and one filter pass drops those at the end (a no-op that
+   allocates nothing when there are none).
 
-   The cold 1M-prefix assemble is dominated by the sort and the
-   set/trie folds, all of which shard cleanly: chunks of the input are
-   filtered + sorted per domain and merged pairwise (stable, left-first
-   on ties — but compare_rated ties are structurally equal pairs, so tie
-   order cannot be observed); then contiguous ranges of the *sorted*
-   order build RSet / Ptrie shards that union cheaply, because a
-   contiguous range is a separated interval in the set's comparator and
-   the trie is canonical (same bindings ⇒ same structure, whatever the
-   insertion order). Duplicated prefixes keep their serial last-add-wins
-   semantics: chunk tries are unioned left to right with the right side
-   winning, which is the same winner as the serial fold over the sorted
-   list. The float total is re-folded serially over the merged array —
-   the exact addition sequence the serial path performs. *)
+   With a pool, contiguous chunks of the input build their tries on the
+   pool's domains and are unioned left to right, the right side winning
+   a shared prefix — the serial fold's winner, since chunks are in input
+   order. The trie is canonical (same bindings => same structure), so
+   the result is the serial one whatever the chunking. *)
 
 let par_threshold = 8192
-
-let merge_rated a b =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 then b
-  else if lb = 0 then a
-  else begin
-    let out = Array.make (la + lb) a.(0) in
-    let i = ref 0 and j = ref 0 in
-    for k = 0 to la + lb - 1 do
-      if !i < la && (!j >= lb || compare_rated a.(!i) b.(!j) <= 0) then begin
-        out.(k) <- a.(!i);
-        incr i
-      end
-      else begin
-        out.(k) <- b.(!j);
-        incr j
-      end
-    done;
-    out
-  end
-
-let rec merge_runs = function
-  | [] -> [||]
-  | [ a ] -> a
-  | runs ->
-      let rec pair = function
-        | a :: b :: rest -> merge_rated a b :: pair rest
-        | tail -> tail
-      in
-      merge_runs (pair runs)
-
-let chunk_ranges = Ef_util.Pool.chunk_ranges
 
 let assemble ?obs ?pool ~routes ~iface_of_peer ~ifaces ~prefix_rates ~time_s ()
     =
   let obs = match obs with Some r -> r | None -> Ef_obs.Registry.default () in
   Ef_obs.Span.time ~registry:obs "collector.assemble" @@ fun () ->
-  let pool =
+  let add trie (p, r) = Bgp.Ptrie.add p r trie in
+  let entries =
     match pool with
-    | Some p
-      when Ef_util.Pool.jobs p > 1
+    | Some pool
+      when Ef_util.Pool.jobs pool > 1
            && (not (Ef_util.Pool.in_task ()))
-           && List.length prefix_rates >= par_threshold ->
-        Some p
-    | _ -> None
-  in
-  let prefix_rates, rate_set, rate_trie, total_rate_bps, prefix_count =
-    match pool with
-    | None ->
-        let prefix_rates =
-          prefix_rates
-          |> List.filter (fun (_, r) -> r > 0.0)
-          |> List.sort compare_rated
-        in
-        let rate_set =
-          List.fold_left (fun s pr -> RSet.add pr s) RSet.empty prefix_rates
-        in
-        let rate_trie, total, count =
-          List.fold_left
-            (fun (trie, total, n) (p, r) ->
-              (Bgp.Ptrie.add p r trie, total +. r, n + 1))
-            (Bgp.Ptrie.empty, 0.0, 0) prefix_rates
-        in
-        (prefix_rates, rate_set, rate_trie, total, count)
-    | Some pool ->
+           && List.length prefix_rates >= par_threshold -> (
         let raw = Array.of_list prefix_rates in
-        let n = Array.length raw in
-        let k = Ef_util.Pool.jobs pool in
-        let runs =
+        let tries =
           Ef_util.Pool.map pool
             (fun (lo, hi) ->
-              let kept = ref [] in
-              for i = hi - 1 downto lo do
-                let (_, r) as pr = raw.(i) in
-                if r > 0.0 then kept := pr :: !kept
-              done;
-              let a = Array.of_list !kept in
-              Array.sort compare_rated a;
-              a)
-            (chunk_ranges ~n ~k)
-        in
-        let sorted = merge_runs runs in
-        let m = Array.length sorted in
-        let parts =
-          Ef_util.Pool.map pool
-            (fun (lo, hi) ->
-              let set = ref RSet.empty and trie = ref Bgp.Ptrie.empty in
+              let trie = ref Bgp.Ptrie.empty in
               for i = lo to hi - 1 do
-                let (p, r) as pr = sorted.(i) in
-                set := RSet.add pr !set;
-                trie := Bgp.Ptrie.add p r !trie
+                trie := add !trie raw.(i)
               done;
-              (!set, !trie))
-            (chunk_ranges ~n:m ~k)
+              !trie)
+            (Ef_util.Pool.chunk_ranges ~n:(Array.length raw)
+               ~k:(Ef_util.Pool.jobs pool))
         in
-        let rate_set =
-          List.fold_left (fun acc (s, _) -> RSet.union acc s) RSet.empty parts
-        in
-        let rate_trie =
-          List.fold_left
-            (fun acc (_, t) -> Bgp.Ptrie.union (fun _ b -> b) acc t)
-            Bgp.Ptrie.empty parts
-        in
-        let total = ref 0.0 in
-        Array.iter (fun (_, r) -> total := !total +. r) sorted;
-        (Array.to_list sorted, rate_set, rate_trie, !total, m)
+        match tries with
+        | [] -> Bgp.Ptrie.empty
+        | t :: rest -> List.fold_left (Bgp.Ptrie.union (fun _ b -> b)) t rest)
+    | _ -> List.fold_left add Bgp.Ptrie.empty prefix_rates
   in
+  let rate_trie = Bgp.Ptrie.filter (fun _ r -> r > 0.0) entries in
+  let prefix_count = ref 0 and total_m = ref 0L in
+  Bgp.Ptrie.iter
+    (fun _ r ->
+      incr prefix_count;
+      total_m := Int64.add !total_m (Units.to_millibps r))
+    rate_trie;
   Ef_obs.Counter.inc (Ef_obs.Registry.counter obs "collector.snapshots");
   Ef_obs.Gauge.set
     (Ef_obs.Registry.gauge obs "collector.snapshot.prefixes")
-    (float_of_int prefix_count);
+    (float_of_int !prefix_count);
   {
     time_s;
-    prefix_rates = Lazy.from_val prefix_rates;
-    rate_set;
     rate_trie;
+    prefix_rates = sorted_rates rate_trie;
     routes;
     routes_memo = Hashtbl.create 256;
     ifaces;
     iface_index = index_ifaces ifaces;
     iface_id_of_peer =
       (fun peer_id -> Option.map Ef_netsim.Iface.id (iface_of_peer peer_id));
-    total_rate_bps;
-    prefix_count;
+    total_m = !total_m;
+    prefix_count = !prefix_count;
     stamp = next_stamp ();
     parent = None;
   }
@@ -249,69 +172,80 @@ let of_pop ?obs ?ifaces pop ~prefix_rates ~time_s =
 
 (* Delta construction: [prev] with some rates replaced and some prefixes'
    candidate routes invalidated. All unchanged structure — the rate trie,
-   the rated set, every clean prefix's entry — is shared with [prev]
-   (persistent structures), so a 1%-churn patch over a million prefixes
-   allocates proportionally to the churn, not the table.
+   every clean prefix's entry — is shared with [prev] (persistent
+   structures), and the total moves by each rate change's exact integer
+   contribution, so a patch costs O(churn · log n) whatever the table
+   size. Integer addition is associative: the total lands on exactly the
+   sum a fresh [assemble] of the same content computes. *)
+(* One dirty prefix while a patch is built. *)
+type dirty = {
+  d_prefix : Bgp.Prefix.t;
+  d_old : float option; (* rate in [prev] *)
+  mutable d_now : float option;
+  mutable d_routes : bool;
+}
 
-   The one O(n) pass left is the total: it is re-folded over the rated
-   set in canonical order, which is the exact float-addition sequence a
-   fresh [assemble] of the same content performs — so a patched snapshot
-   is byte-identical to an assembled one, not merely close. *)
 let patch ?obs ~prev ?routes ?ifaces ?(routes_changed = []) ~rate_updates
     ~time_s () =
   let obs = match obs with Some r -> r | None -> Ef_obs.Registry.default () in
   Ef_obs.Span.time ~registry:obs "collector.patch" @@ fun () ->
-  let rate_set = ref prev.rate_set in
-  let rate_trie = ref prev.rate_trie in
-  let count = ref prev.prefix_count in
-  let changes = ref [] in
-  let changed = Hashtbl.create (List.length rate_updates + 8) in
+  let trie = ref prev.rate_trie in
+  let total_m = ref prev.total_m and count = ref prev.prefix_count in
+  let dirty = Hashtbl.create (List.length rate_updates + 8) in
+  let touch p =
+    match Hashtbl.find_opt dirty p with
+    | Some d -> (d, false)
+    | None ->
+        let r = Bgp.Ptrie.find p !trie in
+        let d = { d_prefix = p; d_old = r; d_now = r; d_routes = false } in
+        Hashtbl.add dirty p d;
+        (d, true)
+  in
+  let updated = ref [] (* rate-updated prefixes, latest first touch first *) in
   List.iter
     (fun (p, rate) ->
-      let old = Bgp.Ptrie.find p !rate_trie in
+      let d, first = touch p in
+      if first then updated := d :: !updated;
       let fresh = if rate > 0.0 then Some rate else None in
-      if old <> fresh && not (Hashtbl.mem changed p) then begin
-        (match old with
+      if d.d_now <> fresh then begin
+        (match d.d_now with
         | Some r ->
-            rate_set := RSet.remove (p, r) !rate_set;
+            total_m := Int64.sub !total_m (Units.to_millibps r);
             decr count
         | None -> ());
         (match fresh with
         | Some r ->
-            rate_set := RSet.add (p, r) !rate_set;
-            rate_trie := Bgp.Ptrie.add p r !rate_trie;
+            trie := Bgp.Ptrie.add p r !trie;
+            total_m := Int64.add !total_m (Units.to_millibps r);
             incr count
-        | None -> rate_trie := Bgp.Ptrie.remove p !rate_trie);
-        Hashtbl.replace changed p ();
-        changes :=
-          { ch_prefix = p; ch_old_rate = old; ch_new_rate = fresh;
-            ch_routes = false }
-          :: !changes
+        | None -> trie := Bgp.Ptrie.remove p !trie);
+        d.d_now <- fresh
       end)
     rate_updates;
-  let changes =
+  (* a rerouted prefix flags its rate record; one whose rate did not
+     change (untouched, or a net no-op update) gets a routes-only record *)
+  let routes_only =
     List.fold_left
       (fun acc p ->
-        if Hashtbl.mem changed p then
-          (* already rate-dirty: flip the routes flag on its record *)
-          List.map
-            (fun c ->
-              if Bgp.Prefix.equal c.ch_prefix p then { c with ch_routes = true }
-              else c)
-            acc
+        let d, _ = touch p in
+        if d.d_routes then acc
         else begin
-          Hashtbl.replace changed p ();
-          let r = Bgp.Ptrie.find p !rate_trie in
-          { ch_prefix = p; ch_old_rate = r; ch_new_rate = r; ch_routes = true }
-          :: acc
+          d.d_routes <- true;
+          if d.d_old = d.d_now then d :: acc else acc
         end)
-      (List.rev !changes) routes_changed
+      [] routes_changed
   in
-  let rate_set = !rate_set in
-  let total =
-    let acc = [| 0.0 |] in
-    RSet.iter (fun (_, r) -> acc.(0) <- acc.(0) +. r) rate_set;
-    acc.(0)
+  let record d =
+    { ch_prefix = d.d_prefix; ch_old_rate = d.d_old; ch_new_rate = d.d_now;
+      ch_routes = d.d_routes }
+  in
+  (* routes-only records in reverse [routes_changed] order, then the rate
+     records in first-update order *)
+  let changes =
+    List.map record routes_only
+    @ List.fold_left
+        (fun acc d -> if d.d_old = d.d_now then acc else record d :: acc)
+        [] !updated
   in
   (* the iface delta is recorded content-based, not identity-based: a
      caller re-passing an equal interface list records no change, so a
@@ -326,15 +260,14 @@ let patch ?obs ~prev ?routes ?ifaces ?(routes_changed = []) ~rate_updates
   Ef_obs.Counter.inc (Ef_obs.Registry.counter obs "collector.patches");
   {
     time_s;
-    prefix_rates = lazy (RSet.elements rate_set);
-    rate_set;
-    rate_trie = !rate_trie;
+    rate_trie = !trie;
+    prefix_rates = sorted_rates !trie;
     routes = Option.value routes ~default:prev.routes;
     routes_memo = Hashtbl.create 256;
     ifaces;
     iface_index;
     iface_id_of_peer = prev.iface_id_of_peer;
-    total_rate_bps = total;
+    total_m = !total_m;
     prefix_count = !count;
     stamp = next_stamp ();
     parent = Some (prev.stamp, changes, iface_changes);
@@ -379,7 +312,7 @@ let diff prev next =
 let time_s t = t.time_s
 let prefix_rates t = Lazy.force t.prefix_rates
 
-let iter_rates t f = RSet.iter (fun (p, r) -> f p r) t.rate_set
+let iter_rates t f = Bgp.Ptrie.iter f t.rate_trie
 
 let rate_of t prefix =
   Option.value (Bgp.Ptrie.find prefix t.rate_trie) ~default:0.0
@@ -427,5 +360,6 @@ let iface_of_peer t ~peer_id =
   | Some id -> iface_by_id t id
 
 let iface_of_route t route = iface_of_peer t ~peer_id:(Bgp.Route.peer_id route)
-let total_rate_bps t = t.total_rate_bps
+let total_rate_millibps t = t.total_m
+let total_rate_bps t = Units.of_millibps t.total_m
 let prefix_count t = t.prefix_count

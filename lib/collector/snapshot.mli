@@ -58,13 +58,17 @@ val assemble :
   unit ->
   t
 (** [routes] must return candidates in decision-ranked order (head =
-    BGP-preferred). Rates at or below zero are dropped.
+    BGP-preferred). Each [prefix_rates] entry sets its prefix's rate in
+    list order, the way {!patch} applies [rate_updates]: the {b last}
+    entry for a prefix wins, and a last entry at or below zero (or NaN)
+    leaves the prefix unrated. The total, the count, {!prefix_rates},
+    {!rate_of} and everything projected from the snapshot follow that
+    one rule.
 
-    [pool] shards the table build (filter/sort/set/trie) across the
-    pool's domains — a pure throughput knob: the result is byte-identical
-    to the serial build at any pool size (tables below a few thousand
-    prefixes, a 1-lane pool, or a call from inside a pool task silently
-    take the serial path).
+    [pool] shards the table build across the pool's domains — a pure
+    throughput knob: the result is byte-identical to the serial build at
+    any pool size (tables below a few thousand prefixes, a 1-lane pool,
+    or a call from inside a pool task silently take the serial path).
 
     Assembly is instrumented: the [collector.assemble] span and the
     [collector.snapshots] counter (plus a [collector.snapshot.prefixes]
@@ -98,11 +102,14 @@ val patch :
     (a rate at or below zero, or NaN, withdraws the prefix; a no-op
     update — same rate, not in [routes_changed] — is dropped from the
     recorded delta) and the [routes_changed] prefixes' candidate lists
-    invalidated. All unchanged structure is shared with [prev], so cost
-    is proportional to the churn plus one O(n) float re-fold for the
-    total. The result is byte-identical to a fresh {!assemble} of the
-    same content, and remembers its delta so {!diff} [prev] the-result
-    is exact and [linked].
+    invalidated. Updates apply in list order, so the last one for a
+    prefix wins; a prefix both rate-updated and in [routes_changed] is
+    recorded once, with [ch_routes = true]. All unchanged structure is
+    shared with [prev] and the total moves by each rate change's exact
+    integer contribution, so the cost is O(churn · log n) — no pass over
+    the table. The result is byte-identical to a fresh {!assemble} of
+    the same content, and remembers its delta so {!diff} [prev]
+    the-result is exact and [linked].
 
     [routes] must agree with [prev]'s closure on every prefix outside
     [routes_changed] (clean prefixes keep their meaning); omitting it
@@ -131,13 +138,14 @@ val diff : t -> t -> diff
 
 val time_s : t -> int
 val prefix_rates : t -> (Ef_bgp.Prefix.t * float) list
-(** Descending by rate, prefix-ascending within a rate tie — the order
-    the allocator considers prefixes. Materialized lazily on patched
-    snapshots; prefer {!iter_rates} on the million-prefix path. *)
+(** Descending by rate, prefix-ascending within a rate tie — a total
+    order, byte-stable however the snapshot was built. Sorted on the
+    first call (O(n log n)) and kept; for off-hot-path callers. *)
 
 val iter_rates : t -> (Ef_bgp.Prefix.t -> float -> unit) -> unit
-(** Iterate rated prefixes in the {!prefix_rates} order without
-    materializing the list. *)
+(** Iterate rated prefixes in ascending prefix order (the rate trie's
+    order), without materializing or sorting anything — for consumers
+    whose result does not depend on the order, like the projection. *)
 
 val rate_of : t -> Ef_bgp.Prefix.t -> float
 
@@ -173,7 +181,13 @@ val iface_of_peer : t -> peer_id:int -> Ef_netsim.Iface.t option
 val iface_of_route : t -> Ef_bgp.Route.t -> Ef_netsim.Iface.t option
 
 val total_rate_bps : t -> float
-(** Precomputed at assembly (not re-folded per call). *)
+(** {!total_rate_millibps} in bits per second. *)
+
+val total_rate_millibps : t -> int64
+(** The exact sum of {!Ef_util.Units.to_millibps} over every rated
+    prefix's rate. Kept by add/subtract in {!patch}; the interface loads
+    of a projection quantize each rate the same way, so loads plus
+    unroutable traffic add up to this total exactly. *)
 
 val prefix_count : t -> int
-(** Precomputed at assembly. *)
+(** Counted at assembly, kept by {!patch}. *)

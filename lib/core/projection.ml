@@ -1,5 +1,6 @@
 module Bgp = Ef_bgp
 module Snapshot = Ef_collector.Snapshot
+module Units = Ef_util.Units
 
 type placement = {
   placed_prefix : Bgp.Prefix.t;
@@ -9,130 +10,74 @@ type placement = {
   overridden : bool;
 }
 
-(* Unroutable prefixes with their rates, in the snapshot's consideration
-   order (rate desc, prefix asc). Kept as a set so the incremental path
-   can retract/re-add one prefix and re-fold the remainder in exactly the
-   float-addition sequence a cold [project] performs. *)
-module RSet = Set.Make (struct
-  type t = Bgp.Prefix.t * float
-
-  let compare (pa, ra) (pb, rb) =
-    let c = Float.compare rb ra in
-    if c <> 0 then c else Bgp.Prefix.compare pa pb
-end)
-
-(* Interface loads and the overridden-traffic aggregate accumulate in
-   integer millibps. Integer addition is associative, so adding and
-   subtracting single placements — the incremental path — lands on
-   exactly the value a cold fold over the same set computes, in any
-   order; float accumulation would make the result depend on insertion
-   history. Milli-resolution keeps quantization (≤ 1 mbps per placement)
-   far below anything a threshold can see; int64 gives ~9 Pbps of range. *)
-let mbps_of_bps r = Int64.of_float (r *. 1000.0)
-let bps_of_mbps m = Int64.to_float m /. 1000.0
+(* Interface loads, the overridden-traffic aggregate and the unroutable
+   sum accumulate in integer millibps ([Units.to_millibps]) — the unit the snapshot's total is
+   kept in. Integer addition is associative, so adding and subtracting
+   single placements — the incremental path — lands on exactly the value
+   a cold pass over the same set computes, in any order, and loads plus
+   unroutable equal the snapshot's total exactly. Milli-resolution keeps
+   quantization (< 1 mbps per prefix) far below anything a threshold can
+   see; int64 gives ~9 Pbps of range. *)
 
 type t = {
   ifaces : Ef_netsim.Iface.t list;
   loads : int64 array; (* indexed by iface id, millibps *)
   placements : placement Bgp.Ptrie.t;
-  total_bps : float;
+  total_m : int64; (* the snapshot's total, millibps *)
   overridden_m : int64; (* millibps on overridden placements *)
-  unroutable_bps : float;
-  unplaced : RSet.t;
+  unroutable_m : int64; (* millibps on unplaced prefixes *)
+  unplaced : float Bgp.Ptrie.t; (* unplaced prefix -> rate *)
   stale : Bgp.Prefix.t list; (* ascending prefix order *)
 }
 
 let max_iface_id ifaces =
   List.fold_left (fun acc i -> max acc (Ef_netsim.Iface.id i)) (-1) ifaces
 
-(* Decide one prefix's route exactly the way the full pass does: honour an
-   override only if that neighbor still offers a candidate; a stale
-   override falls back to the preferred route and is reported. Shared by
-   the cold pass and [Working.apply_dirty] so the two paths cannot
-   diverge. *)
-let choose_route ~overrides ~candidates prefix =
-  match overrides prefix with
-  | Some want -> (
-      let still_valid =
-        List.find_opt
-          (fun r -> Bgp.Route.peer_id r = Bgp.Route.peer_id want)
-          candidates
-      in
-      match still_valid with
-      | Some r -> (Some r, true, false)
-      | None -> (
-          match candidates with
-          | [] -> (None, false, true)
-          | r :: _ -> (Some r, false, true)))
-  | None -> (
-      match candidates with [] -> (None, false, false) | r :: _ -> (Some r, false, false))
+(* Decide one prefix's placement exactly the way the full pass does:
+   honour an override only if that neighbor still offers a candidate; a
+   stale override falls back to the preferred route and is reported. A
+   chosen route whose interface does not resolve leaves the prefix
+   unplaced. Returns [(Some (route, iface_id, overridden) | None,
+   is_stale)]. Shared by the cold pass and [Working.apply_dirty] so the
+   two paths cannot diverge. *)
+let decide ~overrides ~candidates snapshot prefix =
+  let route, overridden, is_stale =
+    match overrides prefix with
+    | Some want -> (
+        let still_valid =
+          List.find_opt
+            (fun r -> Bgp.Route.peer_id r = Bgp.Route.peer_id want)
+            candidates
+        in
+        match still_valid with
+        | Some r -> (Some r, true, false)
+        | None -> (
+            match candidates with
+            | [] -> (None, false, true)
+            | r :: _ -> (Some r, false, true)))
+    | None -> (
+        match candidates with
+        | [] -> (None, false, false)
+        | r :: _ -> (Some r, false, false))
+  in
+  let placed =
+    Option.bind route (fun route ->
+        Option.map
+          (fun iface -> (route, Ef_netsim.Iface.id iface, overridden))
+          (Snapshot.iface_of_route snapshot route))
+  in
+  (placed, is_stale)
 
-let project_seq ~overrides snapshot =
-  let ifaces = Snapshot.ifaces snapshot in
-  let loads = Array.make (max_iface_id ifaces + 1) 0L in
-  let placements = ref Bgp.Ptrie.empty in
-  let overridden_m = ref 0L in
-  let unplaced = ref RSet.empty in
-  let stale = ref Bgp.Ptrie.empty in
-  Snapshot.iter_rates snapshot (fun prefix rate ->
-      let candidates = Snapshot.routes snapshot prefix in
-      let route, overridden, is_stale = choose_route ~overrides ~candidates prefix in
-      if is_stale then stale := Bgp.Ptrie.add prefix () !stale;
-      let placed =
-        match route with
-        | None -> None
-        | Some route -> (
-            match Snapshot.iface_of_route snapshot route with
-            | None -> None
-            | Some iface -> Some (route, Ef_netsim.Iface.id iface))
-      in
-      match placed with
-      | None -> unplaced := RSet.add (prefix, rate) !unplaced
-      | Some (route, iface_id) ->
-          let m = mbps_of_bps rate in
-          loads.(iface_id) <- Int64.add loads.(iface_id) m;
-          if overridden then overridden_m := Int64.add !overridden_m m;
-          placements :=
-            Bgp.Ptrie.add prefix
-              { placed_prefix = prefix; rate_bps = rate; route; iface_id; overridden }
-              !placements);
-  (* aggregates the incremental path must reproduce bit-for-bit are taken
-     from canonical folds, not the iteration above: total is the
-     snapshot's own (rate desc, prefix asc) fold, unroutable folds the
-     unplaced set in its order *)
-  let unroutable = [| 0.0 |] in
-  RSet.iter (fun (_, r) -> unroutable.(0) <- unroutable.(0) +. r) !unplaced;
-  {
-    ifaces;
-    loads;
-    placements = !placements;
-    total_bps = Snapshot.total_rate_bps snapshot;
-    overridden_m = !overridden_m;
-    unroutable_bps = unroutable.(0);
-    unplaced = !unplaced;
-    stale = Bgp.Ptrie.keys !stale;
-  }
+(* --- the cold pass ------------------------------------------------------
 
-(* --- intra-engine sharding --------------------------------------------
-
-   The cold pass is embarrassingly parallel over prefixes: each shard
-   takes a contiguous range of the snapshot's canonical (rate desc,
-   prefix asc) sequence into private scratch — a per-shard int64 loads
-   array, placement/stale tries, an unplaced sub-set — and the merge is
-   deterministic by construction:
-
-   - loads and overridden_m accumulate in integer millibps, and integer
-     addition is associative/commutative, so per-shard partial sums add
-     to exactly the serial fold's value;
-   - the placement/stale tries have canonical structure (same bindings ⇒
-     same shape), so unioning disjoint-range shard tries left to right
-     (right side winning a duplicated prefix, which is the serial fold's
-     last-add-wins) rebuilds the serial trie exactly;
-   - unplaced shard sets cover separated ranges of one total order, so
-     their union has the serial content, and unroutable_bps re-folds
-     that set in its canonical iteration order — the serial pass's exact
-     float-addition sequence;
-   - total_bps is the snapshot's own precomputed fold either way.
+   Embarrassingly parallel over prefixes, and order-independent: loads
+   and the millibps aggregates are integer sums, and the placement,
+   unplaced and stale tries have canonical structure (same bindings =>
+   same shape). So the pass walks the snapshot's rate trie in whatever
+   order is cheapest, and with [shards > 1] each shard takes a
+   contiguous range of the trie's bindings into private scratch, merged
+   in range order after the join — byte-identical to the one-shard pass
+   by construction, not by replaying an addition sequence.
 
    Candidate ranking goes through [Snapshot.routes_uncached] on the
    workers (the memo Hashtbl is not safe for concurrent writes) and the
@@ -140,94 +85,124 @@ let project_seq ~overrides snapshot =
    loop and guard see the hits the serial pass would have left behind.
    [overrides] runs on worker domains when sharded — it must be pure. *)
 
+type part = {
+  p_loads : int64 array;
+  p_overridden : int64;
+  p_unroutable : int64;
+  p_placements : placement Bgp.Ptrie.t;
+  p_unplaced : float Bgp.Ptrie.t;
+  p_stale : unit Bgp.Ptrie.t;
+}
+
+(* [iter] visits one shard's rated prefixes; [routes] ranks them *)
+let place ~overrides ~routes ~width snapshot iter =
+  let loads = Array.make width 0L in
+  let overridden_m = ref 0L and unroutable_m = ref 0L in
+  let placements = ref Bgp.Ptrie.empty and unplaced = ref Bgp.Ptrie.empty in
+  let stale = ref Bgp.Ptrie.empty in
+  iter (fun prefix rate ->
+      let placed, is_stale =
+        decide ~overrides ~candidates:(routes prefix) snapshot prefix
+      in
+      if is_stale then stale := Bgp.Ptrie.add prefix () !stale;
+      let m = Units.to_millibps rate in
+      match placed with
+      | None ->
+          unplaced := Bgp.Ptrie.add prefix rate !unplaced;
+          unroutable_m := Int64.add !unroutable_m m
+      | Some (route, iface_id, overridden) ->
+          loads.(iface_id) <- Int64.add loads.(iface_id) m;
+          if overridden then overridden_m := Int64.add !overridden_m m;
+          placements :=
+            Bgp.Ptrie.add prefix
+              { placed_prefix = prefix; rate_bps = rate; route; iface_id;
+                overridden }
+              !placements);
+  {
+    p_loads = loads;
+    p_overridden = !overridden_m;
+    p_unroutable = !unroutable_m;
+    p_placements = !placements;
+    p_unplaced = !unplaced;
+    p_stale = !stale;
+  }
+
+let merge a b =
+  let union x y = Bgp.Ptrie.union (fun _ w -> w) x y in
+  Array.iteri
+    (fun id m -> a.p_loads.(id) <- Int64.add a.p_loads.(id) m)
+    b.p_loads;
+  {
+    a with
+    p_overridden = Int64.add a.p_overridden b.p_overridden;
+    p_unroutable = Int64.add a.p_unroutable b.p_unroutable;
+    p_placements = union a.p_placements b.p_placements;
+    p_unplaced = union a.p_unplaced b.p_unplaced;
+    p_stale = union a.p_stale b.p_stale;
+  }
+
 let shard_pool ~shards =
   if shards <= 1 || Ef_util.Pool.in_task () then None
   else Some (Ef_util.Pool.global ~jobs:shards ())
 
-let project_sharded ~overrides ~pool snapshot =
-  let rated = Array.of_list (Snapshot.prefix_rates snapshot) in
-  let n = Array.length rated in
+let project ?(overrides = fun _ -> None) ?(shards = 1) snapshot =
   let ifaces = Snapshot.ifaces snapshot in
   let width = max_iface_id ifaces + 1 in
-  let parts =
-    Ef_util.Pool.map pool
-      (fun (lo, hi) ->
-        let loads = Array.make width 0L in
-        let overridden_m = ref 0L in
-        let placements = ref Bgp.Ptrie.empty in
-        let unplaced = ref RSet.empty in
-        let stale = ref Bgp.Ptrie.empty in
-        let routed = Array.make (hi - lo) [] in
-        for i = lo to hi - 1 do
-          let prefix, rate = rated.(i) in
-          let candidates = Snapshot.routes_uncached snapshot prefix in
-          routed.(i - lo) <- candidates;
-          let route, overridden, is_stale =
-            choose_route ~overrides ~candidates prefix
-          in
-          if is_stale then stale := Bgp.Ptrie.add prefix () !stale;
-          let placed =
-            match route with
-            | None -> None
-            | Some route -> (
-                match Snapshot.iface_of_route snapshot route with
-                | None -> None
-                | Some iface -> Some (route, Ef_netsim.Iface.id iface))
-          in
-          match placed with
-          | None -> unplaced := RSet.add (prefix, rate) !unplaced
-          | Some (route, iface_id) ->
-              let m = mbps_of_bps rate in
-              loads.(iface_id) <- Int64.add loads.(iface_id) m;
-              if overridden then overridden_m := Int64.add !overridden_m m;
-              placements :=
-                Bgp.Ptrie.add prefix
-                  { placed_prefix = prefix; rate_bps = rate; route; iface_id;
-                    overridden }
-                  !placements
-        done;
-        (lo, loads, !overridden_m, !placements, !unplaced, !stale, routed))
-      (Ef_util.Pool.chunk_ranges ~n ~k:(Ef_util.Pool.jobs pool))
+  let p =
+    match shard_pool ~shards with
+    | None ->
+        place ~overrides ~routes:(Snapshot.routes snapshot) ~width snapshot
+          (Snapshot.iter_rates snapshot)
+    | Some pool -> (
+        let rated = ref [] in
+        Snapshot.iter_rates snapshot (fun p r -> rated := (p, r) :: !rated);
+        let rated = Array.of_list !rated in
+        let parts =
+          Ef_util.Pool.map pool
+            (fun (lo, hi) ->
+              let routed = ref [] in
+              let routes prefix =
+                let rs = Snapshot.routes_uncached snapshot prefix in
+                routed := (prefix, rs) :: !routed;
+                rs
+              in
+              let part =
+                place ~overrides ~routes ~width snapshot (fun f ->
+                    for i = lo to hi - 1 do
+                      let prefix, rate = rated.(i) in
+                      f prefix rate
+                    done)
+              in
+              (part, !routed))
+            (Ef_util.Pool.chunk_ranges ~n:(Array.length rated)
+               ~k:(Ef_util.Pool.jobs pool))
+        in
+        List.iter
+          (fun (_, routed) ->
+            List.iter
+              (fun (p, rs) -> Snapshot.prime_route snapshot p rs)
+              routed)
+          parts;
+        match List.map fst parts with
+        | first :: rest -> List.fold_left merge first rest
+        | [] -> assert false (* chunk_ranges yields at least one range *))
   in
-  let loads = Array.make width 0L in
-  let overridden_m = ref 0L in
-  let placements = ref Bgp.Ptrie.empty in
-  let unplaced = ref RSet.empty in
-  let stale = ref Bgp.Ptrie.empty in
-  List.iter
-    (fun (lo, l, om, pl, un, stl, routed) ->
-      for id = 0 to width - 1 do
-        loads.(id) <- Int64.add loads.(id) l.(id)
-      done;
-      overridden_m := Int64.add !overridden_m om;
-      placements := Bgp.Ptrie.union (fun _ b -> b) !placements pl;
-      unplaced := RSet.union !unplaced un;
-      stale := Bgp.Ptrie.union (fun _ b -> b) !stale stl;
-      Array.iteri
-        (fun j rs -> Snapshot.prime_route snapshot (fst rated.(lo + j)) rs)
-        routed)
-    parts;
-  let unroutable = [| 0.0 |] in
-  RSet.iter (fun (_, r) -> unroutable.(0) <- unroutable.(0) +. r) !unplaced;
   {
     ifaces;
-    loads;
-    placements = !placements;
-    total_bps = Snapshot.total_rate_bps snapshot;
-    overridden_m = !overridden_m;
-    unroutable_bps = unroutable.(0);
-    unplaced = !unplaced;
-    stale = Bgp.Ptrie.keys !stale;
+    loads = p.p_loads;
+    placements = p.p_placements;
+    total_m = Snapshot.total_rate_millibps snapshot;
+    overridden_m = p.p_overridden;
+    unroutable_m = p.p_unroutable;
+    unplaced = p.p_unplaced;
+    stale = Bgp.Ptrie.keys p.p_stale;
   }
 
-let project ?(overrides = fun _ -> None) ?(shards = 1) snapshot =
-  match shard_pool ~shards with
-  | None -> project_seq ~overrides snapshot
-  | Some pool -> project_sharded ~overrides ~pool snapshot
+let load_millibps t ~iface_id =
+  if iface_id < 0 || iface_id >= Array.length t.loads then 0L
+  else t.loads.(iface_id)
 
-let load_bps t ~iface_id =
-  if iface_id < 0 || iface_id >= Array.length t.loads then 0.0
-  else bps_of_mbps t.loads.(iface_id)
+let load_bps t ~iface_id = Units.of_millibps (load_millibps t ~iface_id)
 
 let utilization t iface =
   load_bps t ~iface_id:(Ef_netsim.Iface.id iface)
@@ -265,7 +240,7 @@ let move t prefix ~to_route ~to_iface =
   | None -> invalid_arg "Projection.move: prefix has no placement"
   | Some pl ->
       let loads = Array.copy t.loads in
-      let m = mbps_of_bps pl.rate_bps in
+      let m = Units.to_millibps pl.rate_bps in
       loads.(pl.iface_id) <- Int64.sub loads.(pl.iface_id) m;
       loads.(to_iface) <- Int64.add loads.(to_iface) m;
       let overridden_m =
@@ -276,7 +251,7 @@ let move t prefix ~to_route ~to_iface =
 
 let add_placement t ~prefix ~rate_bps ~route ~iface_id ~overridden =
   let loads = Array.copy t.loads in
-  let m = mbps_of_bps rate_bps in
+  let m = Units.to_millibps rate_bps in
   loads.(iface_id) <- Int64.add loads.(iface_id) m;
   let overridden_m =
     if overridden then Int64.add t.overridden_m m else t.overridden_m
@@ -289,16 +264,17 @@ let remove_placement t prefix =
   | None -> t
   | Some pl ->
       let loads = Array.copy t.loads in
-      let m = mbps_of_bps pl.rate_bps in
+      let m = Units.to_millibps pl.rate_bps in
       loads.(pl.iface_id) <- Int64.sub loads.(pl.iface_id) m;
       let overridden_m =
         if pl.overridden then Int64.sub t.overridden_m m else t.overridden_m
       in
       { t with loads; overridden_m; placements = Bgp.Ptrie.remove prefix t.placements }
 
-let total_bps t = t.total_bps
-let overridden_bps t = bps_of_mbps t.overridden_m
-let unroutable_bps t = t.unroutable_bps
+let total_bps t = Units.of_millibps t.total_m
+let overridden_bps t = Units.of_millibps t.overridden_m
+let unroutable_bps t = Units.of_millibps t.unroutable_m
+let unroutable_millibps t = t.unroutable_m
 let stale_overrides t = t.stale
 let ifaces t = t.ifaces
 
@@ -325,10 +301,10 @@ module Working = struct
     mutable w_by_iface : PSet.t array;
         (* iface id -> placements, (rate desc, prefix); replaced (with
            w_loads) only when an added interface grows the id universe *)
-    mutable w_total : float;
+    mutable w_total : int64;
     mutable w_overridden : int64;
-    mutable w_unroutable : float;
-    mutable w_unplaced : RSet.t;
+    mutable w_unroutable : int64;
+    mutable w_unplaced : float Bgp.Ptrie.t;
     mutable w_stale : unit Bgp.Ptrie.t;
     mutable w_touched : int list; (* iface ids with load changes, undrained *)
   }
@@ -380,9 +356,9 @@ module Working = struct
       w_loads = Array.copy p.loads;
       w_placements = p.placements;
       w_by_iface = by_iface;
-      w_total = p.total_bps;
+      w_total = p.total_m;
       w_overridden = p.overridden_m;
-      w_unroutable = p.unroutable_bps;
+      w_unroutable = p.unroutable_m;
       w_unplaced = p.unplaced;
       w_stale = Bgp.Ptrie.of_list (List.map (fun p -> (p, ())) p.stale);
       w_touched = [];
@@ -407,16 +383,16 @@ module Working = struct
       ifaces = w.w_ifaces;
       loads = Array.copy w.w_loads;
       placements = w.w_placements;
-      total_bps = w.w_total;
+      total_m = w.w_total;
       overridden_m = w.w_overridden;
-      unroutable_bps = w.w_unroutable;
+      unroutable_m = w.w_unroutable;
       unplaced = w.w_unplaced;
       stale = Bgp.Ptrie.keys w.w_stale;
     }
 
   let load_bps w ~iface_id =
     if iface_id < 0 || iface_id >= Array.length w.w_loads then 0.0
-    else bps_of_mbps w.w_loads.(iface_id)
+    else Units.of_millibps w.w_loads.(iface_id)
 
   let touch w iface_id = w.w_touched <- iface_id :: w.w_touched
 
@@ -443,7 +419,7 @@ module Working = struct
     match Bgp.Ptrie.find prefix w.w_placements with
     | None -> invalid_arg "Projection.Working.move: prefix has no placement"
     | Some pl ->
-        let m = mbps_of_bps pl.rate_bps in
+        let m = Units.to_millibps pl.rate_bps in
         w.w_loads.(pl.iface_id) <- Int64.sub w.w_loads.(pl.iface_id) m;
         w.w_loads.(to_iface) <- Int64.add w.w_loads.(to_iface) m;
         if not pl.overridden then w.w_overridden <- Int64.add w.w_overridden m;
@@ -457,7 +433,7 @@ module Working = struct
         w.w_placements <- Bgp.Ptrie.add prefix pl' w.w_placements
 
   let add_placement w ~prefix ~rate_bps ~route ~iface_id ~overridden =
-    let m = mbps_of_bps rate_bps in
+    let m = Units.to_millibps rate_bps in
     w.w_loads.(iface_id) <- Int64.add w.w_loads.(iface_id) m;
     if overridden then w.w_overridden <- Int64.add w.w_overridden m;
     touch w iface_id;
@@ -469,7 +445,7 @@ module Working = struct
     match Bgp.Ptrie.find prefix w.w_placements with
     | None -> ()
     | Some pl ->
-        let m = mbps_of_bps pl.rate_bps in
+        let m = Units.to_millibps pl.rate_bps in
         w.w_loads.(pl.iface_id) <- Int64.sub w.w_loads.(pl.iface_id) m;
         if pl.overridden then w.w_overridden <- Int64.sub w.w_overridden m;
         touch w pl.iface_id;
@@ -478,59 +454,50 @@ module Working = struct
 
   let apply_dirty w ~snapshot ?(overrides = fun _ -> None) ~dirty () =
     (* Retract every dirty prefix from wherever it currently sits —
-       placed, unroutable, or stale. Loads move by the placement's exact
-       integer contribution, so no re-summation is ever needed. *)
+       placed, unroutable, or stale — then re-place the ones still rated
+       with the cold pass's decision rule. Loads and the unroutable sum
+       move by each prefix's exact integer contribution, so nothing is
+       ever re-summed. *)
     List.iter
       (fun (ch : Snapshot.change) ->
         let prefix = ch.Snapshot.ch_prefix in
         (match Bgp.Ptrie.find prefix w.w_placements with
         | Some _ -> remove_placement w prefix
         | None -> (
-            match ch.Snapshot.ch_old_rate with
-            | Some r -> w.w_unplaced <- RSet.remove (prefix, r) w.w_unplaced
+            match Bgp.Ptrie.find prefix w.w_unplaced with
+            | Some r ->
+                w.w_unplaced <- Bgp.Ptrie.remove prefix w.w_unplaced;
+                w.w_unroutable <- Int64.sub w.w_unroutable (Units.to_millibps r)
             | None -> ()));
         w.w_stale <- Bgp.Ptrie.remove prefix w.w_stale)
       dirty;
-    (* Re-place the ones still rated, with the cold pass's decision rule. *)
     List.iter
       (fun (ch : Snapshot.change) ->
         match ch.Snapshot.ch_new_rate with
         | None -> ()
         | Some rate -> (
             let prefix = ch.Snapshot.ch_prefix in
-            let candidates = Snapshot.routes snapshot prefix in
-            let route, overridden, is_stale =
-              choose_route ~overrides ~candidates prefix
+            let placed, is_stale =
+              decide ~overrides ~candidates:(Snapshot.routes snapshot prefix)
+                snapshot prefix
             in
             if is_stale then w.w_stale <- Bgp.Ptrie.add prefix () w.w_stale;
-            let placed =
-              match route with
-              | None -> None
-              | Some route -> (
-                  match Snapshot.iface_of_route snapshot route with
-                  | None -> None
-                  | Some iface -> Some (route, Ef_netsim.Iface.id iface))
-            in
             match placed with
-            | None -> w.w_unplaced <- RSet.add (prefix, rate) w.w_unplaced
-            | Some (route, iface_id) ->
+            | None ->
+                w.w_unplaced <- Bgp.Ptrie.add prefix rate w.w_unplaced;
+                w.w_unroutable <-
+                  Int64.add w.w_unroutable (Units.to_millibps rate)
+            | Some (route, iface_id, overridden) ->
                 add_placement w ~prefix ~rate_bps:rate ~route ~iface_id
                   ~overridden))
       dirty;
-    (* Aggregates the integer bookkeeping doesn't cover: total is the
-       snapshot's canonical fold (the same float the cold pass takes),
-       unroutable re-folds the unplaced set in its (rate desc, prefix)
-       order — the cold pass's fold of the same set. *)
-    w.w_total <- Snapshot.total_rate_bps snapshot;
-    let unroutable = [| 0.0 |] in
-    RSet.iter (fun (_, r) -> unroutable.(0) <- unroutable.(0) +. r) w.w_unplaced;
-    w.w_unroutable <- unroutable.(0);
+    w.w_total <- Snapshot.total_rate_millibps snapshot;
     w.w_ifaces <- Snapshot.ifaces snapshot
 
   (* --- interface-set deltas -------------------------------------------
 
      The affected set of an interface change is exact, not heuristic,
-     because [choose_route] follows only the head candidate (or a
+     because [decide] follows only the head candidate (or a
      still-valid override) and a placement whose interface does not
      resolve goes unplaced rather than falling through to the next
      candidate:
@@ -583,8 +550,8 @@ module Working = struct
   let add_iface w ~snapshot ?overrides ~iface_id:_ () =
     ensure_width w (Snapshot.max_iface_id snapshot + 1);
     let dirty =
-      RSet.fold
-        (fun (prefix, rate) acc -> change_of ~prefix ~rate :: acc)
+      Bgp.Ptrie.fold
+        (fun prefix rate acc -> change_of ~prefix ~rate :: acc)
         w.w_unplaced []
     in
     apply_dirty w ~snapshot ?overrides ~dirty ()

@@ -27,12 +27,12 @@ val project :
     {!stale_overrides}. Prefixes with no route at all are dropped and
     counted in {!unroutable_bps}.
 
-    [shards > 1] partitions the prefix sequence across that many domains
-    of the process-wide {!Ef_util.Pool} with per-shard scratch, merged
-    deterministically — the result is byte-identical to [shards = 1] at
-    any count (integer load sums are associative; tries and sets are
-    content-canonical; every float fold runs in the serial pass's exact
-    order). When sharded, [overrides] runs on worker domains and must be
+    The result does not depend on the order prefixes are visited in:
+    loads and aggregates are integer millibps sums and every trie is
+    content-canonical. So [shards > 1] partitions the snapshot's rated
+    prefixes across that many domains of the process-wide
+    {!Ef_util.Pool} with per-shard scratch, merged after the join — the
+    result is byte-identical to [shards = 1] at any count. When sharded, [overrides] runs on worker domains and must be
     a pure function. Calls from inside a pool task fall back to the
     sequential pass. *)
 
@@ -40,7 +40,11 @@ val load_bps : t -> iface_id:int -> float
 (** Per-interface load. Accumulated internally in integer millibps
     (order-independent, so a projection advanced placement-by-placement
     reports bit-identical loads to one rebuilt from scratch); quantization
-    is ≤ 1 millibit/s per placement. *)
+    is < 1 millibit/s per placement. *)
+
+val load_millibps : t -> iface_id:int -> int64
+(** {!load_bps} before the conversion: the exact sum of
+    {!Ef_util.Units.to_millibps} over the interface's placements. *)
 
 val utilization : t -> Ef_netsim.Iface.t -> float
 
@@ -86,6 +90,12 @@ val remove_placement : t -> Ef_bgp.Prefix.t -> t
 val total_bps : t -> float
 val overridden_bps : t -> float
 val unroutable_bps : t -> float
+
+val unroutable_millibps : t -> int64
+(** Exact millibps sum over the prefixes with no placement. Every rated
+    prefix is either placed or unroutable, so for a projection of a
+    snapshot (cold, warm-patched or enforced) the loads plus this equal
+    {!Ef_collector.Snapshot.total_rate_millibps} exactly. *)
 
 val stale_overrides : t -> Ef_bgp.Prefix.t list
 (** Ascending prefix order — canonical, so cold and incremental cycles
@@ -176,11 +186,10 @@ module Working : sig
   (** Advance a pre-relief working image to a new snapshot by re-placing
       only the dirty prefixes: each is retracted from wherever it sits
       (placement, unroutable pool, stale list) and re-decided with the
-      cold pass's rule under [overrides]. Interface loads move by each
-      placement's exact integer contribution (associative, so no
-      re-summation is needed); the total is taken from the snapshot's
-      canonical fold and the unroutable sum re-folds the unplaced set in
-      its canonical order — every float is the one a full {!project} of
+      cold pass's rule under [overrides]. Interface loads and the
+      unroutable sum move by each prefix's exact integer contribution
+      (associative, so no re-summation is needed) and the total is the
+      snapshot's own — every aggregate is the one a full {!project} of
       [snapshot] would produce, so sealing the result is byte-identical
       to a cold projection, not merely close. Cost is O(dirty · log n),
       independent of table size.
@@ -235,7 +244,7 @@ module Working : sig
       internal per-interface arrays when an addition extends the id
       universe. Sealing afterwards is byte-identical to a cold
       {!Projection.project} of [snapshot] — same decision rule, integer
-      load moves, canonical aggregate folds. *)
+      load and aggregate moves. *)
 
   val drain_touched : t -> int list
   (** Interface ids whose load changed since the last drain (most recent

@@ -5,6 +5,8 @@ let gbps x = x *. 1e9
 let tbps x = x *. 1e12
 let to_gbps x = x /. 1e9
 let to_mbps x = x /. 1e6
+let to_millibps x = Int64.of_float (x *. 1000.0)
+let of_millibps m = Int64.to_float m /. 1000.0
 
 let pp_rate fmt r =
   let abs = Float.abs r in

@@ -14,6 +14,16 @@ val tbps : float -> float
 val to_gbps : float -> float
 val to_mbps : float -> float
 
+val to_millibps : float -> int64
+(** Quantize a rate to integer millibits/s (truncating toward zero, so
+    a rate loses < 1 mbps). Exact rate sums — snapshot totals,
+    interface loads, unroutable traffic — accumulate in this unit:
+    integer addition is associative, so an aggregate advanced one
+    add/subtract at a time equals a from-scratch sum in any order. *)
+
+val of_millibps : int64 -> float
+(** Back to bits per second, for reporting. *)
+
 val pp_rate : Format.formatter -> float -> unit
 (** Render with an adaptive unit: ["12.5 Gbps"], ["830 Mbps"], … *)
 

@@ -233,6 +233,104 @@ let test_snapshot_drops_zero_rates () =
   Helpers.check_float "rate_of zero" 0.0 (C.Snapshot.rate_of snap p0);
   Helpers.check_float "rate_of kept" 5.0 (C.Snapshot.rate_of snap p1)
 
+(* duplicated prefixes in an assembled table: each entry sets its
+   prefix's rate in list order, so the last one wins — the same rule
+   [patch] applies to [rate_updates], which is what keeps a patched
+   snapshot equal to a fresh assemble of its content *)
+let test_snapshot_duplicates_last_wins () =
+  let world = N.Topo_gen.generate N.Topo_gen.small_config in
+  let pop = world.N.Topo_gen.pop in
+  let p = List.nth world.N.Topo_gen.all_prefixes 0 in
+  let q = List.nth world.N.Topo_gen.all_prefixes 1 in
+  let of_rates rates = C.Snapshot.of_pop pop ~prefix_rates:rates ~time_s:0 in
+  let check_content what snap rates =
+    Alcotest.(check int) (what ^ ": count") (List.length rates)
+      (C.Snapshot.prefix_count snap);
+    Helpers.check_float (what ^ ": total")
+      (List.fold_left (fun acc (_, r) -> acc +. r) 0.0 rates)
+      (C.Snapshot.total_rate_bps snap);
+    Alcotest.(check (list (pair Helpers.prefix_t (float 0.0))))
+      (what ^ ": prefix_rates") rates (C.Snapshot.prefix_rates snap);
+    List.iter
+      (fun (x, r) ->
+        Helpers.check_float (what ^ ": rate_of") r (C.Snapshot.rate_of snap x))
+      rates;
+    let proj = Edge_fabric.Projection.project snap in
+    List.iter
+      (fun (x, r) ->
+        match Edge_fabric.Projection.placement_of proj x with
+        | Some pl ->
+            Helpers.check_float (what ^ ": placed rate") r
+              pl.Edge_fabric.Projection.rate_bps
+        | None -> Alcotest.fail (what ^ ": prefix not placed"))
+      rates
+  in
+  let dup = of_rates [ (p, 2.0); (q, 5.0); (p, 1.0) ] in
+  check_content "duplicate" dup [ (q, 5.0); (p, 1.0) ];
+  (* a later non-positive entry unrates; a later positive one re-rates *)
+  check_content "withdrawn" (of_rates [ (p, 2.0); (q, 5.0); (p, 0.0) ]) [ (q, 5.0) ];
+  check_content "re-rated" (of_rates [ (p, 0.0); (q, 5.0); (p, 3.0) ])
+    [ (q, 5.0); (p, 3.0) ];
+  let patched =
+    C.Snapshot.patch ~prev:dup ~rate_updates:[ (p, 4.0) ] ~time_s:30 ()
+  in
+  check_content "patched" patched [ (q, 5.0); (p, 4.0) ];
+  Alcotest.(check bool) "patched total = assembled total" true
+    (C.Snapshot.total_rate_millibps patched
+    = C.Snapshot.total_rate_millibps (of_rates [ (p, 4.0); (q, 5.0) ]));
+  (* repeated updates inside one patch follow the same rule *)
+  let repatched =
+    C.Snapshot.patch ~prev:dup ~rate_updates:[ (p, 4.0); (p, 0.5) ] ~time_s:30 ()
+  in
+  check_content "repatched" repatched [ (q, 5.0); (p, 0.5) ];
+  match (C.Snapshot.diff dup repatched).C.Snapshot.changes with
+  | [ c ] ->
+      Alcotest.(check (option (float 0.0))) "old" (Some 1.0) c.C.Snapshot.ch_old_rate;
+      Alcotest.(check (option (float 0.0))) "new" (Some 0.5) c.C.Snapshot.ch_new_rate
+  | l -> Alcotest.failf "expected one change record, got %d" (List.length l)
+
+(* a prefix both rate-updated and rerouted in one patch is one record
+   with the routes flag set; rerouted-only prefixes (including one whose
+   rate update was a no-op) get records of their own, ahead of the rate
+   records, in reverse [routes_changed] order *)
+let test_snapshot_patch_overlapping_events () =
+  let world = N.Topo_gen.generate N.Topo_gen.small_config in
+  let pop = world.N.Topo_gen.pop in
+  let nth = List.nth world.N.Topo_gen.all_prefixes in
+  let p = nth 0 and q = nth 1 and r = nth 2 and s = nth 3 in
+  let prev =
+    C.Snapshot.of_pop pop ~prefix_rates:[ (p, 2.0); (q, 5.0); (s, 1.0) ] ~time_s:0
+  in
+  let record (c : C.Snapshot.change) =
+    ( Bgp.Prefix.to_string c.C.Snapshot.ch_prefix,
+      c.C.Snapshot.ch_old_rate,
+      c.C.Snapshot.ch_new_rate,
+      c.C.Snapshot.ch_routes )
+  in
+  let diff ~rate_updates ~routes_changed =
+    let next =
+      C.Snapshot.patch ~prev ~rate_updates ~routes_changed ~time_s:30 ()
+    in
+    List.map record (C.Snapshot.diff prev next).C.Snapshot.changes
+  in
+  let changes = Alcotest.(list (pair string (pair (option (float 0.0)) (pair (option (float 0.0)) bool)))) in
+  let flat = List.map (fun (a, b, c, d) -> (a, (b, (c, d)))) in
+  Alcotest.check changes "overlap: one record, routes flagged"
+    (flat [ (Bgp.Prefix.to_string p, Some 2.0, Some 3.0, true) ])
+    (flat (diff ~rate_updates:[ (p, 3.0) ] ~routes_changed:[ p ]));
+  Alcotest.check changes "mixed"
+    (flat
+       [
+         (Bgp.Prefix.to_string r, None, None, true);
+         (Bgp.Prefix.to_string q, Some 5.0, Some 5.0, true);
+         (Bgp.Prefix.to_string p, Some 2.0, Some 3.0, true);
+         (Bgp.Prefix.to_string s, Some 1.0, None, false);
+       ])
+    (flat
+       (diff
+          ~rate_updates:[ (p, 3.0); (q, 5.0); (s, 0.0) ]
+          ~routes_changed:[ p; q; r; p ]))
+
 let test_snapshot_iface_of_route () =
   let world = N.Topo_gen.generate N.Topo_gen.small_config in
   let pop = world.N.Topo_gen.pop in
@@ -273,4 +371,8 @@ let suite =
     Alcotest.test_case "snapshot drops zero rates" `Quick
       test_snapshot_drops_zero_rates;
     Alcotest.test_case "snapshot iface of route" `Quick test_snapshot_iface_of_route;
+    Alcotest.test_case "snapshot duplicates last wins" `Quick
+      test_snapshot_duplicates_last_wins;
+    Alcotest.test_case "snapshot patch overlapping events" `Quick
+      test_snapshot_patch_overlapping_events;
   ]

@@ -179,6 +179,78 @@ let test_sharded_assemble_identical () =
             (C.Snapshot.rate_of sharded p))
         (C.Snapshot.prefix_rates serial))
 
+(* duplicated prefixes through the pooled table build: later entries
+   win and a late non-positive entry unrates, exactly as on the serial
+   path — in the count, the total, the rate order, rate_of and the
+   projection (serial and sharded) *)
+let test_sharded_assemble_duplicates () =
+  let module C = Ef_collector in
+  let module P = Edge_fabric.Projection in
+  let gen = N.Dfz.create (small 6_000) in
+  let base = N.Dfz.current_rates gen in
+  let again =
+    List.filteri (fun i _ -> i mod 3 = 0) base
+    |> List.map (fun (p, r) -> (p, (r *. 1.5) +. 1.0))
+  in
+  let gone =
+    List.filteri (fun i _ -> i mod 7 = 0) base |> List.map (fun (p, _) -> (p, 0.0))
+  in
+  (* 6000 + 2000 + 858 entries: above the 8192-entry parallel threshold *)
+  let table = base @ again @ gone in
+  let model = Hashtbl.create 8192 in
+  List.iter
+    (fun (p, r) ->
+      if r > 0.0 then Hashtbl.replace model p r else Hashtbl.remove model p)
+    table;
+  let expected =
+    Hashtbl.fold (fun p r acc -> (p, r) :: acc) model []
+    |> List.sort (fun (pa, ra) (pb, rb) ->
+           let c = Float.compare rb ra in
+           if c <> 0 then c else Bgp.Prefix.compare pa pb)
+  in
+  let assemble ?pool () =
+    C.Snapshot.assemble ?pool ~obs:(Ef_obs.Registry.create ())
+      ~routes:(N.Dfz.routes gen) ~iface_of_peer:(N.Dfz.iface_of_peer gen)
+      ~ifaces:(N.Dfz.ifaces gen) ~prefix_rates:table ~time_s:0 ()
+  in
+  let check what snap =
+    Alcotest.(check int) (what ^ ": count") (List.length expected)
+      (C.Snapshot.prefix_count snap);
+    Alcotest.(check int64) (what ^ ": total millibps")
+      (List.fold_left
+         (fun acc (_, r) -> Int64.add acc (Ef_util.Units.to_millibps r))
+         0L expected)
+      (C.Snapshot.total_rate_millibps snap);
+    Alcotest.(check bool) (what ^ ": prefix_rates") true
+      (C.Snapshot.prefix_rates snap = expected);
+    List.iter
+      (fun (p, r) ->
+        if C.Snapshot.rate_of snap p <> r then
+          Alcotest.failf "%s: rate_of %s" what (Bgp.Prefix.to_string p))
+      expected;
+    let loads proj =
+      List.map
+        (fun i -> P.load_millibps proj ~iface_id:(N.Iface.id i))
+        (C.Snapshot.ifaces snap)
+    in
+    let proj = P.project snap and sharded = P.project ~shards:2 snap in
+    Alcotest.(check int64) (what ^ ": loads + unroutable = total")
+      (C.Snapshot.total_rate_millibps snap)
+      (List.fold_left Int64.add (P.unroutable_millibps proj) (loads proj));
+    Alcotest.(check (list int64)) (what ^ ": sharded loads") (loads proj)
+      (loads sharded);
+    Alcotest.(check int64) (what ^ ": sharded unroutable")
+      (P.unroutable_millibps proj) (P.unroutable_millibps sharded);
+    List.iter
+      (fun (pl : P.placement) ->
+        if Hashtbl.find_opt model pl.P.placed_prefix <> Some pl.P.rate_bps then
+          Alcotest.failf "%s: placed rate of %s" what
+            (Bgp.Prefix.to_string pl.P.placed_prefix))
+      (P.placements proj)
+  in
+  check "serial" (assemble ());
+  Ef_util.Pool.with_pool ~jobs:4 (fun pool -> check "pooled" (assemble ~pool ()))
+
 (* satellite pin: the headline percentiles are steady-state — cycle 0's
    cold build is excluded, reported separately as cold_s *)
 let test_percentiles_exclude_cold () =
@@ -292,6 +364,8 @@ let suite =
       `Quick test_driver_flap_verified_identical;
     Alcotest.test_case "sharded assemble = serial assemble" `Quick
       test_sharded_assemble_identical;
+    Alcotest.test_case "sharded assemble duplicates" `Quick
+      test_sharded_assemble_duplicates;
     Alcotest.test_case "percentiles exclude the cold cycle" `Quick
       test_percentiles_exclude_cold;
     Alcotest.test_case "report json shape" `Quick test_report_json_shape;

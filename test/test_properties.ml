@@ -622,6 +622,175 @@ let fuzz_mrt_codec =
       (match Bgp.Mrt.decode (truncate rng wire) with Ok _ | Error _ -> ());
       match Bgp.Mrt.decode (bit_flip rng wire) with Ok _ | Error _ -> ())
 
+(* --- Patch chains against fresh assembly ------------------------------- *)
+
+(* Random patch sequences: each step draws rate moves, withdrawals and
+   re-announcements, route bumps (the best announcement disappears or
+   comes back), prefixes that are both rate-updated and rerouted, a
+   repeated update for one prefix (the last one wins), and interface
+   additions, removals and derates. After every step the patched
+   snapshot must equal a fresh [assemble] of the same content, and the
+   conservation invariant must hold exactly in millibps — loads plus
+   unroutable traffic equal the snapshot's total — on the cold
+   projection, on the warm image advanced over the recorded delta, and on
+   the controller's preferred and enforced projections. (The default
+   config places whole prefixes; /24 splitting quantizes each child on
+   its own, so it is left out of the exact form.) *)
+let prop_patch_chain_equals_assemble =
+  QCheck.Test.make ~name:"patch chain = assemble, exact conservation"
+    ~count:25 QCheck.small_nat (fun seed ->
+      let rng = Ef_util.Rng.create (seed + 17) in
+      let w = Gen.world (3000 + seed) in
+      let pop = w.N.Topo_gen.pop in
+      let base = Array.of_list (Gen.rates_of_world w) in
+      let n = Array.length base in
+      let all_ifaces = N.Pop.interfaces pop in
+      let best_gone = Hashtbl.create 8 in
+      let routes p =
+        let rs = Bgp.Rib.ranked (N.Pop.rib pop) p in
+        if Hashtbl.mem best_gone p then match rs with [] -> [] | _ :: tl -> tl
+        else rs
+      in
+      let iface_of_peer ifaces peer_id =
+        match N.Pop.peer pop peer_id with
+        | None -> None
+        | Some _ ->
+            let id = N.Iface.id (N.Pop.iface_of_peer pop ~peer_id) in
+            List.find_opt (fun i -> N.Iface.id i = id) ifaces
+      in
+      let model = Hashtbl.create 64 in
+      Array.iter (fun (p, r) -> Hashtbl.replace model p r) base;
+      let assemble ifaces time_s =
+        C.Snapshot.assemble ~obs:(Ef_obs.Registry.create ()) ~routes
+          ~iface_of_peer:(iface_of_peer ifaces) ~ifaces
+          ~prefix_rates:(Hashtbl.fold (fun p r acc -> (p, r) :: acc) model [])
+          ~time_s ()
+      in
+      let conserved what snap proj =
+        let loads =
+          List.fold_left
+            (fun acc i ->
+              Int64.add acc
+                (Ef.Projection.load_millibps proj ~iface_id:(N.Iface.id i)))
+            0L (C.Snapshot.ifaces snap)
+        in
+        let got = Int64.add loads (Ef.Projection.unroutable_millibps proj) in
+        if got <> C.Snapshot.total_rate_millibps snap then
+          QCheck.Test.fail_reportf "%s: loads + unroutable = %Ld, total %Ld"
+            what got
+            (C.Snapshot.total_rate_millibps snap)
+      in
+      let same_content what patched fresh =
+        let universe = Array.map fst base in
+        if
+          C.Snapshot.total_rate_millibps patched
+          <> C.Snapshot.total_rate_millibps fresh
+          || C.Snapshot.total_rate_bps patched
+             <> C.Snapshot.total_rate_bps fresh
+          || C.Snapshot.prefix_count patched <> C.Snapshot.prefix_count fresh
+          || C.Snapshot.prefix_rates patched <> C.Snapshot.prefix_rates fresh
+          || not
+               (Array.for_all
+                  (fun p ->
+                    C.Snapshot.rate_of patched p = C.Snapshot.rate_of fresh p)
+                  universe)
+        then QCheck.Test.fail_reportf "%s: patched snapshot differs" what
+      in
+      let ctl =
+        Ef.Controller.create ~obs:(Ef_obs.Registry.create ()) ~name:"chain" ()
+      in
+      let ifaces = ref all_ifaces in
+      let snap = ref (assemble !ifaces 0) in
+      let work =
+        Ef.Projection.Working.of_projection (Ef.Projection.project !snap)
+      in
+      ignore (Ef.Controller.cycle ctl !snap);
+      for step = 1 to 12 do
+        let time_s = step * 30 in
+        let pick () = fst base.(Ef_util.Rng.int rng n) in
+        let rate_updates = ref [] and routes_changed = ref [] in
+        let set p r =
+          rate_updates := (p, r) :: !rate_updates;
+          if r > 0.0 then Hashtbl.replace model p r else Hashtbl.remove model p
+        in
+        let bump p =
+          if Hashtbl.mem best_gone p then Hashtbl.remove best_gone p
+          else Hashtbl.replace best_gone p ();
+          routes_changed := p :: !routes_changed
+        in
+        for _ = 1 to 1 + Ef_util.Rng.int rng 6 do
+          let p = pick () in
+          match Ef_util.Rng.int rng 6 with
+          | 0 -> set p (1e6 +. Ef_util.Rng.float rng 5e8) (* move / re-announce *)
+          | 1 -> set p 0.0 (* withdraw *)
+          | 2 -> bump p
+          | 3 ->
+              set p (1e6 +. Ef_util.Rng.float rng 5e8);
+              bump p
+          | 4 ->
+              (* repeated update: the later entry must win *)
+              set p 0.0;
+              set p (1e6 +. Ef_util.Rng.float rng 5e8)
+          | _ -> set p (Ef_util.Rng.float rng 1e9 -. 5e8)
+        done;
+        (* interface events: remove one, bring one back, derate one *)
+        (match Ef_util.Rng.int rng 4 with
+        | 0 when List.length !ifaces > 1 ->
+            let gone = List.nth !ifaces (Ef_util.Rng.int rng (List.length !ifaces)) in
+            ifaces := List.filter (fun i -> i != gone) !ifaces
+        | 1 ->
+            let missing =
+              List.filter
+                (fun i ->
+                  not
+                    (List.exists (fun j -> N.Iface.id j = N.Iface.id i) !ifaces))
+                all_ifaces
+            in
+            if missing <> [] then
+              ifaces :=
+                List.sort
+                  (fun a b -> compare (N.Iface.id a) (N.Iface.id b))
+                  (List.hd missing :: !ifaces)
+        | 2 ->
+            let id = N.Iface.id (List.nth !ifaces (Ef_util.Rng.int rng (List.length !ifaces))) in
+            let f = 0.3 +. Ef_util.Rng.float rng 0.7 in
+            ifaces :=
+              Gen.derate_ifaces
+                ~factor_of:(fun i -> if i = id then f else 1.0)
+                !ifaces
+        | _ -> ());
+        let prev = !snap in
+        snap :=
+          C.Snapshot.patch ~obs:(Ef_obs.Registry.create ()) ~prev ~routes
+            ~ifaces:!ifaces ~routes_changed:!routes_changed
+            ~rate_updates:(List.rev !rate_updates) ~time_s ();
+        let what = Printf.sprintf "seed %d step %d" seed step in
+        same_content what !snap (assemble !ifaces time_s);
+        let cold = Ef.Projection.project !snap in
+        conserved (what ^ " cold") !snap cold;
+        let d = C.Snapshot.diff prev !snap in
+        Ef.Projection.Working.apply_iface_delta work ~snapshot:!snap
+          ~delta:d.C.Snapshot.iface_changes ();
+        Ef.Projection.Working.apply_dirty work ~snapshot:!snap
+          ~dirty:d.C.Snapshot.changes ();
+        let warm = Ef.Projection.Working.seal work in
+        conserved (what ^ " warm") !snap warm;
+        if
+          Ef.Projection.unroutable_millibps warm
+          <> Ef.Projection.unroutable_millibps cold
+          || List.exists
+               (fun i ->
+                 let iface_id = N.Iface.id i in
+                 Ef.Projection.load_millibps warm ~iface_id
+                 <> Ef.Projection.load_millibps cold ~iface_id)
+               !ifaces
+        then QCheck.Test.fail_reportf "%s: warm image differs from cold" what;
+        let stats = Ef.Controller.cycle ctl !snap in
+        conserved (what ^ " preferred") !snap (Ef.Controller.preferred stats);
+        conserved (what ^ " enforced") !snap (Ef.Controller.enforced stats)
+      done;
+      Ef.Controller.incremental_hits ctl = 12)
+
 let suite =
   [ fuzz_bgp_codec; fuzz_sflow_codec; fuzz_mrt_codec ]
   @ List.map QCheck_alcotest.to_alcotest
@@ -641,4 +810,5 @@ let suite =
       prop_diff_empty;
       prop_diff_unlinked_fuzzed;
       prop_diff_iface_roundtrip;
+      prop_patch_chain_equals_assemble;
     ]
