@@ -670,7 +670,7 @@ let run_cmd =
       value & opt int 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Shard each controller cycle's projection/allocation across \
+            "Shard each controller cycle's cold projection across \
              $(docv) domains (and the cold DFZ table build, for dfz/mrt \
              worlds). Outputs are byte-identical at any shard count; use \
              with up to the machine's core count.")

@@ -94,18 +94,22 @@ let mem p t = Option.is_some (find p t)
 let update p f t =
   match f (find p t) with None -> remove p t | Some v -> add p v t
 
-(* All containing prefixes of [addr]: one exact probe per length. The
-   compressed trie has no per-depth spine to ride, but 33 short walks
-   is still microseconds, and [find_key] allocates nothing. *)
-let matches addr t =
+(* All containing prefixes of [addr] at length [upto] or shorter: one
+   exact probe per length. The compressed trie has no per-depth spine to
+   ride, but 33 short walks is still microseconds, and [find_key]
+   allocates nothing. *)
+let matches_upto addr upto t =
   let acc = ref [] in
-  for len = 0 to 32 do
+  for len = 0 to upto do
     let k = key_of_parts (Ipv4.apply_mask addr len) len in
     match find_key k t with
     | None -> ()
     | Some v -> acc := (Prefix.make addr len, v) :: !acc
   done;
   !acc
+
+let matches addr t = matches_upto addr 32 t
+let covers p t = matches_upto (Prefix.network p) (Prefix.length p) t
 
 let longest_match addr t =
   let rec go len =

@@ -36,6 +36,10 @@ val longest_match : Ipv4.t -> 'a t -> (Prefix.t * 'a) option
 val matches : Ipv4.t -> 'a t -> (Prefix.t * 'a) list
 (** All prefixes containing the address, most specific first. *)
 
+val covers : Prefix.t -> 'a t -> (Prefix.t * 'a) list
+(** All bindings whose prefix is equal to or less specific than the
+    argument, most specific first — [length p + 1] exact probes. *)
+
 val covered : Prefix.t -> 'a t -> (Prefix.t * 'a) list
 (** All bindings whose prefix is equal to or more specific than the
     argument, in ascending prefix order. *)

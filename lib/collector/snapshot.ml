@@ -263,7 +263,8 @@ let patch ?obs ~prev ?routes ?ifaces ?(routes_changed = []) ~rate_updates
     rate_trie = !trie;
     prefix_rates = sorted_rates !trie;
     routes = Option.value routes ~default:prev.routes;
-    routes_memo = Hashtbl.create 256;
+    (* sized so the warm cycle's one lookup per change does not regrow it *)
+    routes_memo = Hashtbl.create (max 256 (List.length changes));
     ifaces;
     iface_index;
     iface_id_of_peer = prev.iface_id_of_peer;
@@ -316,6 +317,8 @@ let iter_rates t f = Bgp.Ptrie.iter f t.rate_trie
 
 let rate_of t prefix =
   Option.value (Bgp.Ptrie.find prefix t.rate_trie) ~default:0.0
+
+let rated_covers t prefix = Bgp.Ptrie.covers prefix t.rate_trie
 
 (* Candidate sets are memoized per snapshot: the allocator asks for the
    same prefix's routes on every relief attempt (and the guard again

@@ -149,6 +149,11 @@ val iter_rates : t -> (Ef_bgp.Prefix.t -> float -> unit) -> unit
 
 val rate_of : t -> Ef_bgp.Prefix.t -> float
 
+val rated_covers : t -> Ef_bgp.Prefix.t -> (Ef_bgp.Prefix.t * float) list
+(** The rated prefixes equal to or covering the argument, with their
+    rates, most specific first: at most 33 exact probes of the rate
+    trie, nothing sorted. *)
+
 val routes : t -> Ef_bgp.Prefix.t -> Ef_bgp.Route.t list
 (** Memoized per snapshot: the first call for a prefix runs the supplied
     [routes] function, later calls return the cached candidate list. One

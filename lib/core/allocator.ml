@@ -166,13 +166,19 @@ let ordered_placements st iface_id =
   | Config.Smallest_first ->
       Projection.Working.placements_rev_seq st.work ~iface_id
 
-(* Split one placement into /24 children carrying equal shares. *)
+(* Split one placement into /24 children carrying equal shares. A /24
+   that already holds its own placement (a rated more-specific) is its
+   own flow: it keeps its placement and takes no share. *)
 let split_placement st (pl : Projection.placement) =
   let prefix = pl.Projection.placed_prefix in
   let parent_key =
     Option.value (Hashtbl.find_opt st.split_parent prefix) ~default:prefix
   in
-  let children = Bgp.Prefix.subnets prefix 24 in
+  let children =
+    List.filter
+      (fun c -> Option.is_none (Projection.Working.placement_of st.work c))
+      (Bgp.Prefix.subnets prefix 24)
+  in
   match children with
   | [] | [ _ ] -> false
   | _ ->
@@ -435,9 +441,8 @@ let validate_config config =
 
 let run ?obs ~config ?(trace = Trace.noop) snapshot =
   validate_config config;
-  let shards = config.Config.shards in
-  let before = Projection.project ~shards snapshot in
-  let work = Projection.Working.of_projection ~shards before in
+  let before = Projection.project ~shards:config.Config.shards snapshot in
+  let work = Projection.Working.of_projection before in
   run_core ?obs ~config ~trace ~before ~work snapshot
 
 let run_warm ?obs ~config ?(trace = Trace.noop) ?warm snapshot =
@@ -469,10 +474,8 @@ let run_warm ?obs ~config ?(trace = Trace.noop) ?warm snapshot =
         let key = if set_unchanged then w.warm_key else iface_key snapshot in
         (Projection.Working.seal img, img, key)
     | None ->
-        let shards = config.Config.shards in
-        let before = Projection.project ~shards snapshot in
-        (before, Projection.Working.of_projection ~shards before,
-         iface_key snapshot)
+        let before = Projection.project ~shards:config.Config.shards snapshot in
+        (before, Projection.Working.of_projection before, iface_key snapshot)
   in
   (* retain the pre-relief image before the relief loop mutates it *)
   let next_warm =

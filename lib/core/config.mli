@@ -54,8 +54,8 @@ type t = {
                                    {!Allocator.run_warm}). [false] forces
                                    the cold path every cycle — the
                                    differential suites' reference mode *)
-  shards : int;                (** partition cold projection / working-set
-                                   builds across this many domains (the
+  shards : int;                (** partition cold projections across
+                                   this many domains (the
                                    process-wide {!Ef_util.Pool}); outputs
                                    are byte-identical at any value, so
                                    this is purely a throughput knob. 1

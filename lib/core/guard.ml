@@ -41,27 +41,22 @@ let pp_violation fmt = function
       Format.fprintf fmt "detour target iface %d projected at %.2f" iface_id
         utilization
 
-(* a target is live when its peer still offers a route for the prefix (or
-   for the covering prefix, in the /24-split case) *)
+(* a target is live when its peer still offers a route for the prefix —
+   or, for a /24 split child (no routes of its own), for any rated prefix
+   covering it: the allocator may have taken the target from the split
+   parent's candidates, and the parent can cover a nested rated prefix *)
 let target_is_live snapshot (o : Override.t) =
-  let candidates_of p = Snapshot.routes snapshot p in
-  let direct = candidates_of o.Override.prefix in
-  let candidates =
-    match direct with
-    | [] -> (
-        (* /24 child: look up the covering announced prefix *)
-        match
-          List.find_opt
-            (fun (p, _) -> Bgp.Prefix.subsumes p o.Override.prefix)
-            (Snapshot.prefix_rates snapshot)
-        with
-        | Some (p, _) -> candidates_of p
-        | None -> [])
-    | l -> l
+  let offers p =
+    List.exists
+      (fun r -> Bgp.Route.peer_id r = Override.target_peer_id o)
+      (Snapshot.routes snapshot p)
   in
-  List.exists
-    (fun r -> Bgp.Route.peer_id r = Override.target_peer_id o)
-    candidates
+  match Snapshot.routes snapshot o.Override.prefix with
+  | [] ->
+      List.exists
+        (fun (p, _) -> offers p)
+        (Snapshot.rated_covers snapshot o.Override.prefix)
+  | _ -> offers o.Override.prefix
 
 let detoured_rate snapshot (o : Override.t) =
   match Snapshot.rate_of snapshot o.Override.prefix with

@@ -298,9 +298,11 @@ module Working = struct
     mutable w_ifaces : Ef_netsim.Iface.t list;
     mutable w_loads : int64 array; (* millibps, updated in place *)
     mutable w_placements : placement Bgp.Ptrie.t;
-    mutable w_by_iface : PSet.t array;
-        (* iface id -> placements, (rate desc, prefix); replaced (with
-           w_loads) only when an added interface grows the id universe *)
+    mutable w_by_iface : PSet.t option array;
+        (* iface id -> its placements in (rate desc, prefix) order; [None]
+           until the first ordered read of that interface, current after
+           it. Replaced (with w_loads) only when an added interface grows
+           the id universe *)
     mutable w_total : int64;
     mutable w_overridden : int64;
     mutable w_unroutable : int64;
@@ -309,53 +311,15 @@ module Working = struct
     mutable w_touched : int list; (* iface ids with load changes, undrained *)
   }
 
-  (* The per-iface placement index is the expensive part of the build
-     (one PSet.add per placement). Shards index contiguous chunks of the
-     placement sequence into private per-iface set arrays, merged per
-     iface with PSet.union — sets are content-determined, so every
-     observable (elements, to_seq, fold) matches the serial build. *)
-  let of_projection ?(shards = 1) (p : proj) =
-    let width = Array.length p.loads in
-    let by_iface =
-      match shard_pool ~shards with
-      | None ->
-          let by = Array.make width PSet.empty in
-          Bgp.Ptrie.iter
-            (fun _ pl -> by.(pl.iface_id) <- PSet.add pl by.(pl.iface_id))
-            p.placements;
-          by
-      | Some pool ->
-          let pls =
-            Array.of_list
-              (Bgp.Ptrie.fold (fun _ pl acc -> pl :: acc) p.placements [])
-          in
-          let n = Array.length pls in
-          let parts =
-            Ef_util.Pool.map pool
-              (fun (lo, hi) ->
-                let by = Array.make width PSet.empty in
-                for i = lo to hi - 1 do
-                  let pl = pls.(i) in
-                  by.(pl.iface_id) <- PSet.add pl by.(pl.iface_id)
-                done;
-                by)
-              (Ef_util.Pool.chunk_ranges ~n ~k:(Ef_util.Pool.jobs pool))
-          in
-          let by = Array.make width PSet.empty in
-          List.iter
-            (fun part ->
-              for id = 0 to width - 1 do
-                if not (PSet.is_empty part.(id)) then
-                  by.(id) <- PSet.union by.(id) part.(id)
-              done)
-            parts;
-          by
-    in
+  (* The per-iface index is built lazily: most cycles relieve nothing, and
+     keeping a 200k-element set current on every warm patch cost more than
+     the patch's trie work. So opening a view indexes nothing. *)
+  let of_projection (p : proj) =
     {
       w_ifaces = p.ifaces;
       w_loads = Array.copy p.loads;
       w_placements = p.placements;
-      w_by_iface = by_iface;
+      w_by_iface = Array.make (Array.length p.loads) None;
       w_total = p.total_m;
       w_overridden = p.overridden_m;
       w_unroutable = p.unroutable_m;
@@ -403,17 +367,38 @@ module Working = struct
 
   let placement_of w prefix = Bgp.Ptrie.find prefix w.w_placements
 
-  let placements_on w ~iface_id =
-    if iface_id < 0 || iface_id >= Array.length w.w_by_iface then []
-    else PSet.elements w.w_by_iface.(iface_id)
+  (* The interface's slot, built on first read by sorting its placements
+     once ([PSet.of_list] sorts and then builds the balanced set in one
+     linear pass — one [PSet.add] per placement costs more). *)
+  let ordered w iface_id =
+    if iface_id < 0 || iface_id >= Array.length w.w_by_iface then PSet.empty
+    else
+      match w.w_by_iface.(iface_id) with
+      | Some s -> s
+      | None ->
+          let s =
+            PSet.of_list
+              (Bgp.Ptrie.fold
+                 (fun _ pl acc -> if pl.iface_id = iface_id then pl :: acc else acc)
+                 w.w_placements [])
+          in
+          w.w_by_iface.(iface_id) <- Some s;
+          s
 
-  let placements_seq w ~iface_id =
-    if iface_id < 0 || iface_id >= Array.length w.w_by_iface then Seq.empty
-    else PSet.to_seq w.w_by_iface.(iface_id)
+  let placements_on w ~iface_id = PSet.elements (ordered w iface_id)
+  let placements_seq w ~iface_id = PSet.to_seq (ordered w iface_id)
+  let placements_rev_seq w ~iface_id = PSet.to_rev_seq (ordered w iface_id)
 
-  let placements_rev_seq w ~iface_id =
-    if iface_id < 0 || iface_id >= Array.length w.w_by_iface then Seq.empty
-    else PSet.to_rev_seq w.w_by_iface.(iface_id)
+  (* built slots follow every mutation; unbuilt ones cost nothing *)
+  let index_add w pl =
+    match w.w_by_iface.(pl.iface_id) with
+    | Some s -> w.w_by_iface.(pl.iface_id) <- Some (PSet.add pl s)
+    | None -> ()
+
+  let index_remove w pl =
+    match w.w_by_iface.(pl.iface_id) with
+    | Some s -> w.w_by_iface.(pl.iface_id) <- Some (PSet.remove pl s)
+    | None -> ()
 
   let move w prefix ~to_route ~to_iface =
     match Bgp.Ptrie.find prefix w.w_placements with
@@ -428,29 +413,37 @@ module Working = struct
         let pl' =
           { pl with route = to_route; iface_id = to_iface; overridden = true }
         in
-        w.w_by_iface.(pl.iface_id) <- PSet.remove pl w.w_by_iface.(pl.iface_id);
-        w.w_by_iface.(to_iface) <- PSet.add pl' w.w_by_iface.(to_iface);
+        index_remove w pl;
+        index_add w pl';
         w.w_placements <- Bgp.Ptrie.add prefix pl' w.w_placements
 
-  let add_placement w ~prefix ~rate_bps ~route ~iface_id ~overridden =
+  (* [place] assumes [prefix] has no placement; [apply_dirty] has just
+     retracted it *)
+  let place w ~prefix ~rate_bps ~route ~iface_id ~overridden =
     let m = Units.to_millibps rate_bps in
     w.w_loads.(iface_id) <- Int64.add w.w_loads.(iface_id) m;
     if overridden then w.w_overridden <- Int64.add w.w_overridden m;
     touch w iface_id;
     let pl = { placed_prefix = prefix; rate_bps; route; iface_id; overridden } in
-    w.w_by_iface.(iface_id) <- PSet.add pl w.w_by_iface.(iface_id);
+    index_add w pl;
     w.w_placements <- Bgp.Ptrie.add prefix pl w.w_placements
 
+  let retract w pl =
+    let m = Units.to_millibps pl.rate_bps in
+    w.w_loads.(pl.iface_id) <- Int64.sub w.w_loads.(pl.iface_id) m;
+    if pl.overridden then w.w_overridden <- Int64.sub w.w_overridden m;
+    touch w pl.iface_id;
+    index_remove w pl;
+    w.w_placements <- Bgp.Ptrie.remove pl.placed_prefix w.w_placements
+
   let remove_placement w prefix =
-    match Bgp.Ptrie.find prefix w.w_placements with
-    | None -> ()
-    | Some pl ->
-        let m = Units.to_millibps pl.rate_bps in
-        w.w_loads.(pl.iface_id) <- Int64.sub w.w_loads.(pl.iface_id) m;
-        if pl.overridden then w.w_overridden <- Int64.sub w.w_overridden m;
-        touch w pl.iface_id;
-        w.w_by_iface.(pl.iface_id) <- PSet.remove pl w.w_by_iface.(pl.iface_id);
-        w.w_placements <- Bgp.Ptrie.remove prefix w.w_placements
+    Option.iter (retract w) (Bgp.Ptrie.find prefix w.w_placements)
+
+  (* a placement the new one replaces is retracted first, so its load and
+     index entry never outlive its record *)
+  let add_placement w ~prefix ~rate_bps ~route ~iface_id ~overridden =
+    remove_placement w prefix;
+    place w ~prefix ~rate_bps ~route ~iface_id ~overridden
 
   let apply_dirty w ~snapshot ?(overrides = fun _ -> None) ~dirty () =
     (* Retract every dirty prefix from wherever it currently sits —
@@ -462,7 +455,7 @@ module Working = struct
       (fun (ch : Snapshot.change) ->
         let prefix = ch.Snapshot.ch_prefix in
         (match Bgp.Ptrie.find prefix w.w_placements with
-        | Some _ -> remove_placement w prefix
+        | Some pl -> retract w pl
         | None -> (
             match Bgp.Ptrie.find prefix w.w_unplaced with
             | Some r ->
@@ -488,8 +481,7 @@ module Working = struct
                 w.w_unroutable <-
                   Int64.add w.w_unroutable (Units.to_millibps rate)
             | Some (route, iface_id, overridden) ->
-                add_placement w ~prefix ~rate_bps:rate ~route ~iface_id
-                  ~overridden))
+                place w ~prefix ~rate_bps:rate ~route ~iface_id ~overridden))
       dirty;
     w.w_total <- Snapshot.total_rate_millibps snapshot;
     w.w_ifaces <- Snapshot.ifaces snapshot
@@ -503,8 +495,8 @@ module Working = struct
      candidate:
 
      - a REMOVED interface can only change prefixes currently placed on
-       it (their chosen route stops resolving) — found in O(affected)
-       via the per-iface placement index;
+       it (their chosen route stops resolving) — found by one scan of
+       the placement trie;
      - an ADDED interface can only change prefixes currently unplaced
        (a placed prefix's chosen route and its resolution are
        untouched) — the unplaced pool is re-decided;
@@ -521,7 +513,7 @@ module Working = struct
     if width > Array.length w.w_loads then begin
       let loads = Array.make width 0L in
       Array.blit w.w_loads 0 loads 0 (Array.length w.w_loads);
-      let by = Array.make width PSet.empty in
+      let by = Array.make width None in
       Array.blit w.w_by_iface 0 by 0 (Array.length w.w_by_iface);
       w.w_loads <- loads;
       w.w_by_iface <- by
@@ -538,12 +530,12 @@ module Working = struct
   let remove_iface w ~snapshot ?overrides ~iface_id () =
     ensure_width w (Snapshot.max_iface_id snapshot + 1);
     let dirty =
-      if iface_id < 0 || iface_id >= Array.length w.w_by_iface then []
-      else
-        PSet.fold
-          (fun pl acc ->
-            change_of ~prefix:pl.placed_prefix ~rate:pl.rate_bps :: acc)
-          w.w_by_iface.(iface_id) []
+      Bgp.Ptrie.fold
+        (fun _ pl acc ->
+          if pl.iface_id = iface_id then
+            change_of ~prefix:pl.placed_prefix ~rate:pl.rate_bps :: acc
+          else acc)
+        w.w_placements []
     in
     apply_dirty w ~snapshot ?overrides ~dirty ()
 

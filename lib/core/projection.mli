@@ -112,9 +112,10 @@ val iface_loads : t -> (Ef_netsim.Iface.t * float) list
     The immutable ops above copy the whole load array per move and fold
     the whole placement trie per [placements_on] — fine for auditing,
     quadratic for the relief loop. A working view is opened from a sealed
-    projection, mutated in place (O(1) load updates, an O(log n)
-    per-interface placement index kept in {!compare_placement} order),
-    and sealed back into an ordinary immutable {!t} when the cycle's
+    projection, mutated in place (O(1) load updates, and a per-interface
+    placement index in {!compare_placement} order, built for an interface
+    the first time it is read in that order and kept current at O(log n)
+    per mutation after that), and sealed back into an ordinary immutable {!t} when the cycle's
     decisions are final, so every downstream consumer ([before]/[final],
     trace, guard, hysteresis) still sees the unchanged persistent type.
 
@@ -124,17 +125,18 @@ module Working : sig
   type proj := t
   type t
 
-  val of_projection : ?shards:int -> proj -> t
-  (** O(placements · log). The source projection is not mutated.
-      [shards > 1] builds the per-interface placement index on that many
-      domains (merged per interface by set union — observably identical
-      to the sequential build; see {!Projection.project} on sharding). *)
+  val of_projection : proj -> t
+  (** O(interfaces + stale overrides): no per-placement work, the
+      per-interface index starts unbuilt. The source projection is not
+      mutated. *)
 
   val copy : t -> t
   (** O(interfaces) snapshot of a working view: load and index arrays are
-      duplicated, everything persistent is shared. The copy and the
-      original can then be mutated independently — this is how a cycle's
-      pre-relief image is retained as the next cycle's warm-start base. *)
+      duplicated, everything persistent (including already-built index
+      slots) is shared. The copy and the original can then be mutated
+      independently — this is how a cycle's pre-relief image is retained
+      as the next cycle's warm-start base. A slot built later on one side
+      is not built on the other. *)
 
   val seal : t -> proj
   (** Freeze into an immutable projection. The working view may continue
@@ -145,14 +147,18 @@ module Working : sig
 
   val placements_on : t -> iface_id:int -> placement list
   (** In {!compare_placement} order, materialized from the per-interface
-      index: O(k) in that interface's placement count — never a fold of
-      the whole trie. *)
+      index. The first ordered read of an interface ([placements_on],
+      [placements_seq] or [placements_rev_seq]) builds its slot: one
+      O(n) scan of the placement trie plus an O(k log k) sort of that
+      interface's k placements. Later reads are O(k), and mutations keep
+      the built slot current at O(log k) each. *)
 
   val placements_seq : t -> iface_id:int -> placement Seq.t
   (** {!placements_on} without materializing the list — the relief loop
       usually stops after a handful of placements, so on a 100k-placement
       interface the lazy walk is the difference between O(moves·log) and
-      O(interface population) per relief step. The sequence is immutable
+      O(interface population) per relief step (after the one-off slot
+      build of the first read). The sequence is immutable
       (it walks the set as of the call); mutating the working view does
       not invalidate an already-obtained sequence. *)
 
@@ -173,6 +179,8 @@ module Working : sig
     iface_id:int ->
     overridden:bool ->
     unit
+  (** Places [prefix]; a placement it already had is retracted first
+      (its load and index entry with it). *)
 
   val remove_placement : t -> Ef_bgp.Prefix.t -> unit
 
@@ -209,8 +217,10 @@ module Working : sig
     unit ->
     unit
   (** Re-decide exactly the prefixes placed on [iface_id] against
-      [snapshot] (which must no longer carry the interface) — O(affected
-      · log n) via the per-iface placement index, never O(table). The
+      [snapshot] (which must no longer carry the interface). The
+      affected prefixes are found by one O(n) scan of the placement trie
+      that allocates only for the matches, and re-placed in O(affected ·
+      log n). The
       affected set is exact because placement follows only the head
       candidate (or a still-valid override) and an unresolvable route
       leaves a prefix unplaced: no other prefix's decision can change

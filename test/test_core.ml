@@ -400,6 +400,46 @@ let test_allocator_split24 () =
        < Ef.Projection.utilization whole.Ef.Allocator.final fx.iface_private);
   Alcotest.(check bool) "splits recorded" true (split.Ef.Allocator.splits > 0)
 
+(* A rated /24 nested in a split prefix keeps its own placement and
+   load; the split's children share the parent's rate among the rest. *)
+let test_allocator_split24_nested_rated () =
+  let fx = fixture () in
+  let rib = N.Pop.rib fx.pop in
+  let bg = prefix "10.8.0.0/16" in
+  let nested = prefix "10.1.7.0/24" in
+  ignore
+    (Bgp.Rib.announce rib ~peer_id:2 bg (attrs ~path:[ 10; 800 ] ~next_hop:"172.16.0.2" ()));
+  ignore
+    (Bgp.Rib.announce rib ~peer_id:0 nested (attrs ~path:[ 100 ] ~next_hop:"172.16.0.0" ()));
+  let snap = snapshot fx [ (pfx_a, 11e9); (bg, 91e9); (nested, 5e8) ] in
+  let split =
+    Ef.Allocator.run ~config:{ config with Ef.Config.granularity = Ef.Config.Split_24 } snap
+  in
+  let final = split.Ef.Allocator.final in
+  Alcotest.(check bool) "splits recorded" true (split.Ef.Allocator.splits > 0);
+  (match Ef.Projection.placement_of final nested with
+  | None -> Alcotest.fail "nested /24 lost its placement"
+  | Some pl ->
+      Alcotest.(check (float 0.0)) "nested keeps its own rate" 5e8
+        pl.Ef.Projection.rate_bps);
+  List.iter
+    (fun iface ->
+      let iface_id = N.Iface.id iface in
+      let sum =
+        List.fold_left
+          (fun acc pl -> acc +. pl.Ef.Projection.rate_bps)
+          0.0
+          (Ef.Projection.placements_on final ~iface_id)
+      in
+      Alcotest.(check (float 1.0))
+        (Printf.sprintf "iface %d load = its placements" iface_id)
+        sum (Ef.Projection.load_bps final ~iface_id))
+    [ fx.iface_private; fx.iface_public; fx.iface_transit ];
+  Alcotest.(check (float 1.0)) "no rate lost or double-counted" (11e9 +. 91e9 +. 5e8)
+    (List.fold_left
+       (fun acc pl -> acc +. pl.Ef.Projection.rate_bps)
+       0.0 (Ef.Projection.placements final))
+
 let test_allocator_override_targets_are_candidates () =
   let fx = fixture () in
   let snap = snapshot fx [ (pfx_a, 8e9); (pfx_b, 4e9); (pfx_c, 1e9) ] in
@@ -622,6 +662,8 @@ let suite =
     Alcotest.test_case "allocator single-pass overshoot" `Quick
       test_allocator_single_pass_can_overshoot;
     Alcotest.test_case "allocator split-24" `Quick test_allocator_split24;
+    Alcotest.test_case "allocator split-24 nested rated" `Quick
+      test_allocator_split24_nested_rated;
     Alcotest.test_case "allocator targets are candidates" `Quick
       test_allocator_override_targets_are_candidates;
     Alcotest.test_case "working seal roundtrip" `Quick test_working_seal_roundtrip;

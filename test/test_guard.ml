@@ -86,6 +86,61 @@ let test_audit_target_overloaded () =
          | _ -> false)
        (Ef.Guard.audit Ef.Guard.default snap [ o ]))
 
+(* A /24 split child has no routes of its own; its override's target is
+   live when any rated prefix covering it still offers the target's peer. *)
+let child_override snap ~child ~via kind =
+  Ef.Override.make ~prefix:(prefix child) ~target:(route_via snap via kind)
+    ~from_iface:0 ~to_iface:2 ~preference_level:1 ~rate_bps:1e8
+
+let stale_targets snap os =
+  List.filter_map
+    (function Ef.Guard.Stale_target p -> Some (Bgp.Prefix.to_string p) | _ -> None)
+    (Ef.Guard.audit Ef.Guard.default snap os)
+
+let test_audit_split_child_resolves_through_cover () =
+  let fx = fixture () in
+  let snap = snapshot fx [ (pfx_a, 4e9); (pfx_c, 1e9) ] in
+  Alcotest.(check int) "child has no routes of its own" 0
+    (List.length (C.Snapshot.routes snap (prefix "10.1.5.0/24")));
+  (* the transit peer announces pfx_a; the private peer never announces
+     pfx_c *)
+  let live = child_override snap ~child:"10.1.5.0/24" ~via:pfx_a Bgp.Peer.Transit in
+  let stale =
+    Ef.Override.make ~prefix:(prefix "10.3.5.0/24")
+      ~target:(route_via snap pfx_a Bgp.Peer.Private_peer)
+      ~from_iface:2 ~to_iface:0 ~preference_level:1 ~rate_bps:1e8
+  in
+  Alcotest.(check (list string)) "only the uncovered target is stale"
+    [ "10.3.5.0/24" ] (stale_targets snap [ live; stale ])
+
+let test_audit_split_child_nested_covers () =
+  let fx = fixture () in
+  (* a rated /22 inside pfx_a that only transit announces: splitting
+     pfx_a puts children inside the /22 on pfx_a's candidates, so a
+     child there targeting the private peer (pfx_a only) stays live *)
+  let inner = prefix "10.1.4.0/22" in
+  ignore
+    (N.Pop.announce fx.Test_core.pop ~peer_id:2 inner
+       (attrs ~path:[ 10; 100 ] ~next_hop:"172.16.0.2" ()));
+  let snap = snapshot fx [ (pfx_a, 4e9); (inner, 1e9); (pfx_c, 1e9) ] in
+  let covers p = List.map fst (C.Snapshot.rated_covers snap (prefix p)) in
+  Alcotest.(check (list prefix_t)) "nested covers, most specific first"
+    [ inner; pfx_a ] (covers "10.1.5.0/24");
+  Alcotest.(check (list prefix_t)) "outside the /22" [ pfx_a ] (covers "10.1.200.0/24");
+  Alcotest.(check (list prefix_t)) "a rated prefix covers itself" [ inner; pfx_a ]
+    (covers "10.1.4.0/22");
+  Alcotest.(check (list prefix_t)) "uncovered" [] (covers "10.9.0.0/24");
+  let os =
+    [
+      child_override snap ~child:"10.1.5.0/24" ~via:pfx_a Bgp.Peer.Private_peer;
+      child_override snap ~child:"10.1.6.0/24" ~via:inner Bgp.Peer.Transit;
+      child_override snap ~child:"10.1.200.0/24" ~via:pfx_a Bgp.Peer.Private_peer;
+      child_override snap ~child:"10.3.5.0/24" ~via:pfx_a Bgp.Peer.Private_peer;
+    ]
+  in
+  Alcotest.(check (list string)) "only the target no cover offers is stale"
+    [ "10.3.5.0/24" ] (stale_targets snap os)
+
 let test_clamp_sheds_smallest_first () =
   let fx = fixture () in
   let snap = snapshot fx [ (pfx_a, 6e9); (pfx_b, 2e9) ] in
@@ -173,6 +228,10 @@ let suite =
     Alcotest.test_case "audit count" `Quick test_audit_count;
     Alcotest.test_case "audit stale target" `Quick test_audit_stale_target;
     Alcotest.test_case "audit target overload" `Quick test_audit_target_overloaded;
+    Alcotest.test_case "audit split child via cover" `Quick
+      test_audit_split_child_resolves_through_cover;
+    Alcotest.test_case "audit split child nested covers" `Quick
+      test_audit_split_child_nested_covers;
     Alcotest.test_case "clamp sheds smallest" `Quick test_clamp_sheds_smallest_first;
     Alcotest.test_case "clamp fraction budget" `Quick test_clamp_fraction_budget;
     Alcotest.test_case "clamp drops stale" `Quick test_clamp_always_drops_stale;

@@ -791,6 +791,141 @@ let prop_patch_chain_equals_assemble =
       done;
       Ef.Controller.incremental_hits ctl = 12)
 
+(* --- Working: the lazily built per-interface index ----------------------- *)
+
+(* Random op sequences over a few working views (an original and its
+   copies), with ordered reads at random points, so some index slots are
+   built before a mutation and some after. Every read must equal the
+   view's own placement trie filtered to the interface and sorted by
+   [compare_placement], and each view's trie must be exactly what its own
+   ops left there — neither a slot nor a placement leaks between a copy
+   and its original, whichever side built the slot first. *)
+type index_view = { view : Ef.Projection.Working.t; mutable expect : string list }
+
+let prop_working_index_lazy =
+  QCheck.Test.make ~name:"working index = sorted trie filter" ~count:100
+    QCheck.small_nat (fun seed ->
+      let module W = Ef.Projection.Working in
+      let rng = Ef_util.Rng.create (seed + 101) in
+      let pick l = List.nth l (Ef_util.Rng.int rng (List.length l)) in
+      let w = Lazy.force world in
+      let universe = w.N.Topo_gen.all_prefixes in
+      let all_ifaces = N.Pop.interfaces w.N.Topo_gen.pop in
+      let ids = List.map N.Iface.id all_ifaces in
+      let fresh_id = 1 + List.fold_left max (-1) ids in
+      (* few distinct rates, so the prefix tiebreak is exercised *)
+      let rate () = float_of_int (1 + Ef_util.Rng.int rng 8) *. 1e8 in
+      let snap = ref (snapshot_of (List.map (fun p -> (p, rate ())) universe)) in
+      let key (pl : Ef.Projection.placement) =
+        Printf.sprintf "%s %.0f %d %b %d"
+          (Bgp.Prefix.to_string pl.Ef.Projection.placed_prefix)
+          pl.Ef.Projection.rate_bps pl.Ef.Projection.iface_id
+          pl.Ef.Projection.overridden
+          (Bgp.Route.peer_id pl.Ef.Projection.route)
+      in
+      let trie v = Ef.Projection.placements (W.seal v) in
+      let keys v = List.sort compare (List.map key (trie v)) in
+      let views =
+        ref [| { view = W.of_projection (Ef.Projection.project !snap);
+                 expect = [] } |]
+      in
+      !views.(0).expect <- keys !views.(0).view;
+      let read_ids = -1 :: (fresh_id + 1) :: fresh_id :: ids in
+      let read what v iface_id =
+        if keys v.view <> v.expect then
+          QCheck.Test.fail_reportf "%s: trie changed by another view" what;
+        let want =
+          trie v.view
+          |> List.filter (fun pl -> pl.Ef.Projection.iface_id = iface_id)
+          |> List.sort Ef.Projection.compare_placement
+          |> List.map key
+        in
+        let got =
+          match Ef_util.Rng.int rng 3 with
+          | 0 -> W.placements_on v.view ~iface_id
+          | 1 -> List.of_seq (W.placements_seq v.view ~iface_id)
+          | _ -> List.rev (List.of_seq (W.placements_rev_seq v.view ~iface_id))
+        in
+        if List.map key got <> want then
+          QCheck.Test.fail_reportf "%s: iface %d index differs from trie" what
+            iface_id
+      in
+      let patch ?ifaces rate_updates =
+        let prev = !snap in
+        snap :=
+          C.Snapshot.patch ~obs:(Ef_obs.Registry.create ()) ~prev ?ifaces
+            ~rate_updates ~time_s:(C.Snapshot.time_s prev + 30) ();
+        C.Snapshot.diff prev !snap
+      in
+      for step = 1 to 40 do
+        let what = Printf.sprintf "seed %d step %d" seed step in
+        let v = pick (Array.to_list !views) in
+        let placed = trie v.view in
+        (match Ef_util.Rng.int rng 8 with
+        | 0 when placed <> [] ->
+            let pl = pick placed in
+            W.move v.view pl.Ef.Projection.placed_prefix
+              ~to_route:pl.Ef.Projection.route ~to_iface:(pick ids)
+        | 1 when placed <> [] ->
+            (* a synthetic /24 outside the world, as /24 splitting adds *)
+            let prefix =
+              Bgp.Prefix.make
+                (Bgp.Ipv4.of_string
+                   (Printf.sprintf "198.18.%d.0" (Ef_util.Rng.int rng 64)))
+                24
+            in
+            if W.placement_of v.view prefix = None then
+              W.add_placement v.view ~prefix ~rate_bps:(rate ())
+                ~route:(pick placed).Ef.Projection.route ~iface_id:(pick ids)
+                ~overridden:(Ef_util.Rng.int rng 2 = 0)
+        | 2 when placed <> [] ->
+            W.remove_placement v.view (pick placed).Ef.Projection.placed_prefix
+        | 3 ->
+            let updates =
+              List.init (1 + Ef_util.Rng.int rng 6) (fun _ ->
+                  ( pick universe,
+                    if Ef_util.Rng.int rng 4 = 0 then 0.0 else rate () ))
+            in
+            let d = patch updates in
+            W.apply_dirty v.view ~snapshot:!snap ~dirty:d.C.Snapshot.changes ()
+        | 4 ->
+            (* drop a live interface, bring a dropped one back, or add an
+               id past the original universe *)
+            let live = C.Snapshot.ifaces !snap in
+            let live_ids = List.map N.Iface.id live in
+            let ifaces =
+              match Ef_util.Rng.int rng 3 with
+              | 0 when List.length live > 1 ->
+                  let gone = N.Iface.id (pick live) in
+                  List.filter (fun i -> N.Iface.id i <> gone) live
+              | 1 -> (
+                  match
+                    List.filter
+                      (fun i -> not (List.mem (N.Iface.id i) live_ids))
+                      all_ifaces
+                  with
+                  | [] -> live
+                  | missing -> pick missing :: live)
+              | _ when not (List.mem fresh_id live_ids) ->
+                  N.Iface.make ~id:fresh_id ~name:"fresh" ~capacity_bps:1e10
+                    ~shared:false
+                  :: live
+              | _ -> live
+            in
+            let d = patch ~ifaces [] in
+            W.apply_iface_delta v.view ~snapshot:!snap
+              ~delta:d.C.Snapshot.iface_changes ()
+        | 5 when Array.length !views < 4 ->
+            views :=
+              Array.append !views [| { view = W.copy v.view; expect = v.expect } |]
+        | _ -> read what v (pick read_ids));
+        v.expect <- keys v.view;
+        if Ef_util.Rng.int rng 2 = 0 then
+          read what (pick (Array.to_list !views)) (pick read_ids)
+      done;
+      Array.iter (fun v -> List.iter (read "final" v) read_ids) !views;
+      true)
+
 let suite =
   [ fuzz_bgp_codec; fuzz_sflow_codec; fuzz_mrt_codec ]
   @ List.map QCheck_alcotest.to_alcotest
@@ -811,4 +946,5 @@ let suite =
       prop_diff_unlinked_fuzzed;
       prop_diff_iface_roundtrip;
       prop_patch_chain_equals_assemble;
+      prop_working_index_lazy;
     ]
