@@ -91,8 +91,31 @@ let rec find_key k t =
 let find p t = find_key (key_of p) t
 let mem p t = Option.is_some (find p t)
 
-let update p f t =
-  match f (find p t) with None -> remove p t | Some v -> add p v t
+(* One descent: [f] sees the binding at the bottom of the key's path and
+   the path is rebuilt on the way up only if the answer changed it. [at]
+   is the key (or branch prefix) of the subtree [t] a new leaf joins. *)
+let absent_key k p f t at =
+  match f None with None -> t | Some v -> join k (Leaf { key = k; p; v }) at t
+
+let rec update_key k p f t =
+  match t with
+  | Empty -> ( match f None with None -> t | Some v -> Leaf { key = k; p; v })
+  | Leaf { key; v = old; _ } -> (
+      if key <> k then absent_key k p f t key
+      else
+        match f (Some old) with
+        | None -> Empty
+        | Some v -> if v == old then t else Leaf { key = k; p; v })
+  | Branch { pre; bit; l; r } ->
+      if not (match_prefix k pre bit) then absent_key k p f t pre
+      else if zero_bit k bit then
+        let l' = update_key k p f l in
+        if l' == l then t else branch pre bit l' r
+      else
+        let r' = update_key k p f r in
+        if r' == r then t else branch pre bit l r'
+
+let update p f t = update_key (key_of p) p f t
 
 (* All containing prefixes of [addr] at length [upto] or shorter: one
    exact probe per length. The compressed trie has no per-depth spine to

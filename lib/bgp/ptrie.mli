@@ -28,7 +28,10 @@ val find : Prefix.t -> 'a t -> 'a option
 val mem : Prefix.t -> 'a t -> bool
 
 val update : Prefix.t -> ('a option -> 'a option) -> 'a t -> 'a t
-(** Insert/modify/delete through one function, as [Map.update]. *)
+(** Insert/modify/delete through one function, as [Map.update], in one
+    descent of the key's path. When [f] answers with the binding it was
+    given (physically the same value), or [None] for an absent key, the
+    input trie itself is returned: nothing is copied. *)
 
 val longest_match : Ipv4.t -> 'a t -> (Prefix.t * 'a) option
 (** The most-specific prefix containing the address, if any. *)

@@ -131,6 +131,11 @@ let ranked t prefix =
 
 let candidates = ranked
 
+let ranked_view t =
+  let loc = t.loc in
+  fun prefix ->
+    match Ptrie.find prefix loc with None -> [] | Some e -> e.ranked
+
 let lookup t addr =
   match Ptrie.longest_match addr t.loc with
   | None -> None

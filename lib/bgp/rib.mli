@@ -49,6 +49,14 @@ val candidates : t -> Prefix.t -> Route.t list
 val ranked : t -> Prefix.t -> Route.t list
 (** Decision-process preference order; head = best. *)
 
+val ranked_view : t -> Prefix.t -> Route.t list
+(** [ranked_view t] is {!ranked} over the Loc-RIB as it stands now: the
+    persistent trie is captured when the view is made, so updates to [t]
+    afterwards never reach it. O(1) to make; each lookup is one trie
+    probe. The collector builds a snapshot's candidate source from this,
+    which fixes the snapshot's route view at build time. Safe to call
+    from several domains at once. *)
+
 val lookup : t -> Ipv4.t -> (Prefix.t * Route.t) option
 (** Longest-prefix match over best paths. *)
 

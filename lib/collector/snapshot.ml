@@ -26,7 +26,7 @@ type t = {
   prefix_rates : (Bgp.Prefix.t * float) list Lazy.t;
       (* the trie's bindings in canonical order, sorted on first use *)
   routes : Bgp.Prefix.t -> Bgp.Route.t list;
-  routes_memo : (Bgp.Prefix.t, Bgp.Route.t list) Hashtbl.t;
+      (* a lookup that answers the same for the snapshot's lifetime *)
   ifaces : Ef_netsim.Iface.t list;
   iface_index : Ef_netsim.Iface.t option array; (* indexed by iface id *)
   iface_id_of_peer : int -> int option;
@@ -140,7 +140,6 @@ let assemble ?obs ?pool ~routes ~iface_of_peer ~ifaces ~prefix_rates ~time_s ()
     rate_trie;
     prefix_rates = sorted_rates rate_trie;
     routes;
-    routes_memo = Hashtbl.create 256;
     ifaces;
     iface_index = index_ifaces ifaces;
     iface_id_of_peer =
@@ -161,7 +160,7 @@ let of_pop ?obs ?ifaces pop ~prefix_rates ~time_s =
     if id < 0 || id >= Array.length index then None else index.(id)
   in
   assemble ?obs
-    ~routes:(fun p -> Bgp.Rib.ranked rib p)
+    ~routes:(Bgp.Rib.ranked_view rib)
     ~iface_of_peer:(fun peer_id ->
       match Ef_netsim.Pop.peer pop peer_id with
       | None -> None
@@ -192,33 +191,44 @@ let patch ?obs ~prev ?routes ?ifaces ?(routes_changed = []) ~rate_updates
   let trie = ref prev.rate_trie in
   let total_m = ref prev.total_m and count = ref prev.prefix_count in
   let dirty = Hashtbl.create (List.length rate_updates + 8) in
-  let touch p =
-    match Hashtbl.find_opt dirty p with
-    | Some d -> (d, false)
-    | None ->
-        let r = Bgp.Ptrie.find p !trie in
-        let d = { d_prefix = p; d_old = r; d_now = r; d_routes = false } in
-        Hashtbl.add dirty p d;
-        (d, true)
+  let fresh_dirty p r =
+    let d = { d_prefix = p; d_old = r; d_now = r; d_routes = false } in
+    Hashtbl.add dirty p d;
+    d
   in
   let updated = ref [] (* rate-updated prefixes, latest first touch first *) in
   List.iter
     (fun (p, rate) ->
-      let d, first = touch p in
-      if first then updated := d :: !updated;
       let fresh = if rate > 0.0 then Some rate else None in
-      if d.d_now <> fresh then begin
-        (match d.d_now with
-        | Some r ->
+      (* one descent reads the current rate (on a first touch, the old
+         one) and writes the new; a no-op answers the binding it was
+         given, so no path is copied *)
+      let now = ref None in
+      trie :=
+        Bgp.Ptrie.update p
+          (fun o ->
+            now := o;
+            if o = fresh then o else fresh)
+          !trie;
+      let d =
+        match Hashtbl.find_opt dirty p with
+        | Some d -> d
+        | None ->
+            let d = fresh_dirty p !now in
+            updated := d :: !updated;
+            d
+      in
+      if !now <> fresh then begin
+        Option.iter
+          (fun r ->
             total_m := Int64.sub !total_m (Units.to_millibps r);
-            decr count
-        | None -> ());
-        (match fresh with
-        | Some r ->
-            trie := Bgp.Ptrie.add p r !trie;
+            decr count)
+          !now;
+        Option.iter
+          (fun r ->
             total_m := Int64.add !total_m (Units.to_millibps r);
-            incr count
-        | None -> trie := Bgp.Ptrie.remove p !trie);
+            incr count)
+          fresh;
         d.d_now <- fresh
       end)
     rate_updates;
@@ -227,7 +237,11 @@ let patch ?obs ~prev ?routes ?ifaces ?(routes_changed = []) ~rate_updates
   let routes_only =
     List.fold_left
       (fun acc p ->
-        let d, _ = touch p in
+        let d =
+          match Hashtbl.find_opt dirty p with
+          | Some d -> d
+          | None -> fresh_dirty p (Bgp.Ptrie.find p !trie)
+        in
         if d.d_routes then acc
         else begin
           d.d_routes <- true;
@@ -263,8 +277,6 @@ let patch ?obs ~prev ?routes ?ifaces ?(routes_changed = []) ~rate_updates
     rate_trie = !trie;
     prefix_rates = sorted_rates !trie;
     routes = Option.value routes ~default:prev.routes;
-    (* sized so the warm cycle's one lookup per change does not regrow it *)
-    routes_memo = Hashtbl.create (max 256 (List.length changes));
     ifaces;
     iface_index;
     iface_id_of_peer = prev.iface_id_of_peer;
@@ -320,32 +332,7 @@ let rate_of t prefix =
 
 let rated_covers t prefix = Bgp.Ptrie.covers prefix t.rate_trie
 
-(* Candidate sets are memoized per snapshot: the allocator asks for the
-   same prefix's routes on every relief attempt (and the guard again
-   after that), and re-ranking the Loc-RIB each time dominated the cycle.
-   A snapshot is one coherent view, so first answer wins — this also
-   pins the view against later RIB churn when [routes] closes over a
-   live RIB. *)
-let routes t prefix =
-  match Hashtbl.find_opt t.routes_memo prefix with
-  | Some rs -> rs
-  | None ->
-      let rs = t.routes prefix in
-      Hashtbl.add t.routes_memo prefix rs;
-      rs
-
-(* The memo Hashtbl is not safe for concurrent mutation, so sharded
-   consumers rank through the raw closure on the worker domains and the
-   coordinating domain primes the memo with their answers afterwards —
-   same cache content as if [routes] had been called serially. *)
-let routes_uncached t prefix =
-  match Hashtbl.find_opt t.routes_memo prefix with
-  | Some rs -> rs
-  | None -> t.routes prefix
-
-let prime_route t prefix rs =
-  if not (Hashtbl.mem t.routes_memo prefix) then
-    Hashtbl.add t.routes_memo prefix rs
+let routes t prefix = t.routes prefix
 
 let preferred_route t prefix =
   match routes t prefix with [] -> None | r :: _ -> Some r

@@ -58,7 +58,8 @@ val assemble :
   unit ->
   t
 (** [routes] must return candidates in decision-ranked order (head =
-    BGP-preferred). Each [prefix_rates] entry sets its prefix's rate in
+    BGP-preferred), and must answer the same for the snapshot's lifetime
+    (see {!routes}). Each [prefix_rates] entry sets its prefix's rate in
     list order, the way {!patch} applies [rate_updates]: the {b last}
     entry for a prefix wins, and a last entry at or below zero (or NaN)
     leaves the prefix unrated. The total, the count, {!prefix_rates},
@@ -82,7 +83,10 @@ val of_pop :
   time_s:int ->
   t
 (** Assemble directly from a PoP (simulator fast path — identical content
-    to the BMP-reconstructed view, which tests verify). [ifaces]
+    to the BMP-reconstructed view, which tests verify). Candidates are
+    read through {!Ef_bgp.Rib.ranked_view}, so the snapshot sees the
+    PoP's RIB as it stood at the call: later RIB updates reach the
+    controller only through a new snapshot. [ifaces]
     substitutes the PoP's interface list — the fault injector passes
     capacity-derated copies so the controller sees degraded links the way
     SNMP would report them; [iface_of_peer] resolves into the substituted
@@ -111,10 +115,9 @@ val patch :
     the same content, and remembers its delta so {!diff} [prev]
     the-result is exact and [linked].
 
-    [routes] must agree with [prev]'s closure on every prefix outside
+    [routes] must agree with [prev]'s source on every prefix outside
     [routes_changed] (clean prefixes keep their meaning); omitting it
-    reuses [prev]'s closure (whose memo is per-snapshot, so invalidated
-    prefixes are re-asked). [ifaces] substitutes the interface list the
+    reuses [prev]'s source. [ifaces] substitutes the interface list the
     way {!of_pop}'s [ifaces] does — peer resolution is by stable
     interface id, so derated copies are picked up. Added, removed and
     capacity-changed interfaces are recorded as the delta's
@@ -155,21 +158,13 @@ val rated_covers : t -> Ef_bgp.Prefix.t -> (Ef_bgp.Prefix.t * float) list
     trie, nothing sorted. *)
 
 val routes : t -> Ef_bgp.Prefix.t -> Ef_bgp.Route.t list
-(** Memoized per snapshot: the first call for a prefix runs the supplied
-    [routes] function, later calls return the cached candidate list. One
-    snapshot therefore ranks each prefix at most once per cycle, however
-    many times the allocator and guard revisit it. *)
-
-val routes_uncached : t -> Ef_bgp.Prefix.t -> Ef_bgp.Route.t list
-(** Like {!routes} but never writes the memo: a hit is answered from the
-    cache, a miss runs the closure without recording the answer. Safe to
-    call concurrently from several domains (sharded projection ranks
-    through this on workers, then {!prime_route}s the memo serially). *)
-
-val prime_route : t -> Ef_bgp.Prefix.t -> Ef_bgp.Route.t list -> unit
-(** Seed the memo with a candidate list obtained via {!routes_uncached};
-    first answer wins, exactly as {!routes} would have cached it. Not
-    thread-safe — call from one domain only. *)
+(** The candidate list, from the source the snapshot was built with
+    (each call asks it; nothing is cached). That source must answer the
+    same for the snapshot's lifetime — a lookup into a pre-ranked table,
+    such as {!Ef_bgp.Rib.ranked_view} — and be safe to call from several
+    domains at once, since the sharded projection ranks on workers. A
+    route change reaches the controller only as a new snapshot, built
+    by {!patch} with the prefix in [routes_changed]. *)
 
 val preferred_route : t -> Ef_bgp.Prefix.t -> Ef_bgp.Route.t option
 val ifaces : t -> Ef_netsim.Iface.t list

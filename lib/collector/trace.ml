@@ -136,13 +136,20 @@ let int_field fields key ~line =
   | Some v -> v
   | None -> failf "line %d: field %s is not an integer" line key
 
+module Ptbl = Hashtbl.Make (struct
+  type t = Bgp.Prefix.t
+
+  let equal = Bgp.Prefix.equal
+  let hash = Bgp.Prefix.hash
+end)
+
 type builder = {
   mutable b_time : int;
   mutable b_ifaces : Ef_netsim.Iface.t list; (* reversed *)
   b_peers : (int, Bgp.Peer.t) Hashtbl.t;
   b_peer_iface : (int, int) Hashtbl.t;
   mutable b_rates : (Bgp.Prefix.t * float) list; (* reversed *)
-  b_routes : (string, Bgp.Route.t list) Hashtbl.t; (* prefix string -> reversed *)
+  b_routes : Bgp.Route.t list Ptbl.t; (* prefix -> reversed *)
 }
 
 let new_builder time =
@@ -152,18 +159,16 @@ let new_builder time =
     b_peers = Hashtbl.create 32;
     b_peer_iface = Hashtbl.create 32;
     b_rates = [];
-    b_routes = Hashtbl.create 256;
+    b_routes = Ptbl.create 256;
   }
 
 let finish b =
   let ifaces = List.rev b.b_ifaces in
-  let routes_tbl = Hashtbl.create (Hashtbl.length b.b_routes) in
-  Hashtbl.iter
-    (fun k v -> Hashtbl.replace routes_tbl k (List.rev v))
-    b.b_routes;
+  let routes_tbl = Ptbl.create (Ptbl.length b.b_routes) in
+  Ptbl.iter (fun k v -> Ptbl.replace routes_tbl k (List.rev v)) b.b_routes;
   Snapshot.assemble
     ~routes:(fun p ->
-      Option.value (Hashtbl.find_opt routes_tbl (Bgp.Prefix.to_string p)) ~default:[])
+      Option.value (Ptbl.find_opt routes_tbl p) ~default:[])
     ~iface_of_peer:(fun peer_id ->
       match Hashtbl.find_opt b.b_peer_iface peer_id with
       | None -> None
@@ -237,9 +242,8 @@ let parse_route b ~line tokens =
           ()
       in
       let route = Bgp.Route.make ~prefix ~attrs ~peer in
-      let key = Bgp.Prefix.to_string prefix in
-      Hashtbl.replace b.b_routes key
-        (route :: Option.value (Hashtbl.find_opt b.b_routes key) ~default:[])
+      Ptbl.replace b.b_routes prefix
+        (route :: Option.value (Ptbl.find_opt b.b_routes prefix) ~default:[])
   | [] -> failf "line %d: empty ROUTE" line
 
 let parse_lines lines =

@@ -79,10 +79,7 @@ let decide ~overrides ~candidates snapshot prefix =
    in range order after the join — byte-identical to the one-shard pass
    by construction, not by replaying an addition sequence.
 
-   Candidate ranking goes through [Snapshot.routes_uncached] on the
-   workers (the memo Hashtbl is not safe for concurrent writes) and the
-   answers are primed into the memo serially afterwards, so the relief
-   loop and guard see the hits the serial pass would have left behind.
+   Workers rank through [Snapshot.routes], a read-only lookup, and
    [overrides] runs on worker domains when sharded — it must be pure. *)
 
 type part = {
@@ -94,15 +91,16 @@ type part = {
   p_stale : unit Bgp.Ptrie.t;
 }
 
-(* [iter] visits one shard's rated prefixes; [routes] ranks them *)
-let place ~overrides ~routes ~width snapshot iter =
+(* [iter] visits one shard's rated prefixes *)
+let place ~overrides ~width snapshot iter =
   let loads = Array.make width 0L in
   let overridden_m = ref 0L and unroutable_m = ref 0L in
   let placements = ref Bgp.Ptrie.empty and unplaced = ref Bgp.Ptrie.empty in
   let stale = ref Bgp.Ptrie.empty in
   iter (fun prefix rate ->
       let placed, is_stale =
-        decide ~overrides ~candidates:(routes prefix) snapshot prefix
+        decide ~overrides ~candidates:(Snapshot.routes snapshot prefix)
+          snapshot prefix
       in
       if is_stale then stale := Bgp.Ptrie.add prefix () !stale;
       let m = Units.to_millibps rate in
@@ -151,8 +149,7 @@ let project ?(overrides = fun _ -> None) ?(shards = 1) snapshot =
   let p =
     match shard_pool ~shards with
     | None ->
-        place ~overrides ~routes:(Snapshot.routes snapshot) ~width snapshot
-          (Snapshot.iter_rates snapshot)
+        place ~overrides ~width snapshot (Snapshot.iter_rates snapshot)
     | Some pool -> (
         let rated = ref [] in
         Snapshot.iter_rates snapshot (fun p r -> rated := (p, r) :: !rated);
@@ -160,30 +157,15 @@ let project ?(overrides = fun _ -> None) ?(shards = 1) snapshot =
         let parts =
           Ef_util.Pool.map pool
             (fun (lo, hi) ->
-              let routed = ref [] in
-              let routes prefix =
-                let rs = Snapshot.routes_uncached snapshot prefix in
-                routed := (prefix, rs) :: !routed;
-                rs
-              in
-              let part =
-                place ~overrides ~routes ~width snapshot (fun f ->
-                    for i = lo to hi - 1 do
-                      let prefix, rate = rated.(i) in
-                      f prefix rate
-                    done)
-              in
-              (part, !routed))
+              place ~overrides ~width snapshot (fun f ->
+                  for i = lo to hi - 1 do
+                    let prefix, rate = rated.(i) in
+                    f prefix rate
+                  done))
             (Ef_util.Pool.chunk_ranges ~n:(Array.length rated)
                ~k:(Ef_util.Pool.jobs pool))
         in
-        List.iter
-          (fun (_, routed) ->
-            List.iter
-              (fun (p, rs) -> Snapshot.prime_route snapshot p rs)
-              routed)
-          parts;
-        match List.map fst parts with
+        match parts with
         | first :: rest -> List.fold_left merge first rest
         | [] -> assert false (* chunk_ranges yields at least one range *))
   in
@@ -400,88 +382,99 @@ module Working = struct
     | Some s -> w.w_by_iface.(pl.iface_id) <- Some (PSet.remove pl s)
     | None -> ()
 
-  let move w prefix ~to_route ~to_iface =
-    match Bgp.Ptrie.find prefix w.w_placements with
-    | None -> invalid_arg "Projection.Working.move: prefix has no placement"
-    | Some pl ->
-        let m = Units.to_millibps pl.rate_bps in
-        w.w_loads.(pl.iface_id) <- Int64.sub w.w_loads.(pl.iface_id) m;
-        w.w_loads.(to_iface) <- Int64.add w.w_loads.(to_iface) m;
-        if not pl.overridden then w.w_overridden <- Int64.add w.w_overridden m;
-        touch w pl.iface_id;
-        touch w to_iface;
-        let pl' =
-          { pl with route = to_route; iface_id = to_iface; overridden = true }
-        in
-        index_remove w pl;
-        index_add w pl';
-        w.w_placements <- Bgp.Ptrie.add prefix pl' w.w_placements
+  (* A placement's contribution: its rate on its interface's load and,
+     when overridden, on the overridden aggregate, plus its entry in a
+     built index slot. Every placement change unaccounts the old record
+     and accounts the new one, so loads move by exact integer amounts. *)
+  let account w pl =
+    let m = Units.to_millibps pl.rate_bps in
+    w.w_loads.(pl.iface_id) <- Int64.add w.w_loads.(pl.iface_id) m;
+    if pl.overridden then w.w_overridden <- Int64.add w.w_overridden m;
+    touch w pl.iface_id;
+    index_add w pl
 
-  (* [place] assumes [prefix] has no placement; [apply_dirty] has just
-     retracted it *)
-  let place w ~prefix ~rate_bps ~route ~iface_id ~overridden =
-    let m = Units.to_millibps rate_bps in
-    w.w_loads.(iface_id) <- Int64.add w.w_loads.(iface_id) m;
-    if overridden then w.w_overridden <- Int64.add w.w_overridden m;
-    touch w iface_id;
-    let pl = { placed_prefix = prefix; rate_bps; route; iface_id; overridden } in
-    index_add w pl;
-    w.w_placements <- Bgp.Ptrie.add prefix pl w.w_placements
-
-  let retract w pl =
+  let unaccount w pl =
     let m = Units.to_millibps pl.rate_bps in
     w.w_loads.(pl.iface_id) <- Int64.sub w.w_loads.(pl.iface_id) m;
     if pl.overridden then w.w_overridden <- Int64.sub w.w_overridden m;
     touch w pl.iface_id;
-    index_remove w pl;
-    w.w_placements <- Bgp.Ptrie.remove pl.placed_prefix w.w_placements
+    index_remove w pl
 
-  let remove_placement w prefix =
-    Option.iter (retract w) (Bgp.Ptrie.find prefix w.w_placements)
+  (* [prefix]'s placement becomes [next] ([None]: none) in one descent of
+     the placement trie; the one it had is unaccounted first *)
+  let swap w prefix next =
+    let prev = ref None in
+    w.w_placements <-
+      Bgp.Ptrie.update prefix
+        (fun o ->
+          prev := o;
+          next)
+        w.w_placements;
+    Option.iter (unaccount w) !prev;
+    Option.iter (account w) next
 
-  (* a placement the new one replaces is retracted first, so its load and
-     index entry never outlive its record *)
+  let move w prefix ~to_route ~to_iface =
+    let moved = ref None in
+    w.w_placements <-
+      Bgp.Ptrie.update prefix
+        (Option.map (fun pl ->
+             let pl' =
+               { pl with route = to_route; iface_id = to_iface; overridden = true }
+             in
+             moved := Some (pl, pl');
+             pl'))
+        w.w_placements;
+    match !moved with
+    | None -> invalid_arg "Projection.Working.move: prefix has no placement"
+    | Some (pl, pl') ->
+        unaccount w pl;
+        account w pl'
+
+  let remove_placement w prefix = swap w prefix None
+
   let add_placement w ~prefix ~rate_bps ~route ~iface_id ~overridden =
-    remove_placement w prefix;
-    place w ~prefix ~rate_bps ~route ~iface_id ~overridden
+    swap w prefix
+      (Some { placed_prefix = prefix; rate_bps; route; iface_id; overridden })
 
   let apply_dirty w ~snapshot ?(overrides = fun _ -> None) ~dirty () =
-    (* Retract every dirty prefix from wherever it currently sits —
-       placed, unroutable, or stale — then re-place the ones still rated
-       with the cold pass's decision rule. Loads and the unroutable sum
-       move by each prefix's exact integer contribution, so nothing is
-       ever re-summed. *)
+    (* One pass: each dirty prefix is re-decided with the cold pass's rule
+       (if still rated), then takes its new place in the unplaced pool,
+       the stale set and the placement trie — one descent of each. Loads
+       and the unroutable sum move by each prefix's exact integer
+       contribution, so nothing is ever re-summed. *)
     List.iter
       (fun (ch : Snapshot.change) ->
         let prefix = ch.Snapshot.ch_prefix in
-        (match Bgp.Ptrie.find prefix w.w_placements with
-        | Some pl -> retract w pl
-        | None -> (
-            match Bgp.Ptrie.find prefix w.w_unplaced with
-            | Some r ->
-                w.w_unplaced <- Bgp.Ptrie.remove prefix w.w_unplaced;
-                w.w_unroutable <- Int64.sub w.w_unroutable (Units.to_millibps r)
-            | None -> ()));
-        w.w_stale <- Bgp.Ptrie.remove prefix w.w_stale)
-      dirty;
-    List.iter
-      (fun (ch : Snapshot.change) ->
-        match ch.Snapshot.ch_new_rate with
-        | None -> ()
-        | Some rate -> (
-            let prefix = ch.Snapshot.ch_prefix in
-            let placed, is_stale =
-              decide ~overrides ~candidates:(Snapshot.routes snapshot prefix)
-                snapshot prefix
-            in
-            if is_stale then w.w_stale <- Bgp.Ptrie.add prefix () w.w_stale;
-            match placed with
-            | None ->
-                w.w_unplaced <- Bgp.Ptrie.add prefix rate w.w_unplaced;
-                w.w_unroutable <-
-                  Int64.add w.w_unroutable (Units.to_millibps rate)
-            | Some (route, iface_id, overridden) ->
-                place w ~prefix ~rate_bps:rate ~route ~iface_id ~overridden))
+        let next, unplaced, is_stale =
+          match ch.Snapshot.ch_new_rate with
+          | None -> (None, None, false)
+          | Some rate -> (
+              let placed, is_stale =
+                decide ~overrides ~candidates:(Snapshot.routes snapshot prefix)
+                  snapshot prefix
+              in
+              match placed with
+              | None -> (None, Some rate, is_stale)
+              | Some (route, iface_id, overridden) ->
+                  ( Some
+                      { placed_prefix = prefix; rate_bps = rate; route;
+                        iface_id; overridden },
+                    None,
+                    is_stale ))
+        in
+        w.w_unplaced <-
+          Bgp.Ptrie.update prefix
+            (fun o ->
+              let m = Option.fold ~none:0L ~some:Units.to_millibps in
+              w.w_unroutable <-
+                Int64.add (Int64.sub w.w_unroutable (m o)) (m unplaced);
+              unplaced)
+            w.w_unplaced;
+        w.w_stale <-
+          Bgp.Ptrie.update prefix
+            (fun _ -> if is_stale then Some () else None)
+            w.w_stale;
+        swap w prefix next)
       dirty;
     w.w_total <- Snapshot.total_rate_millibps snapshot;
     w.w_ifaces <- Snapshot.ifaces snapshot

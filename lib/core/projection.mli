@@ -192,9 +192,10 @@ module Working : sig
     unit ->
     unit
   (** Advance a pre-relief working image to a new snapshot by re-placing
-      only the dirty prefixes: each is retracted from wherever it sits
-      (placement, unroutable pool, stale list) and re-decided with the
-      cold pass's rule under [overrides]. Interface loads and the
+      only the dirty prefixes, in one pass: each is re-decided with the
+      cold pass's rule under [overrides], then moved from wherever it sat
+      to its new place — placement, unroutable pool, stale list — with
+      one descent of each of those tries. Interface loads and the
       unroutable sum move by each prefix's exact integer contribution
       (associative, so no re-summation is needed) and the total is the
       snapshot's own — every aggregate is the one a full {!project} of

@@ -338,7 +338,7 @@ let mrt_snapshot ?obs w ~rates ~time_s =
     (fun ifc -> Hashtbl.replace by_id (Ef_netsim.Iface.id ifc) ifc)
     w.mrt_ifaces;
   Snapshot.assemble ?obs
-    ~routes:(Ef_bgp.Rib.ranked w.mrt_rib)
+    ~routes:(Ef_bgp.Rib.ranked_view w.mrt_rib)
     ~iface_of_peer:(Hashtbl.find_opt by_id)
     ~ifaces:(Array.to_list w.mrt_ifaces)
     ~prefix_rates:!prefix_rates ~time_s ()

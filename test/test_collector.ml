@@ -221,6 +221,62 @@ let test_snapshot_of_pop () =
       | _ -> Alcotest.fail "preferred mismatch")
     world.N.Topo_gen.all_prefixes
 
+(* A snapshot's route view is the RIB as it stood at build time: a later
+   withdrawal reaches neither a prefix already asked nor prefixes never
+   asked, nor a cold projection of the old snapshot. Only a fresh
+   snapshot sees it. *)
+let test_snapshot_route_view_fixed () =
+  let world = N.Topo_gen.generate N.Topo_gen.small_config in
+  let pop = world.N.Topo_gen.pop in
+  let rib = N.Pop.rib pop in
+  let prefixes = world.N.Topo_gen.all_prefixes in
+  let rates =
+    List.map (fun p -> (p, world.N.Topo_gen.prefix_weight p *. 1e9)) prefixes
+  in
+  let peers_of = List.map Bgp.Route.peer_id in
+  let ranking_now p = peers_of (Bgp.Rib.ranked rib p) in
+  let built = List.map (fun p -> (p, ranking_now p)) prefixes in
+  let snap = C.Snapshot.of_pop pop ~prefix_rates:rates ~time_s:0 in
+  let asked = List.hd prefixes in
+  let victim =
+    match C.Snapshot.preferred_route snap asked with
+    | Some r -> Bgp.Route.peer_id r
+    | None -> Alcotest.fail "no route for the asked prefix"
+  in
+  Alcotest.(check bool) "the victim also carries prefixes never asked" true
+    (List.exists
+       (fun (p, peers) -> (not (Bgp.Prefix.equal p asked)) && List.mem victim peers)
+       built);
+  ignore (Bgp.Rib.drop_peer rib ~peer_id:victim);
+  Alcotest.(check bool) "the RIB lost the victim's routes" true
+    (List.for_all (fun p -> not (List.mem victim (ranking_now p))) prefixes);
+  List.iter
+    (fun (p, peers) ->
+      Alcotest.(check (list int))
+        ("old snapshot, " ^ Bgp.Prefix.to_string p)
+        peers
+        (peers_of (C.Snapshot.routes snap p)))
+    built;
+  let proj = Edge_fabric.Projection.project snap in
+  List.iter
+    (fun (p, peers) ->
+      let what = "old snapshot's projection, " ^ Bgp.Prefix.to_string p in
+      match (peers, Edge_fabric.Projection.placement_of proj p) with
+      | [], None -> ()
+      | best :: _, Some pl ->
+          Alcotest.(check int) what best
+            (Bgp.Route.peer_id pl.Edge_fabric.Projection.route)
+      | _ -> Alcotest.fail (what ^ ": placed iff routed"))
+    built;
+  let fresh = C.Snapshot.of_pop pop ~prefix_rates:rates ~time_s:30 in
+  List.iter
+    (fun p ->
+      Alcotest.(check (list int))
+        ("fresh snapshot, " ^ Bgp.Prefix.to_string p)
+        (ranking_now p)
+        (peers_of (C.Snapshot.routes fresh p)))
+    prefixes
+
 let test_snapshot_drops_zero_rates () =
   let world = N.Topo_gen.generate N.Topo_gen.small_config in
   let pop = world.N.Topo_gen.pop in
@@ -368,6 +424,8 @@ let suite =
     Alcotest.test_case "snmp counter reset" `Quick test_snmp_counter_reset;
     Alcotest.test_case "snmp unknown iface" `Quick test_snmp_unknown_iface;
     Alcotest.test_case "snapshot of pop" `Quick test_snapshot_of_pop;
+    Alcotest.test_case "snapshot route view fixed at build" `Quick
+      test_snapshot_route_view_fixed;
     Alcotest.test_case "snapshot drops zero rates" `Quick
       test_snapshot_drops_zero_rates;
     Alcotest.test_case "snapshot iface of route" `Quick test_snapshot_iface_of_route;

@@ -259,6 +259,58 @@ let qcheck_trie_add_remove_roundtrip =
       let emptied = List.fold_left (fun t p -> Bgp.Ptrie.remove p t) t uniq in
       Bgp.Ptrie.cardinal t = List.length uniq && Bgp.Ptrie.is_empty emptied)
 
+(* [Ptrie.update] walks the key's path once; it must agree with the
+   find-then-add/remove it replaced on every kind of answer (insert,
+   replace, delete, keep, modify), and hand back the input trie itself
+   when [f] answers the binding it was given *)
+let qcheck_trie_update_vs_reference =
+  let answers =
+    [|
+      (fun v _ -> Some v) (* insert, or replace *);
+      (fun _ _ -> None) (* delete *);
+      (fun _ o -> o) (* keep *);
+      (fun _ o -> Option.map succ o) (* modify *);
+    |]
+  in
+  let reference p f t =
+    match f (Bgp.Ptrie.find p t) with
+    | None -> Bgp.Ptrie.remove p t
+    | Some v -> Bgp.Ptrie.add p v t
+  in
+  let same a b =
+    List.equal
+      (fun (p, v) (q, w) -> Bgp.Prefix.equal p q && v = w)
+      (Bgp.Ptrie.to_list a) (Bgp.Ptrie.to_list b)
+  in
+  QCheck.Test.make ~name:"ptrie update = find then add/remove" ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 0 30) (pair arb_prefix small_nat))
+        (list_of_size Gen.(int_range 1 30)
+           (quad small_nat arb_prefix (int_bound 3) small_nat)))
+    (fun (bindings, ops) ->
+      let keys = Array.of_list (List.map fst bindings) in
+      (* half the ops hit a key already bound, half a random prefix *)
+      let key pick fresh =
+        if pick mod 2 = 0 && Array.length keys > 0 then
+          keys.(pick / 2 mod Array.length keys)
+        else fresh
+      in
+      let _, ok =
+        List.fold_left
+          (fun (t, ok) (pick, fresh, answer, v) ->
+            let p = key pick fresh in
+            let f = answers.(answer) v in
+            let got = Bgp.Ptrie.update p f t in
+            ( got,
+              ok
+              && same got (reference p f t)
+              && Bgp.Ptrie.update p Fun.id t == t ))
+          (Bgp.Ptrie.of_list bindings, true)
+          ops
+      in
+      ok)
+
 let qcheck_prefix_subnets_cover =
   QCheck.Test.make ~name:"subnets partition the parent" ~count:200
     QCheck.(
@@ -305,5 +357,6 @@ let suite =
     Alcotest.test_case "ptrie union" `Quick test_ptrie_union;
     QCheck_alcotest.to_alcotest qcheck_trie_vs_assoc_lpm;
     QCheck_alcotest.to_alcotest qcheck_trie_add_remove_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_trie_update_vs_reference;
     QCheck_alcotest.to_alcotest qcheck_prefix_subnets_cover;
   ]

@@ -635,7 +635,11 @@ let fuzz_mrt_codec =
    projection, on the warm image advanced over the recorded delta, and on
    the controller's preferred and enforced projections. (The default
    config places whole prefixes; /24 splitting quantizes each child on
-   its own, so it is left out of the exact form.) *)
+   its own, so it is left out of the exact form.) The warm image must
+   also equal the cold projection placement for placement, and on its
+   stale overrides: both project under one fixed override assignment —
+   every third prefix is steered to one peer — so some overrides hold
+   and some go stale as routes and interfaces come and go. *)
 let prop_patch_chain_equals_assemble =
   QCheck.Test.make ~name:"patch chain = assemble, exact conservation"
     ~count:25 QCheck.small_nat (fun seed ->
@@ -657,6 +661,20 @@ let prop_patch_chain_equals_assemble =
         | Some _ ->
             let id = N.Iface.id (N.Pop.iface_of_peer pop ~peer_id) in
             List.find_opt (fun i -> N.Iface.id i = id) ifaces
+      in
+      let steer_to =
+        let second =
+          Array.to_list base
+          |> List.find_map (fun (p, _) ->
+                 match routes p with _ :: r :: _ -> Some r | _ -> None)
+        in
+        match second with
+        | Some r -> r
+        | None -> QCheck.Test.fail_reportf "seed %d: no prefix has two routes" seed
+      in
+      let overrides p =
+        if Hashtbl.hash (Bgp.Prefix.to_string p) mod 3 = 0 then Some steer_to
+        else None
       in
       let model = Hashtbl.create 64 in
       Array.iter (fun (p, r) -> Hashtbl.replace model p r) base;
@@ -702,7 +720,8 @@ let prop_patch_chain_equals_assemble =
       let ifaces = ref all_ifaces in
       let snap = ref (assemble !ifaces 0) in
       let work =
-        Ef.Projection.Working.of_projection (Ef.Projection.project !snap)
+        Ef.Projection.Working.of_projection
+          (Ef.Projection.project ~overrides !snap)
       in
       ignore (Ef.Controller.cycle ctl !snap);
       for step = 1 to 12 do
@@ -766,12 +785,12 @@ let prop_patch_chain_equals_assemble =
             ~rate_updates:(List.rev !rate_updates) ~time_s ();
         let what = Printf.sprintf "seed %d step %d" seed step in
         same_content what !snap (assemble !ifaces time_s);
-        let cold = Ef.Projection.project !snap in
+        let cold = Ef.Projection.project ~overrides !snap in
         conserved (what ^ " cold") !snap cold;
         let d = C.Snapshot.diff prev !snap in
-        Ef.Projection.Working.apply_iface_delta work ~snapshot:!snap
+        Ef.Projection.Working.apply_iface_delta work ~snapshot:!snap ~overrides
           ~delta:d.C.Snapshot.iface_changes ();
-        Ef.Projection.Working.apply_dirty work ~snapshot:!snap
+        Ef.Projection.Working.apply_dirty work ~snapshot:!snap ~overrides
           ~dirty:d.C.Snapshot.changes ();
         let warm = Ef.Projection.Working.seal work in
         conserved (what ^ " warm") !snap warm;
@@ -785,6 +804,26 @@ let prop_patch_chain_equals_assemble =
                  <> Ef.Projection.load_millibps cold ~iface_id)
                !ifaces
         then QCheck.Test.fail_reportf "%s: warm image differs from cold" what;
+        let placed proj =
+          List.map
+            (fun (pl : Ef.Projection.placement) ->
+              ( Bgp.Prefix.to_string pl.Ef.Projection.placed_prefix,
+                pl.Ef.Projection.rate_bps,
+                Bgp.Route.peer_id pl.Ef.Projection.route,
+                pl.Ef.Projection.iface_id,
+                pl.Ef.Projection.overridden ))
+            (Ef.Projection.placements proj)
+        in
+        if placed warm <> placed cold then
+          QCheck.Test.fail_reportf "%s: warm placements differ from cold" what;
+        if
+          not
+            (List.equal Bgp.Prefix.equal
+               (Ef.Projection.stale_overrides warm)
+               (Ef.Projection.stale_overrides cold))
+        then
+          QCheck.Test.fail_reportf "%s: warm stale overrides differ from cold"
+            what;
         let stats = Ef.Controller.cycle ctl !snap in
         conserved (what ^ " preferred") !snap (Ef.Controller.preferred stats);
         conserved (what ^ " enforced") !snap (Ef.Controller.enforced stats)
