@@ -208,7 +208,10 @@ let run_e10d ?fast () =
 (* E11: fleet wall-clock vs --jobs. Each measurement builds a fresh
    fleet (engines are single-run) and times Fleet.run on the monotonic
    clock. Two fleet shapes: the four paper PoPs, and a generated 16-PoP
-   fleet where domain parallelism has enough PoPs to bite. *)
+   fleet where domain parallelism has enough PoPs to bite. Every jobs
+   value runs once untimed first: that pays world generation and spawns
+   the process-wide pool's domains, so the timed run measures the
+   persistent-pool reuse path, not a spawn/join. *)
 let e11_jobs = [ 1; 2; 4 ]
 
 let run_e11_fleet ?(fast = false) () =
@@ -232,13 +235,14 @@ let run_e11_fleet ?(fast = false) () =
           ignore (Ef_sim.Fleet.run ~jobs fleet);
           Ef_obs.Clock.elapsed_s t0
         in
-        (* warm one sequential run so world generation costs are paid
-           before any timed run, evenly for every jobs value *)
-        ignore (time_run 1);
-        let base = time_run 1 in
+        let measure jobs =
+          ignore (time_run jobs);
+          time_run jobs
+        in
+        let base = measure 1 in
         List.map
           (fun jobs ->
-            let s = if jobs = 1 then base else time_run jobs in
+            let s = if jobs = 1 then base else measure jobs in
             let speedup = base /. s in
             Printf.printf "  %-12s jobs=%d  %8.2f s  %6.2fx\n%!" label jobs s
               speedup;
@@ -446,15 +450,10 @@ let run_e16_flap ~fast () =
     | Some p -> p
     | None -> failwith "canned plan dfz-flap missing"
   in
-  (* the full-scale cold side re-projects the whole table every cycle;
-     shard it like efctl --shards would so the comparison is against the
-     cold path at its best, not a strawman *)
-  let shards = if fast then 1 else Stdlib.min 8 (Domain.recommended_domain_count ()) in
-  let controller = Ef.Config.with_shards shards Ef.Config.default in
   Printf.printf "== E16: dfz flap cycles, warm vs forced-cold (%s) ==\n%!" scale;
   let warm =
     D.run
-      ~config:(D.config ~cycles ~cycle_s ~verify:fast ~faults ~controller ())
+      ~config:(D.config ~cycles ~cycle_s ~verify:fast ~faults ())
       dfz_cfg
   in
   Format.printf "warm:   %a@." D.pp_report warm;
@@ -462,7 +461,7 @@ let run_e16_flap ~fast () =
     D.run
       ~config:
         (D.config ~cycles ~cycle_s ~faults
-           ~controller:(Ef.Config.with_incremental false controller)
+           ~controller:(Ef.Config.with_incremental false Ef.Config.default)
            ())
       dfz_cfg
   in
@@ -765,185 +764,6 @@ let write_bench_pr8_json path ~e14:(noop_ms, enabled_ms, overhead_pct) =
     pass
 
 (* ------------------------------------------------------------------ *)
-(* E15: intra-engine sharding + persistent pool (BENCH_PR9.json)       *)
-(* ------------------------------------------------------------------ *)
-
-let e15_points = [ 1; 2; 4 ]
-
-(* Two curves, both over [e15_points] domains.
-
-   Part A — the 16-PoP fleet on the persistent process-wide pool: the
-   first parallel run spawns the worker domains and every later run
-   reuses them, so the timed points measure the steady reuse path, not
-   a spawn/join per run. Part B — the dfz cold start (full-table
-   Snapshot.assemble + the first controller cycle) at increasing
-   [--shards]; this is the ~11 s regime at 1M prefixes the sharded
-   build attacks. Every point warms once at its own domain count (pool
-   spawn + world caches) and then takes the min over [reps] runs, so
-   scheduler noise cannot fail the gate. *)
-let run_e15_multicore ?(fast = false) () =
-  let module D = Ef_sim.Dfz_run in
-  print_endline "== E15: intra-engine sharding + persistent pool ==";
-  let reps = if fast then 1 else 2 in
-  let min_of_reps f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let s = f () in
-      if s < !best then best := s
-    done;
-    !best
-  in
-  (* Part A: fleet wall clock vs jobs on the persistent pool *)
-  let hours = if fast then 2 else 6 in
-  let config =
-    Ef_sim.Engine.make_config ~cycle_s:300 ~duration_s:(hours * 3600) ~seed:15 ()
-  in
-  let scenarios = N.Scenario.generated_fleet ~n:16 () in
-  let time_fleet jobs =
-    let fleet = Ef_sim.Fleet.create ~config scenarios in
-    let t0 = Ef_obs.Clock.now_ns () in
-    ignore (Ef_sim.Fleet.run ~jobs fleet);
-    Ef_obs.Clock.elapsed_s t0
-  in
-  let measure_fleet jobs =
-    ignore (time_fleet jobs);
-    (* warm: pool spawn for this jobs value + world costs *)
-    min_of_reps (fun () -> time_fleet jobs)
-  in
-  let fleet_base = measure_fleet 1 in
-  let fleet_rows =
-    List.map
-      (fun jobs ->
-        let s = if jobs = 1 then fleet_base else measure_fleet jobs in
-        let speedup = fleet_base /. s in
-        Printf.printf "  gen-16pop    jobs=%d    %8.2f s  %6.2fx\n%!" jobs s
-          speedup;
-        (jobs, s, speedup))
-      e15_points
-  in
-  (* Part B: dfz cold start (assemble + first cycle) vs shards *)
-  let scale, dfz_cfg =
-    if fast then ("dfz-smoke", N.Scenario.dfz_smoke) else ("dfz", N.Scenario.dfz)
-  in
-  let time_cold shards =
-    Gc.compact ();
-    (* the generator's schedules are pure hashes of the config, so every
-       rep rebuilds the identical world; generation stays untimed *)
-    let gen = N.Dfz.create dfz_cfg in
-    let ctrl =
-      Ef.Controller.create
-        ~config:(Ef.Config.with_shards shards Ef.Config.default)
-        ~obs:(Ef_obs.Registry.create ())
-        ~name:(Printf.sprintf "bench-e15-shards%d" shards)
-        ()
-    in
-    let pool =
-      if shards <= 1 then None else Some (Ef_util.Pool.global ~jobs:shards ())
-    in
-    let t0 = Ef_obs.Clock.now_ns () in
-    let snap = D.snapshot_of_gen ?pool gen ~time_s:0 in
-    ignore (Ef.Controller.cycle ctrl snap);
-    Ef_obs.Clock.elapsed_s t0
-  in
-  let measure_cold shards =
-    ignore (time_cold shards);
-    min_of_reps (fun () -> time_cold shards)
-  in
-  let cold_base = measure_cold 1 in
-  let cold_rows =
-    List.map
-      (fun shards ->
-        let s = if shards = 1 then cold_base else measure_cold shards in
-        let speedup = cold_base /. s in
-        Printf.printf "  %-12s shards=%d  %8.2f s  %6.2fx\n%!"
-          (scale ^ "-cold") shards s speedup;
-        (shards, s, speedup))
-      e15_points
-  in
-  print_newline ();
-  (fleet_rows, (scale, cold_rows))
-
-(* BENCH_PR9.json: the multicore acceptance record. The speedup gates
-   only mean something where the domains have cores to land on, so the
-   verdicts are three-valued: "pass" / "fail" on a >=4-core runner,
-   "skipped" (with the observed core count) below that — never a
-   silent pass. scripts/bench_report.sh refuses a "skipped" verdict on
-   a machine that does have the cores. *)
-let write_bench_pr9_json path ~e15:(fleet_rows, (scale, cold_rows)) =
-  let module J = Ef_obs.Json in
-  let cores = Domain.recommended_domain_count () in
-  let speedup_at rows n =
-    match List.find_opt (fun (j, _, _) -> j = n) rows with
-    | Some (_, _, s) -> s
-    | None -> nan
-  in
-  let fleet4 = speedup_at fleet_rows 4 in
-  let cold4 = speedup_at cold_rows 4 in
-  let status ok =
-    if cores < 4 then "skipped" else if ok then "pass" else "fail"
-  in
-  let fleet_status = status (fleet4 >= 2.0) in
-  let cold_status = status (cold4 >= 1.5) in
-  let overall =
-    if cores < 4 then "skipped"
-    else if fleet_status = "pass" && cold_status = "pass" then "pass"
-    else "fail"
-  in
-  let curve key rows =
-    J.List
-      (List.map
-         (fun (n, s, speedup) ->
-           J.Obj
-             [
-               (key, J.Int n);
-               ("wall_s", J.Float s);
-               ("speedup", J.Float speedup);
-             ])
-         rows)
-  in
-  let json =
-    J.Obj
-      [
-        ("schema", J.String "edge-fabric-bench/1");
-        ("pr", J.Int 9);
-        ("source", J.String "bench/main.exe e15");
-        ("experiment", J.String "e15-multicore");
-        ("cores", J.Int cores);
-        ("fleet", J.String "gen-16pop");
-        ("fleet_curve", curve "jobs" fleet_rows);
-        ("dfz_scale", J.String scale);
-        ("dfz_cold_curve", curve "shards" cold_rows);
-        ( "acceptance",
-          J.Obj
-            [
-              ("cores", J.Int cores);
-              ("fleet_jobs4_speedup", J.Float fleet4);
-              ("fleet_jobs4_required_min", J.Float 2.0);
-              ("fleet_status", J.String fleet_status);
-              ("dfz_cold_shards4_speedup", J.Float cold4);
-              ("dfz_cold_shards4_required_min", J.Float 1.5);
-              ("dfz_cold_status", J.String cold_status);
-              ( "note",
-                J.String
-                  "speedup gates apply on >=4-core runners; \"skipped\" \
-                   records the verdict honestly on smaller machines" );
-              ("status", J.String overall);
-            ] );
-      ]
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string json);
-      output_char oc '\n');
-  Printf.printf
-    "wrote %s (fleet jobs=4 %.2fx, %s cold shards=4 %.2fx, status=%s on %d \
-     cores)\n\
-     %!"
-    path fleet4 scale cold4 overall cores
-
-(* ------------------------------------------------------------------ *)
 (* Experiment dispatch                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1019,8 +839,7 @@ let () =
       (match selected with
       | [] | [ "all" ] ->
           List.iter (run_one params) experiments;
-          run_micro_suite ();
-          ignore (run_e15_multicore ~fast ())
+          run_micro_suite ()
       | ids ->
           List.iter
             (fun id ->
@@ -1032,9 +851,6 @@ let () =
               else if id = "e14" then
                 let e14 = run_e14_health ~fast () in
                 Option.iter (fun path -> write_bench_pr8_json path ~e14) json_out
-              else if id = "e15" then
-                let e15 = run_e15_multicore ~fast () in
-                Option.iter (fun path -> write_bench_pr9_json path ~e15) json_out
               else if id = "e16" then
                 let e16 = run_e16_flap ~fast () in
                 Option.iter (fun path -> write_bench_pr10_json path ~e16) json_out
@@ -1043,8 +859,8 @@ let () =
                 | Some exp -> run_one params exp
                 | None ->
                     Printf.eprintf
-                      "unknown experiment %S (known: %s, e11, e13, e14, e15, \
-                       e16, micro, all; modifiers: fast, json=FILE)\n"
+                      "unknown experiment %S (known: %s, e11, e13, e14, e16, \
+                       micro, all; modifiers: fast, json=FILE)\n"
                       id
                       (String.concat ", "
                          (List.map (fun (i, _, _) -> i) experiments));

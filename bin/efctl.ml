@@ -42,6 +42,24 @@ let scenario_t =
 let seed_t =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Simulation seed.")
 
+(* --hours / --cycle for every command that simulates a window: a
+   negative window or a zero period is a usage error (exit 124), not a
+   Division_by_zero deep inside the run *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some _ | None ->
+        Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let hours_t ?(doc = "Simulated duration.") default =
+  Arg.(value & opt (int_at_least 0) default & info [ "hours" ] ~docv:"H" ~doc)
+
+let cycle_t ?(doc = "Controller period.") default =
+  Arg.(value & opt (int_at_least 1) default & info [ "cycle" ] ~docv:"SEC" ~doc)
+
 let hour_t =
   Arg.(
     value
@@ -333,7 +351,7 @@ let print_dfz_report name report =
 let run_cmd =
   let run world seed hours cycle_s no_controller no_sampling obs_metrics
       metrics_format journal faults policy prom_out trace_out profile_out
-      alerts alerts_out slo_deadline mrt verify_incremental shards =
+      alerts alerts_out slo_deadline mrt verify_incremental =
     let fault_plan = resolve_fault_plan faults in
     let policy_prog = resolve_policy policy in
     (* tracing is paid for only when something will read it: a trace dump,
@@ -373,16 +391,6 @@ let run_cmd =
         ~use_sampling:(not no_sampling) ~seed ?faults:fault_plan
         ?policy:policy_prog ~trace ~health ()
     in
-    (* --shards: applied after make_config so it composes with a policy's
-       allocator overrides; shards=1 leaves the config untouched *)
-    let config =
-      if shards = 1 then config
-      else
-        S.Engine.with_controller_config
-          (Ef.Config.with_shards shards config.S.Engine.controller_config)
-          config
-    in
-    let sharded_controller () = Ef.Config.with_shards shards Ef.Config.default in
     (* the common export tail: every world class (engine, dfz, mrt) gets
        the same exporters, each through the shared sink helper *)
     let export_results () =
@@ -450,8 +458,7 @@ let run_cmd =
            generated world; rates are synthesized (Zipf over the dump's
            prefixes) and drift through the incremental snapshot chain *)
         let rc =
-          S.Dfz_run.config ~cycles:n_cycles ~cycle_s
-            ~controller:(sharded_controller ()) ()
+          S.Dfz_run.config ~cycles:n_cycles ~cycle_s ()
         in
         let dump =
           match Bgp.Mrt.load dump_path with
@@ -480,8 +487,7 @@ let run_cmd =
         let dfz_cfg = { dfz_cfg with N.Dfz.seed } in
         let rc =
           S.Dfz_run.config ~cycles:n_cycles ~cycle_s
-            ~verify:verify_incremental ?faults:fault_plan
-            ~controller:(sharded_controller ()) ()
+            ~verify:verify_incremental ?faults:fault_plan ()
         in
         let report =
           S.Dfz_run.run
@@ -569,12 +575,6 @@ let run_cmd =
           (count "collector.session.retries")
           (count "collector.session.reconnects"));
     export_results ()
-  in
-  let hours_t =
-    Arg.(value & opt int 24 & info [ "hours" ] ~docv:"H" ~doc:"Simulated duration.")
-  in
-  let cycle_t =
-    Arg.(value & opt int 120 & info [ "cycle" ] ~docv:"SEC" ~doc:"Controller period.")
   in
   let no_controller_t =
     Arg.(value & flag & info [ "no-controller" ] ~doc:"BGP-only baseline.")
@@ -665,23 +665,12 @@ let run_cmd =
              (non-incremental) pipeline in lockstep and fail unless every \
              cycle's outputs match exactly.")
   in
-  let shards_t =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Shard each controller cycle's cold projection across \
-             $(docv) domains (and the cold DFZ table build, for dfz/mrt \
-             worlds). Outputs are byte-identical at any shard count; use \
-             with up to the machine's core count.")
-  in
   Cmd.v (Cmd.info "run" ~doc:"Simulate a day and summarise the outcome.")
     Term.(
-      const run $ run_world_t $ seed_t $ hours_t $ cycle_t $ no_controller_t
-      $ no_sampling_t $ metrics_t $ metrics_format_t $ journal_t $ faults_t
+      const run $ run_world_t $ seed_t $ hours_t 24 $ cycle_t 120
+      $ no_controller_t $ no_sampling_t $ metrics_t $ metrics_format_t $ journal_t $ faults_t
       $ policy_t $ prom_out_t $ trace_out_t $ profile_out_t $ alerts_t
-      $ alerts_out_t $ slo_deadline_t $ mrt_t $ verify_incremental_t
-      $ shards_t)
+      $ alerts_out_t $ slo_deadline_t $ mrt_t $ verify_incremental_t)
 
 (* --- health ---------------------------------------------------------------- *)
 
@@ -727,12 +716,6 @@ let health_cmd =
     (* systemctl-style exit status: 0 Healthy, 1 Degraded, 2 Broken *)
     exit (Ef_health.Slo.state_rank (Ef_health.Tracker.state health))
   in
-  let hours_t =
-    Arg.(value & opt int 1 & info [ "hours" ] ~docv:"H" ~doc:"Simulated duration.")
-  in
-  let cycle_t =
-    Arg.(value & opt int 120 & info [ "cycle" ] ~docv:"SEC" ~doc:"Controller period.")
-  in
   let slo_deadline_t =
     Arg.(
       value & opt float 1.0
@@ -751,7 +734,7 @@ let health_cmd =
           state transitions and alert firings. Exit status mirrors the \
           final state: 0 healthy, 1 degraded, 2 broken.")
     Term.(
-      const run $ run_world_t $ seed_t $ hours_t $ cycle_t $ faults_t
+      const run $ run_world_t $ seed_t $ hours_t 1 $ cycle_t 120 $ faults_t
       $ slo_deadline_t $ json_t)
 
 (* --- explain --------------------------------------------------------------- *)
@@ -803,12 +786,6 @@ let explain_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"PREFIX" ~doc:"Prefix to explain (e.g. 10.1.0.0/16).")
   in
-  let hours_t =
-    Arg.(value & opt int 1 & info [ "hours" ] ~docv:"H" ~doc:"Simulated duration.")
-  in
-  let cycle_t =
-    Arg.(value & opt int 120 & info [ "cycle" ] ~docv:"SEC" ~doc:"Controller period.")
-  in
   let cycle_index_t =
     Arg.(
       value
@@ -835,7 +812,7 @@ let explain_cmd =
           -> override chain for one prefix.")
     Term.(
       ret
-        (const run $ prefix_t $ scenario_t $ seed_t $ hours_t $ cycle_t
+        (const run $ prefix_t $ scenario_t $ seed_t $ hours_t 1 $ cycle_t 120
        $ faults_t $ cycle_index_t $ ring_t $ json_t))
 
 (* --- top -------------------------------------------------------------------- *)
@@ -940,12 +917,6 @@ let top_cmd =
       if delay_ms > 0 then Unix.sleepf (float_of_int delay_ms /. 1000.0)
     done
   in
-  let hours_t =
-    Arg.(value & opt int 1 & info [ "hours" ] ~docv:"H" ~doc:"Simulated duration.")
-  in
-  let cycle_t =
-    Arg.(value & opt int 120 & info [ "cycle" ] ~docv:"SEC" ~doc:"Controller period.")
-  in
   let delay_t =
     Arg.(
       value & opt int 100
@@ -964,8 +935,8 @@ let top_cmd =
          "Live terminal view: hottest interfaces, active overrides with \
           ages, degradation state.")
     Term.(
-      const run $ scenario_t $ seed_t $ hours_t $ cycle_t $ faults_t $ delay_t
-      $ plain_t)
+      const run $ scenario_t $ seed_t $ hours_t 1 $ cycle_t 120 $ faults_t
+      $ delay_t $ plain_t)
 
 (* --- experiment ----------------------------------------------------------- *)
 
@@ -1006,9 +977,6 @@ let experiment_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"ID" ~doc:"e1..e9, e12, a1, a3, a4.")
   in
-  let cycle_t =
-    Arg.(value & opt int 120 & info [ "cycle" ] ~docv:"SEC" ~doc:"Controller period.")
-  in
   let jobs_t =
     Arg.(
       value & opt int 1
@@ -1019,7 +987,7 @@ let experiment_cmd =
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate one table/figure of the paper.")
-    Term.(ret (const run $ id_t $ cycle_t $ jobs_t $ metrics_t))
+    Term.(ret (const run $ id_t $ cycle_t 120 $ jobs_t $ metrics_t))
 
 (* --- topo (graphviz export) ----------------------------------------------- *)
 
@@ -1106,12 +1074,6 @@ let fleet_cmd =
             path);
     print_metrics metrics
   in
-  let hours_t =
-    Arg.(value & opt int 24 & info [ "hours" ] ~docv:"H" ~doc:"Simulated duration.")
-  in
-  let cycle_t =
-    Arg.(value & opt int 300 & info [ "cycle" ] ~docv:"SEC" ~doc:"Controller period.")
-  in
   let jobs_t =
     Arg.(
       value & opt int 1
@@ -1133,7 +1095,7 @@ let fleet_cmd =
   Cmd.v
     (Cmd.info "fleet" ~doc:"Run every paper PoP and print the fleet dashboard.")
     Term.(
-      const run $ seed_t $ hours_t $ cycle_t $ jobs_t $ metrics_t
+      const run $ seed_t $ hours_t 24 $ cycle_t 300 $ jobs_t $ metrics_t
       $ profile_out_t)
 
 (* --- record / replay ------------------------------------------------------ *)
@@ -1155,12 +1117,6 @@ let record_cmd =
     Printf.printf "recorded %d snapshots to %s
 " (List.length snapshots) out
   in
-  let hours_t =
-    Arg.(value & opt int 1 & info [ "hours" ] ~docv:"H" ~doc:"Window length.")
-  in
-  let cycle_t =
-    Arg.(value & opt int 300 & info [ "cycle" ] ~docv:"SEC" ~doc:"Snapshot period.")
-  in
   let out_t =
     Arg.(
       value & opt string "trace.txt"
@@ -1168,7 +1124,11 @@ let record_cmd =
   in
   Cmd.v
     (Cmd.info "record" ~doc:"Record controller-input snapshots to a trace file.")
-    Term.(const run $ scenario_t $ seed_t $ hour_t $ hours_t $ cycle_t $ out_t)
+    Term.(
+      const run $ scenario_t $ seed_t $ hour_t
+      $ hours_t ~doc:"Window length." 1
+      $ cycle_t ~doc:"Snapshot period." 300
+      $ out_t)
 
 let replay_cmd =
   let run file threshold metrics =

@@ -86,43 +86,14 @@ let iface_delta prev_index next_index =
    wins, and a last entry at or below zero (or NaN) leaves the prefix
    unrated. Entries go into the trie as they come, non-positive ones
    included, and one filter pass drops those at the end (a no-op that
-   allocates nothing when there are none).
-
-   With a pool, contiguous chunks of the input build their tries on the
-   pool's domains and are unioned left to right, the right side winning
-   a shared prefix — the serial fold's winner, since chunks are in input
-   order. The trie is canonical (same bindings => same structure), so
-   the result is the serial one whatever the chunking. *)
-
-let par_threshold = 8192
-
-let assemble ?obs ?pool ~routes ~iface_of_peer ~ifaces ~prefix_rates ~time_s ()
-    =
+   allocates nothing when there are none). *)
+let assemble ?obs ~routes ~iface_of_peer ~ifaces ~prefix_rates ~time_s () =
   let obs = match obs with Some r -> r | None -> Ef_obs.Registry.default () in
   Ef_obs.Span.time ~registry:obs "collector.assemble" @@ fun () ->
-  let add trie (p, r) = Bgp.Ptrie.add p r trie in
   let entries =
-    match pool with
-    | Some pool
-      when Ef_util.Pool.jobs pool > 1
-           && (not (Ef_util.Pool.in_task ()))
-           && List.length prefix_rates >= par_threshold -> (
-        let raw = Array.of_list prefix_rates in
-        let tries =
-          Ef_util.Pool.map pool
-            (fun (lo, hi) ->
-              let trie = ref Bgp.Ptrie.empty in
-              for i = lo to hi - 1 do
-                trie := add !trie raw.(i)
-              done;
-              !trie)
-            (Ef_util.Pool.chunk_ranges ~n:(Array.length raw)
-               ~k:(Ef_util.Pool.jobs pool))
-        in
-        match tries with
-        | [] -> Bgp.Ptrie.empty
-        | t :: rest -> List.fold_left (Bgp.Ptrie.union (fun _ b -> b)) t rest)
-    | _ -> List.fold_left add Bgp.Ptrie.empty prefix_rates
+    List.fold_left
+      (fun trie (p, r) -> Bgp.Ptrie.add p r trie)
+      Bgp.Ptrie.empty prefix_rates
   in
   let rate_trie = Bgp.Ptrie.filter (fun _ r -> r > 0.0) entries in
   let prefix_count = ref 0 and total_m = ref 0L in

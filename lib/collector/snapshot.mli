@@ -49,7 +49,6 @@ type diff = {
 
 val assemble :
   ?obs:Ef_obs.Registry.t ->
-  ?pool:Ef_util.Pool.t ->
   routes:(Ef_bgp.Prefix.t -> Ef_bgp.Route.t list) ->
   iface_of_peer:(int -> Ef_netsim.Iface.t option) ->
   ifaces:Ef_netsim.Iface.t list ->
@@ -65,11 +64,6 @@ val assemble :
     leaves the prefix unrated. The total, the count, {!prefix_rates},
     {!rate_of} and everything projected from the snapshot follow that
     one rule.
-
-    [pool] shards the table build across the pool's domains — a pure
-    throughput knob: the result is byte-identical to the serial build at
-    any pool size (tables below a few thousand prefixes, a 1-lane pool,
-    or a call from inside a pool task silently take the serial path).
 
     Assembly is instrumented: the [collector.assemble] span and the
     [collector.snapshots] counter (plus a [collector.snapshot.prefixes]
@@ -161,10 +155,9 @@ val routes : t -> Ef_bgp.Prefix.t -> Ef_bgp.Route.t list
 (** The candidate list, from the source the snapshot was built with
     (each call asks it; nothing is cached). That source must answer the
     same for the snapshot's lifetime — a lookup into a pre-ranked table,
-    such as {!Ef_bgp.Rib.ranked_view} — and be safe to call from several
-    domains at once, since the sharded projection ranks on workers. A
-    route change reaches the controller only as a new snapshot, built
-    by {!patch} with the prefix in [routes_changed]. *)
+    such as {!Ef_bgp.Rib.ranked_view}. A route change reaches the
+    controller only as a new snapshot, built by {!patch} with the prefix
+    in [routes_changed]. *)
 
 val preferred_route : t -> Ef_bgp.Prefix.t -> Ef_bgp.Route.t option
 val ifaces : t -> Ef_netsim.Iface.t list

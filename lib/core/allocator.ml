@@ -441,7 +441,7 @@ let validate_config config =
 
 let run ?obs ~config ?(trace = Trace.noop) snapshot =
   validate_config config;
-  let before = Projection.project ~shards:config.Config.shards snapshot in
+  let before = Projection.project snapshot in
   let work = Projection.Working.of_projection before in
   run_core ?obs ~config ~trace ~before ~work snapshot
 
@@ -474,7 +474,7 @@ let run_warm ?obs ~config ?(trace = Trace.noop) ?warm snapshot =
         let key = if set_unchanged then w.warm_key else iface_key snapshot in
         (Projection.Working.seal img, img, key)
     | None ->
-        let before = Projection.project ~shards:config.Config.shards snapshot in
+        let before = Projection.project snapshot in
         (before, Projection.Working.of_projection before, iface_key snapshot)
   in
   (* retain the pre-relief image before the relief loop mutates it *)

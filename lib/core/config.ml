@@ -20,7 +20,6 @@ type t = {
   max_snapshot_age_s : int;
   min_rate_confidence : float;
   incremental : bool;
-  shards : int;
 }
 
 let default =
@@ -38,7 +37,6 @@ let default =
     max_snapshot_age_s = 90;
     min_rate_confidence = 0.0;
     incremental = true;
-    shards = 1;
   }
 
 let make ?(overload_threshold = default.overload_threshold)
@@ -49,7 +47,7 @@ let make ?(overload_threshold = default.overload_threshold)
     ?(override_local_pref = default.override_local_pref)
     ?(guard = default.guard) ?(max_snapshot_age_s = default.max_snapshot_age_s)
     ?(min_rate_confidence = default.min_rate_confidence)
-    ?(incremental = default.incremental) ?(shards = default.shards) () =
+    ?(incremental = default.incremental) () =
   {
     overload_threshold;
     iface_thresholds;
@@ -64,7 +62,6 @@ let make ?(overload_threshold = default.overload_threshold)
     max_snapshot_age_s;
     min_rate_confidence;
     incremental;
-    shards;
   }
 
 let with_overload_threshold overload_threshold t = { t with overload_threshold }
@@ -83,7 +80,6 @@ let with_guard guard t = { t with guard }
 let with_max_snapshot_age_s max_snapshot_age_s t = { t with max_snapshot_age_s }
 let with_min_rate_confidence min_rate_confidence t = { t with min_rate_confidence }
 let with_incremental incremental t = { t with incremental }
-let with_shards shards t = { t with shards }
 
 let release_threshold t = t.overload_threshold -. t.release_margin
 
@@ -124,8 +120,6 @@ let validate t =
   else if t.max_snapshot_age_s <= 0 then Error "max_snapshot_age_s must be positive"
   else if t.min_rate_confidence < 0.0 || t.min_rate_confidence >= 1.0 then
     Error "min_rate_confidence must be in [0, 1)"
-  else if t.shards < 1 || t.shards > 128 then
-    Error "shards must be in [1, 128]"
   else
     match t.max_overrides_per_cycle with
     | Some n when n < 0 -> Error "max_overrides_per_cycle must be non-negative"
@@ -149,5 +143,4 @@ let pp fmt t =
     t.override_local_pref;
   List.iter
     (fun (id, th) -> Format.fprintf fmt " if%d=%.2f" id th)
-    t.iface_thresholds;
-  if t.shards > 1 then Format.fprintf fmt " shards=%d" t.shards
+    t.iface_thresholds

@@ -54,13 +54,6 @@ type t = {
                                    {!Allocator.run_warm}). [false] forces
                                    the cold path every cycle — the
                                    differential suites' reference mode *)
-  shards : int;                (** partition cold projections across
-                                   this many domains (the
-                                   process-wide {!Ef_util.Pool}); outputs
-                                   are byte-identical at any value, so
-                                   this is purely a throughput knob. 1
-                                   (the default) keeps everything on the
-                                   calling domain *)
 }
 
 val default : t
@@ -79,7 +72,6 @@ val make :
   ?max_snapshot_age_s:int ->
   ?min_rate_confidence:float ->
   ?incremental:bool ->
-  ?shards:int ->
   unit ->
   t
 (** Every omitted field takes its {!default} value
@@ -103,7 +95,6 @@ val with_guard : Guard.config -> t -> t
 val with_max_snapshot_age_s : int -> t -> t
 val with_min_rate_confidence : float -> t -> t
 val with_incremental : bool -> t -> t
-val with_shards : int -> t -> t
 
 val release_threshold : t -> float
 (** [overload_threshold -. release_margin]. *)

@@ -233,10 +233,9 @@ let degraded_cycle t snapshot ~reason =
      cache too — the next healthy cycle re-enters cold and re-seeds it *)
   t.alloc_warm <- None;
   let active = Hysteresis.active t.hysteresis in
-  let shards = t.config.Config.shards in
-  let preferred = Projection.project ~shards snapshot in
+  let preferred = Projection.project snapshot in
   let enforced =
-    Projection.project ~overrides:(overrides_lookup active) ~shards snapshot
+    Projection.project ~overrides:(overrides_lookup active) snapshot
   in
   let threshold = t.config.Config.overload_threshold in
   Obs.Counter.inc ob.c_degraded;
@@ -402,8 +401,7 @@ let cycle ?now_s t snapshot =
             ignore (Projection.Working.drain_touched img);
             Projection.Working.seal img
         | Some _ | None ->
-            Projection.project ~overrides:lookup
-              ~shards:t.config.Config.shards snapshot)
+            Projection.project ~overrides:lookup snapshot)
   in
   let threshold = t.config.Config.overload_threshold in
   let guard_violations =

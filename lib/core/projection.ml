@@ -70,34 +70,18 @@ let decide ~overrides ~candidates snapshot prefix =
 
 (* --- the cold pass ------------------------------------------------------
 
-   Embarrassingly parallel over prefixes, and order-independent: loads
-   and the millibps aggregates are integer sums, and the placement,
-   unplaced and stale tries have canonical structure (same bindings =>
-   same shape). So the pass walks the snapshot's rate trie in whatever
-   order is cheapest, and with [shards > 1] each shard takes a
-   contiguous range of the trie's bindings into private scratch, merged
-   in range order after the join — byte-identical to the one-shard pass
-   by construction, not by replaying an addition sequence.
+   Order-independent: loads and the millibps aggregates are integer sums,
+   and the placement, unplaced and stale tries have canonical structure
+   (same bindings => same shape). So the pass walks the snapshot's rate
+   trie in whatever order is cheapest. *)
 
-   Workers rank through [Snapshot.routes], a read-only lookup, and
-   [overrides] runs on worker domains when sharded — it must be pure. *)
-
-type part = {
-  p_loads : int64 array;
-  p_overridden : int64;
-  p_unroutable : int64;
-  p_placements : placement Bgp.Ptrie.t;
-  p_unplaced : float Bgp.Ptrie.t;
-  p_stale : unit Bgp.Ptrie.t;
-}
-
-(* [iter] visits one shard's rated prefixes *)
-let place ~overrides ~width snapshot iter =
-  let loads = Array.make width 0L in
+let project ?(overrides = fun _ -> None) snapshot =
+  let ifaces = Snapshot.ifaces snapshot in
+  let loads = Array.make (max_iface_id ifaces + 1) 0L in
   let overridden_m = ref 0L and unroutable_m = ref 0L in
   let placements = ref Bgp.Ptrie.empty and unplaced = ref Bgp.Ptrie.empty in
   let stale = ref Bgp.Ptrie.empty in
-  iter (fun prefix rate ->
+  Snapshot.iter_rates snapshot (fun prefix rate ->
       let placed, is_stale =
         decide ~overrides ~candidates:(Snapshot.routes snapshot prefix)
           snapshot prefix
@@ -117,67 +101,14 @@ let place ~overrides ~width snapshot iter =
                 overridden }
               !placements);
   {
-    p_loads = loads;
-    p_overridden = !overridden_m;
-    p_unroutable = !unroutable_m;
-    p_placements = !placements;
-    p_unplaced = !unplaced;
-    p_stale = !stale;
-  }
-
-let merge a b =
-  let union x y = Bgp.Ptrie.union (fun _ w -> w) x y in
-  Array.iteri
-    (fun id m -> a.p_loads.(id) <- Int64.add a.p_loads.(id) m)
-    b.p_loads;
-  {
-    a with
-    p_overridden = Int64.add a.p_overridden b.p_overridden;
-    p_unroutable = Int64.add a.p_unroutable b.p_unroutable;
-    p_placements = union a.p_placements b.p_placements;
-    p_unplaced = union a.p_unplaced b.p_unplaced;
-    p_stale = union a.p_stale b.p_stale;
-  }
-
-let shard_pool ~shards =
-  if shards <= 1 || Ef_util.Pool.in_task () then None
-  else Some (Ef_util.Pool.global ~jobs:shards ())
-
-let project ?(overrides = fun _ -> None) ?(shards = 1) snapshot =
-  let ifaces = Snapshot.ifaces snapshot in
-  let width = max_iface_id ifaces + 1 in
-  let p =
-    match shard_pool ~shards with
-    | None ->
-        place ~overrides ~width snapshot (Snapshot.iter_rates snapshot)
-    | Some pool -> (
-        let rated = ref [] in
-        Snapshot.iter_rates snapshot (fun p r -> rated := (p, r) :: !rated);
-        let rated = Array.of_list !rated in
-        let parts =
-          Ef_util.Pool.map pool
-            (fun (lo, hi) ->
-              place ~overrides ~width snapshot (fun f ->
-                  for i = lo to hi - 1 do
-                    let prefix, rate = rated.(i) in
-                    f prefix rate
-                  done))
-            (Ef_util.Pool.chunk_ranges ~n:(Array.length rated)
-               ~k:(Ef_util.Pool.jobs pool))
-        in
-        match parts with
-        | first :: rest -> List.fold_left merge first rest
-        | [] -> assert false (* chunk_ranges yields at least one range *))
-  in
-  {
     ifaces;
-    loads = p.p_loads;
-    placements = p.p_placements;
+    loads;
+    placements = !placements;
     total_m = Snapshot.total_rate_millibps snapshot;
-    overridden_m = p.p_overridden;
-    unroutable_m = p.p_unroutable;
-    unplaced = p.p_unplaced;
-    stale = Bgp.Ptrie.keys p.p_stale;
+    overridden_m = !overridden_m;
+    unroutable_m = !unroutable_m;
+    unplaced = !unplaced;
+    stale = Bgp.Ptrie.keys !stale;
   }
 
 let load_millibps t ~iface_id =

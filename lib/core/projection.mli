@@ -18,7 +18,6 @@ type t
 
 val project :
   ?overrides:(Ef_bgp.Prefix.t -> Ef_bgp.Route.t option) ->
-  ?shards:int ->
   Ef_collector.Snapshot.t ->
   t
 (** Place every rated prefix. An override route is honoured only when it
@@ -29,12 +28,7 @@ val project :
 
     The result does not depend on the order prefixes are visited in:
     loads and aggregates are integer millibps sums and every trie is
-    content-canonical. So [shards > 1] partitions the snapshot's rated
-    prefixes across that many domains of the process-wide
-    {!Ef_util.Pool} with per-shard scratch, merged after the join — the
-    result is byte-identical to [shards = 1] at any count. When sharded, [overrides] runs on worker domains and must be
-    a pure function. Calls from inside a pool task fall back to the
-    sequential pass. *)
+    content-canonical. *)
 
 val load_bps : t -> iface_id:int -> float
 (** Per-interface load. Accumulated internally in integer millibps

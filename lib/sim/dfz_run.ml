@@ -98,8 +98,8 @@ let check_cycle ~cycle ~stats ~ref_stats =
     (Projection.ifaces enf);
   List.rev !buf
 
-let snapshot_of_gen ?obs ?pool ?ifaces gen ~time_s =
-  Snapshot.assemble ?obs ?pool
+let snapshot_of_gen ?obs ?ifaces gen ~time_s =
+  Snapshot.assemble ?obs
     ~routes:(Dfz.routes gen)
     ~iface_of_peer:(Dfz.iface_of_peer gen)
     ~ifaces:(Option.value ifaces ~default:(Dfz.ifaces gen))
@@ -128,14 +128,6 @@ let faulted_ifaces inj ifaces ~time_s =
                  (Float.max 1.0 (f *. Ef_netsim.Iface.capacity_bps ifc))
                ~shared:(Ef_netsim.Iface.shared ifc)))
     ifaces
-
-(* the cold table build shards across the same pool the controller's
-   [shards] knob uses; a 1-shard config (or a call from inside a pool
-   task) stays serial *)
-let shard_pool controller =
-  let shards = controller.Config.shards in
-  if shards <= 1 || Ef_util.Pool.in_task () then None
-  else Some (Ef_util.Pool.global ~jobs:shards ())
 
 (* One health observation per timed cycle: the dfz driver has no fault
    injection or feed retry machinery, so staleness/skips are always
@@ -182,9 +174,8 @@ let run ?obs ?(health = Ef_health.Tracker.noop) ?(config = config ()) dfz_cfg =
   let iface_event_cycles = ref [] in
   let verified = ref 0 in
   let mismatches = ref [] in
-  let pool = shard_pool config.controller in
   let snap =
-    ref (snapshot_of_gen ?obs ?pool ?ifaces:(ifaces_at ~time_s:0) gen ~time_s:0)
+    ref (snapshot_of_gen ?obs ?ifaces:(ifaces_at ~time_s:0) gen ~time_s:0)
   in
   for cycle = 0 to config.cycles - 1 do
     let time_s = cycle * config.cycle_s in

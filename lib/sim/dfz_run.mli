@@ -66,8 +66,7 @@ type report = {
 val cold_s : report -> float
 (** Wall time of cycle 0 — the cold full-table assemble plus the first
     controller cycle. Reported separately because it is a different
-    regime from the steady-state cycles (shard the build with
-    [controller.shards > 1] to attack it). *)
+    regime from the steady-state cycles. *)
 
 val p50_s : report -> float
 val p99_s : report -> float
@@ -85,14 +84,13 @@ val mean_s : report -> float
 
 val snapshot_of_gen :
   ?obs:Ef_obs.Registry.t ->
-  ?pool:Ef_util.Pool.t ->
   ?ifaces:Ef_netsim.Iface.t list ->
   Ef_netsim.Dfz.t ->
   time_s:int ->
   Ef_collector.Snapshot.t
 (** Assemble a snapshot of the generator's current state — the cold
-    table build. [pool] shards it ({!Ef_collector.Snapshot.assemble});
-    the bench harness times this directly. [ifaces] substitutes the
+    table build ({!Ef_collector.Snapshot.assemble}); the bench harness
+    times this directly. [ifaces] substitutes the
     interface list (default the generator's own) — how a fault-derated
     or flap-filtered set enters a cold reference build. *)
 
@@ -107,9 +105,7 @@ val run :
     (the reference side reports nowhere). [health] (default
     {!Ef_health.Tracker.noop}) is fed once per cycle with the end-to-end
     wall time — churn + patch + controller — so the SLO deadline is
-    judged over the same figure the acceptance bar uses. When
-    [config.controller.shards > 1] the cold cycle-0 assemble shards
-    across the process-wide pool (outputs byte-identical to serial). *)
+    judged over the same figure the acceptance bar uses. *)
 
 val report_to_json : report -> Ef_obs.Json.t
 (** Summary object (percentiles, counters, mismatch strings) — embedded

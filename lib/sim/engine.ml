@@ -212,6 +212,9 @@ let apply_policy_params env policy config =
   { config with controller_config = ctl; perf_config = perf }
 
 let create ?(config = default_config) ?obs scenario =
+  if config.cycle_s < 1 then invalid_arg "Engine.create: cycle_s must be positive";
+  if config.duration_s < 0 then
+    invalid_arg "Engine.create: duration_s must be non-negative";
   let reg = match obs with Some r -> r | None -> Obs.Registry.default () in
   (* a policy given in the engine config wins over the scenario's own
      declaration; either way the world is generated under the compiled

@@ -146,7 +146,9 @@ val create : ?config:config -> ?obs:Ef_obs.Registry.t -> Ef_netsim.Scenario.t ->
     to {!Ef_obs.Registry.default}. Each {!step} records the [engine.step]
     span plus one span per stage ([engine.demand], [engine.estimate],
     [engine.controller], [engine.placement], [engine.accounting]) and
-    updates the [engine.*] counters and gauges. *)
+    updates the [engine.*] counters and gauges. Raises
+    [Invalid_argument] if [config.cycle_s < 1] or
+    [config.duration_s < 0]. *)
 
 val config : t -> config
 val world : t -> Ef_netsim.Topo_gen.world

@@ -4,7 +4,7 @@ type wrap = lane:int -> task -> unit
 type gc_tune = { minor_heap_words : int; space_overhead : int }
 
 (* A worker domain's default minor heap (256k words) thrashes under the
-   allocation pressure of projection/allocation tasks: most of a task's
+   allocation pressure of a whole PoP's simulation task: most of a task's
    garbage is short-lived scratch that a bigger nursery reclaims for
    free, and a higher space_overhead keeps the shared major GC from
    stealing slices mid-task. ~32 MB of nursery per domain is cheap next
@@ -24,10 +24,9 @@ let apply_gc_tune tune =
    the inner map could be parked inside the outer one, and the two would
    deadlock waiting for each other. The flag travels with the domain —
    workers set it for life at birth, the caller sets it only while it is
-   executing tasks — and [map_lane] checks it to degrade gracefully to
+   executing tasks — and [map] checks it to degrade gracefully to
    sequential execution instead. *)
 let in_task_key = Domain.DLS.new_key (fun () -> false)
-let in_task () = Domain.DLS.get in_task_key
 
 (* queued tasks carry their own wrap (it can differ per [map] call), so
    the worker just needs to tell them which lane is running them *)
@@ -110,18 +109,18 @@ let with_pool ?wrap ~jobs f =
   let t = create ?wrap ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let map_lane ?wrap t f items =
+let map ?wrap t f items =
   let wrap = Option.value wrap ~default:t.wrap in
-  if in_task () then
+  if Domain.DLS.get in_task_key then
     (* nested call from inside some pool task: run sequentially on this
        lane, without the wrap hook (the enclosing task is already inside
        its own wrap span) *)
-    List.map (fun item -> f ~lane:0 item) items
+    List.map f items
   else if t.pool_jobs <= 1 then
     List.map
       (fun item ->
         let r = ref None in
-        wrap ~lane:0 (fun () -> r := Some (f ~lane:0 item));
+        wrap ~lane:0 (fun () -> r := Some (f item));
         match !r with
         | Some v -> v
         | None -> invalid_arg "Pool.map: wrap hook did not run its task")
@@ -136,8 +135,8 @@ let map_lane ?wrap t f items =
          decrement, so no per-slot synchronization is needed *)
       let results = Array.make n None in
       let remaining = ref n in
-      let run_one lane i =
-        let r = try Ok (f ~lane arr.(i)) with e -> Error e in
+      let run_one i =
+        let r = try Ok (f arr.(i)) with e -> Error e in
         results.(i) <- Some r;
         Mutex.lock t.mutex;
         decr remaining;
@@ -146,7 +145,7 @@ let map_lane ?wrap t f items =
       in
       Mutex.lock t.mutex;
       for i = 0 to n - 1 do
-        Queue.add (fun lane -> wrap ~lane (fun () -> run_one lane i)) t.queue
+        Queue.add (fun lane -> wrap ~lane (fun () -> run_one i)) t.queue
       done;
       Condition.broadcast t.work;
       Mutex.unlock t.mutex;
@@ -180,29 +179,13 @@ let map_lane ?wrap t f items =
     end
   end
 
-let map ?wrap t f items = map_lane ?wrap t (fun ~lane:_ item -> f item) items
-
-(* [k] contiguous [lo, hi) ranges covering [0, n), sizes within one of
-   each other — the canonical way shard tasks partition an index space *)
-let chunk_ranges ~n ~k =
-  let k = max 1 (min k n) in
-  let base = n / k and extra = n mod k in
-  let rec go i lo acc =
-    if i >= k then List.rev acc
-    else
-      let len = base + if i < extra then 1 else 0 in
-      go (i + 1) (lo + len) ((lo, lo + len) :: acc)
-  in
-  go 0 0 []
-
 (* --- the process-wide shared pool ------------------------------------ *)
 
-(* One long-lived pool reused across Fleet.run calls, controller shards
-   and bench iterations: domains spawn once per size, not per call. The
-   cell is guarded so the size-change path (shutdown + respawn) is safe
-   even if two entry points race, but the intended discipline is
-   main-domain use — code running inside a pool task checks {!in_task}
-   and never reaches here. *)
+(* One long-lived pool reused across Fleet.run calls and bench
+   iterations: domains spawn once per size, not per call. The cell is
+   guarded so the size-change path (shutdown + respawn) is safe even if
+   two entry points race, but the intended discipline is main-domain
+   use. *)
 let global_mutex = Mutex.create ()
 let global_cell = ref None
 

@@ -8,9 +8,8 @@
 
     Workers are long-lived: they spawn at {!create} and persist until
     {!shutdown}, so a pool can (and should) be reused across many {!map}
-    calls — repeated [Fleet.run]s, sharded controller cycles and bench
-    iterations all share the same domains instead of paying a
-    spawn/join per call. {!global} provides the process-wide instance
+    calls — repeated [Fleet.run]s and bench iterations share the same
+    domains instead of paying a spawn/join per call. {!global} provides the process-wide instance
     most steady-state callers want.
 
     Results are collected by submission index: [map pool f items] always
@@ -36,8 +35,8 @@ type gc_tune = { minor_heap_words : int; space_overhead : int }
 
 val default_gc_tune : gc_tune
 (** 4M words (~32 MB on 64-bit) minor heap, [space_overhead = 200] —
-    sized for allocation-heavy projection/assemble shard tasks, where
-    most garbage is short-lived scratch that a big nursery reclaims for
+    sized for allocation-heavy per-PoP simulation tasks, where most
+    garbage is short-lived scratch that a big nursery reclaims for
     free. *)
 
 type t
@@ -58,16 +57,10 @@ val map : ?wrap:wrap -> t -> ('a -> 'b) -> 'a list -> 'b list
     pool stays usable afterwards.
 
     Nested calls are safe but sequential: a [map] invoked from inside a
-    pool task (any pool's — see {!in_task}) runs [f] sequentially on the
-    calling lane instead of deadlocking the lanes against each other;
-    the wrap hook is skipped on that fallback path. One non-nested [map]
+    pool task (any pool's) runs [f] sequentially on the calling lane
+    instead of deadlocking the lanes against each other; the wrap hook
+    is skipped on that fallback path. One non-nested [map]
     may be in flight at a time per pool. *)
-
-val map_lane : ?wrap:wrap -> t -> (lane:int -> 'a -> 'b) -> 'a list -> 'b list
-(** Like {!map} but [f] also receives the executing lane index, for
-    callers that keep per-lane scratch (a lane runs one task at a time,
-    so lane-indexed arrays need no locking). Lane indices lie in
-    [0, jobs); on the sequential paths every task reports lane 0. *)
 
 val shutdown : t -> unit
 (** Join the worker domains. Idempotent; the pool must not be used
@@ -78,26 +71,14 @@ val with_pool : ?wrap:wrap -> jobs:int -> (t -> 'a) -> 'a
     raises. Prefer {!global} in steady-state code paths; [with_pool]
     pays a domain spawn/join per call. *)
 
-val in_task : unit -> bool
-(** True iff the current domain is executing inside some pool task (a
-    spawned worker, or the caller lane while it drives a parallel map).
-    Shard entry points check this to avoid re-entering the pool
-    machinery from within it. *)
-
 val global : ?gc:gc_tune option -> jobs:int -> unit -> t
 (** [global ~jobs ()] returns the process-wide shared pool, creating it
     on first use. A live global pool of the same size is returned as-is
     (its workers persist across calls); a size change shuts the old pool
-    down and spawns a fresh one. Do not call from inside a pool task
-    (check {!in_task} first) and do not {!shutdown} the returned pool
-    directly — use {!shutdown_global}. *)
+    down and spawns a fresh one. Do not call from inside a pool task,
+    and do not {!shutdown} the returned pool directly — use
+    {!shutdown_global}. *)
 
 val shutdown_global : unit -> unit
 (** Shut down and forget the global pool, if any. The next {!global}
     call respawns it. *)
-
-val chunk_ranges : n:int -> k:int -> (int * int) list
-(** [k] contiguous [lo, hi) ranges covering [0, n), sizes within one of
-    each other (fewer ranges when [n < k]; a single [(0, n)] range — or
-    [(0, 0)] when [n = 0] — when [k <= 1]). Shard tasks use this to
-    partition an index space deterministically. *)

@@ -107,53 +107,10 @@ let test_differential_override_rendering () =
   let rf = Ef.Allocator_ref.run ~config:Ef.Config.default snap in
   Alcotest.(check (list string)) "rendered overrides" (render rf) (render opt)
 
-(* the sharded allocator (config.shards > 1: projection and working-set
-   construction fan out across domains) must be invisible in every
-   observable: same overrides, residuals, final loads and trace bytes
-   as the serial run, across seeded worlds and shard counts *)
-let test_shard_invariance () =
-  for i = 0 to 19 do
-    let world =
-      N.Topo_gen.generate
-        { N.Topo_gen.small_config with N.Topo_gen.seed = 4200 + i }
-    in
-    let snap = snapshot_of_world ~rate_factor:1.1 world in
-    let run shards =
-      let tr = Trace.create () in
-      Trace.begin_cycle tr ~index:1 ~time_s:0;
-      let r =
-        Ef.Allocator.run
-          ~config:(Ef.Config.with_shards shards Ef.Config.default)
-          ~trace:tr snap
-      in
-      Trace.end_cycle tr;
-      (r, tr)
-    in
-    let base, tr_base = run 1 in
-    let ifaces = C.Snapshot.ifaces snap in
-    List.iter
-      (fun shards ->
-        let r, tr = run shards in
-        let ctx = Printf.sprintf "world %d shards=%d" i shards in
-        Alcotest.check override_list (ctx ^ ": overrides")
-          base.Ef.Allocator.overrides r.Ef.Allocator.overrides;
-        Alcotest.(check (list (pair int (float 0.0))))
-          (ctx ^ ": residual") (residual_ids base) (residual_ids r);
-        Alcotest.(check (list (pair int (float 0.0))))
-          (ctx ^ ": final loads")
-          (loads_of base.Ef.Allocator.final ifaces)
-          (loads_of r.Ef.Allocator.final ifaces);
-        Alcotest.(check string)
-          (ctx ^ ": trace bytes") (trace_bytes tr_base) (trace_bytes tr))
-      [ 2; 4 ]
-  done
-
 let suite =
   [
     Alcotest.test_case "optimized = reference on 100 seeded worlds" `Quick
       test_differential_seeded_worlds;
-    Alcotest.test_case "sharded = serial on 20 seeded worlds" `Quick
-      test_shard_invariance;
     Alcotest.test_case "optimized = reference on canned scenarios" `Quick
       test_differential_scenarios;
     Alcotest.test_case "override rendering byte-identical" `Quick

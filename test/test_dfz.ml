@@ -101,25 +101,6 @@ let test_driver_verified_identical () =
   Alcotest.(check bool) "percentiles ordered" true
     (D.p50_s report <= D.p99_s report && D.p99_s report <= D.max_s report)
 
-(* the driver's verify mode with the incremental side sharded: the cold
-   reference pipeline stays serial, so this pins the sharded cycles
-   (and the pooled cold build) against the serial pipeline end to end *)
-let test_driver_sharded_verified_identical () =
-  let report =
-    D.run
-      ~obs:(Ef_obs.Registry.create ())
-      ~config:
-        (D.config ~cycles:6 ~verify:true
-           ~controller:
-             (Edge_fabric.Config.with_shards 4 Edge_fabric.Config.default)
-           ())
-      (small 2_000)
-  in
-  Alcotest.(check int) "verified every cycle" 6 report.D.verified_cycles;
-  Alcotest.(check (list string)) "no mismatches" [] report.D.mismatches;
-  Alcotest.(check int) "warm path engaged every patched cycle" 5
-    report.D.incremental_hits
-
 (* the tentpole pin at dfz scale: under the canned dfz-flap plan the
    snapshot chain carries interface removals, re-additions and capacity
    derates — the warm path must hold on every patched cycle (no cold
@@ -150,40 +131,10 @@ let test_driver_flap_verified_identical () =
         (c >= 1 && c < 8))
     report.D.iface_event_cycles
 
-(* the parallel cold table build: sharded Snapshot.assemble over a
-   world big enough to cross the parallel threshold (8192 rated
-   prefixes) must equal the serial build in every observable *)
-let test_sharded_assemble_identical () =
-  let cfg = small 10_000 in
-  let serial = D.snapshot_of_gen (N.Dfz.create cfg) ~time_s:0 in
-  Ef_util.Pool.with_pool ~jobs:4 (fun pool ->
-      let sharded = D.snapshot_of_gen ~pool (N.Dfz.create cfg) ~time_s:0 in
-      let module C = Ef_collector in
-      Alcotest.(check int)
-        "prefix_count"
-        (C.Snapshot.prefix_count serial)
-        (C.Snapshot.prefix_count sharded);
-      Alcotest.(check (float 0.0))
-        "total_rate_bps"
-        (C.Snapshot.total_rate_bps serial)
-        (C.Snapshot.total_rate_bps sharded);
-      Alcotest.(check bool)
-        "prefix_rates identical" true
-        (C.Snapshot.prefix_rates serial = C.Snapshot.prefix_rates sharded);
-      (* rate_of must agree on every prefix (exercises the rate trie) *)
-      List.iter
-        (fun (p, r) ->
-          Alcotest.(check (float 0.0))
-            (Format.asprintf "rate_of %a" Bgp.Prefix.pp p)
-            r
-            (C.Snapshot.rate_of sharded p))
-        (C.Snapshot.prefix_rates serial))
-
-(* duplicated prefixes through the pooled table build: later entries
-   win and a late non-positive entry unrates, exactly as on the serial
-   path — in the count, the total, the rate order, rate_of and the
-   projection (serial and sharded) *)
-let test_sharded_assemble_duplicates () =
+(* duplicated prefixes in the table build: later entries win and a late
+   non-positive entry unrates, exactly as patch applies rate updates — in
+   the count, the total, the rate order, rate_of and the projection *)
+let test_assemble_duplicates () =
   let module C = Ef_collector in
   let module P = Edge_fabric.Projection in
   let gen = N.Dfz.create (small 6_000) in
@@ -195,7 +146,6 @@ let test_sharded_assemble_duplicates () =
   let gone =
     List.filteri (fun i _ -> i mod 7 = 0) base |> List.map (fun (p, _) -> (p, 0.0))
   in
-  (* 6000 + 2000 + 858 entries: above the 8192-entry parallel threshold *)
   let table = base @ again @ gone in
   let model = Hashtbl.create 8192 in
   List.iter
@@ -208,48 +158,40 @@ let test_sharded_assemble_duplicates () =
            let c = Float.compare rb ra in
            if c <> 0 then c else Bgp.Prefix.compare pa pb)
   in
-  let assemble ?pool () =
-    C.Snapshot.assemble ?pool ~obs:(Ef_obs.Registry.create ())
+  let snap =
+    C.Snapshot.assemble ~obs:(Ef_obs.Registry.create ())
       ~routes:(N.Dfz.routes gen) ~iface_of_peer:(N.Dfz.iface_of_peer gen)
       ~ifaces:(N.Dfz.ifaces gen) ~prefix_rates:table ~time_s:0 ()
   in
-  let check what snap =
-    Alcotest.(check int) (what ^ ": count") (List.length expected)
-      (C.Snapshot.prefix_count snap);
-    Alcotest.(check int64) (what ^ ": total millibps")
-      (List.fold_left
-         (fun acc (_, r) -> Int64.add acc (Ef_util.Units.to_millibps r))
-         0L expected)
-      (C.Snapshot.total_rate_millibps snap);
-    Alcotest.(check bool) (what ^ ": prefix_rates") true
-      (C.Snapshot.prefix_rates snap = expected);
-    List.iter
-      (fun (p, r) ->
-        if C.Snapshot.rate_of snap p <> r then
-          Alcotest.failf "%s: rate_of %s" what (Bgp.Prefix.to_string p))
-      expected;
-    let loads proj =
-      List.map
-        (fun i -> P.load_millibps proj ~iface_id:(N.Iface.id i))
-        (C.Snapshot.ifaces snap)
-    in
-    let proj = P.project snap and sharded = P.project ~shards:2 snap in
-    Alcotest.(check int64) (what ^ ": loads + unroutable = total")
-      (C.Snapshot.total_rate_millibps snap)
-      (List.fold_left Int64.add (P.unroutable_millibps proj) (loads proj));
-    Alcotest.(check (list int64)) (what ^ ": sharded loads") (loads proj)
-      (loads sharded);
-    Alcotest.(check int64) (what ^ ": sharded unroutable")
-      (P.unroutable_millibps proj) (P.unroutable_millibps sharded);
-    List.iter
-      (fun (pl : P.placement) ->
-        if Hashtbl.find_opt model pl.P.placed_prefix <> Some pl.P.rate_bps then
-          Alcotest.failf "%s: placed rate of %s" what
-            (Bgp.Prefix.to_string pl.P.placed_prefix))
-      (P.placements proj)
+  Alcotest.(check int) "count" (List.length expected)
+    (C.Snapshot.prefix_count snap);
+  Alcotest.(check int64) "total millibps"
+    (List.fold_left
+       (fun acc (_, r) -> Int64.add acc (Ef_util.Units.to_millibps r))
+       0L expected)
+    (C.Snapshot.total_rate_millibps snap);
+  Alcotest.(check bool) "prefix_rates" true
+    (C.Snapshot.prefix_rates snap = expected);
+  List.iter
+    (fun (p, r) ->
+      if C.Snapshot.rate_of snap p <> r then
+        Alcotest.failf "rate_of %s" (Bgp.Prefix.to_string p))
+    expected;
+  let proj = P.project snap in
+  let loads =
+    List.map
+      (fun i -> P.load_millibps proj ~iface_id:(N.Iface.id i))
+      (C.Snapshot.ifaces snap)
   in
-  check "serial" (assemble ());
-  Ef_util.Pool.with_pool ~jobs:4 (fun pool -> check "pooled" (assemble ~pool ()))
+  Alcotest.(check int64) "loads + unroutable = total"
+    (C.Snapshot.total_rate_millibps snap)
+    (List.fold_left Int64.add (P.unroutable_millibps proj) loads);
+  List.iter
+    (fun (pl : P.placement) ->
+      if Hashtbl.find_opt model pl.P.placed_prefix <> Some pl.P.rate_bps then
+        Alcotest.failf "placed rate of %s"
+          (Bgp.Prefix.to_string pl.P.placed_prefix))
+    (P.placements proj)
 
 (* satellite pin: the headline percentiles are steady-state — cycle 0's
    cold build is excluded, reported separately as cold_s *)
@@ -358,14 +300,10 @@ let suite =
     Alcotest.test_case "churn volume bounded" `Quick test_dfz_churn_bounded;
     Alcotest.test_case "driver verify: incremental = cold" `Quick
       test_driver_verified_identical;
-    Alcotest.test_case "driver verify: sharded = serial cold" `Quick
-      test_driver_sharded_verified_identical;
     Alcotest.test_case "driver verify: flap cycles stay warm and identical"
       `Quick test_driver_flap_verified_identical;
-    Alcotest.test_case "sharded assemble = serial assemble" `Quick
-      test_sharded_assemble_identical;
-    Alcotest.test_case "sharded assemble duplicates" `Quick
-      test_sharded_assemble_duplicates;
+    Alcotest.test_case "assemble duplicates: last entry wins" `Quick
+      test_assemble_duplicates;
     Alcotest.test_case "percentiles exclude the cold cycle" `Quick
       test_percentiles_exclude_cold;
     Alcotest.test_case "report json shape" `Quick test_report_json_shape;

@@ -111,6 +111,25 @@ let test_engine_cycle_count () =
   let m = S.Engine.run e in
   Alcotest.(check int) "10 cycles" 10 (S.Metrics.cycle_count m)
 
+(* a zero period or a negative window is rejected up front, not left to
+   divide by zero (or run zero steps) inside [run]; a zero-length window
+   is a valid empty run *)
+let test_engine_rejects_bad_config () =
+  let create ~cycle_s ~duration_s () =
+    ignore (S.Engine.create ~config:(engine_config ~cycle_s ~duration_s ()) tiny)
+  in
+  Alcotest.check_raises "cycle_s = 0"
+    (Invalid_argument "Engine.create: cycle_s must be positive")
+    (create ~cycle_s:0 ~duration_s:600);
+  Alcotest.check_raises "cycle_s < 0"
+    (Invalid_argument "Engine.create: cycle_s must be positive")
+    (create ~cycle_s:(-300) ~duration_s:600);
+  Alcotest.check_raises "duration_s < 0"
+    (Invalid_argument "Engine.create: duration_s must be non-negative")
+    (create ~cycle_s:60 ~duration_s:(-1));
+  let e = S.Engine.create ~config:(engine_config ~duration_s:0 ()) tiny in
+  Alcotest.(check int) "empty window" 0 (S.Metrics.cycle_count (S.Engine.run e))
+
 let test_engine_controller_never_worse () =
   (* on the same world and demand, the controller's placement must never
      drop more than BGP-only would *)
@@ -310,6 +329,8 @@ let suite =
     Alcotest.test_case "metrics lifetimes" `Quick test_metrics_lifetimes;
     Alcotest.test_case "engine deterministic" `Quick test_engine_deterministic;
     Alcotest.test_case "engine cycle count" `Quick test_engine_cycle_count;
+    Alcotest.test_case "engine rejects bad cycle/duration" `Quick
+      test_engine_rejects_bad_config;
     Alcotest.test_case "engine controller never worse" `Slow
       test_engine_controller_never_worse;
     Alcotest.test_case "engine detours need controller" `Slow

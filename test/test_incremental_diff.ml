@@ -47,7 +47,7 @@ let configs =
    incremental side advances a Snapshot.patch delta chain; the reference
    side reassembles every snapshot from scratch and runs with
    incremental recomputation disabled. *)
-let run_lockstep ?(shards = 1) ?(flap = false) ~seed ~cycles () =
+let run_lockstep ?(flap = false) ~seed ~cycles () =
   let cycle_s = 30 in
   let cfg_name, config = configs.(seed mod Array.length configs) in
   let w = Gen.world (2000 + seed) in
@@ -130,12 +130,8 @@ let run_lockstep ?(shards = 1) ?(flap = false) ~seed ~cycles () =
       ~time_s ()
   in
   let tr_incr = Trace.create () and tr_cold = Trace.create () in
-  (* [shards] applies to the incremental side only: the cold reference
-     stays serial, so at shards > 1 the pin also proves the sharded
-     fan-out equals the serial pipeline byte for byte *)
   let incr =
-    Ef.Controller.create
-      ~config:(Ef.Config.with_shards shards config)
+    Ef.Controller.create ~config
       ~obs:(Ef_obs.Registry.create ())
       ~trace:tr_incr ~name:"pin" ()
   in
@@ -266,14 +262,6 @@ let test_lockstep_flap_sequence () =
     (fun seed -> run_lockstep ~flap:true ~seed ~cycles:16 ())
     [ 0; 1; 2; 3; 7 ]
 
-(* the sharded controller against the serial cold reference: every
-   observable must still match byte for byte when projection and
-   working-set construction fan out across 2 and 4 domains *)
-let test_lockstep_sharded () =
-  List.iter
-    (fun (seed, shards) -> run_lockstep ~shards ~seed ~cycles:6 ())
-    [ (3, 2); (11, 4); (42, 4) ]
-
 let suite =
   [
     Alcotest.test_case "incremental = cold on 100 seeded churn sequences"
@@ -282,6 +270,4 @@ let suite =
       test_lockstep_long_sequence;
     Alcotest.test_case "incremental = cold across link flaps" `Quick
       test_lockstep_flap_sequence;
-    Alcotest.test_case "sharded incremental = serial cold" `Quick
-      test_lockstep_sharded;
   ]

@@ -622,6 +622,69 @@ let fuzz_mrt_codec =
       (match Bgp.Mrt.decode (truncate rng wire) with Ok _ | Error _ -> ());
       match Bgp.Mrt.decode (bit_flip rng wire) with Ok _ | Error _ -> ())
 
+let gen_bmp_msg rng =
+  let u32 () = Ef_util.Rng.int rng 0x3FFFFFFF in
+  let header () =
+    {
+      C.Bmp.peer_id = u32 ();
+      peer_addr = gen_ip rng;
+      peer_asn = Bgp.Asn.of_int (1 + Ef_util.Rng.int rng 100_000);
+      peer_bgp_id = gen_ip rng;
+      timestamp_s = u32 ();
+    }
+  in
+  let text () =
+    String.init (Ef_util.Rng.int rng 24) (fun _ ->
+        Char.chr (32 + Ef_util.Rng.int rng 95))
+  in
+  match Ef_util.Rng.int rng 6 with
+  | 0 -> (
+      match gen_bgp_update rng with
+      | Bgp.Msg.Update update -> C.Bmp.Route_monitoring { header = header (); update }
+      | _ -> assert false)
+  | 1 -> C.Bmp.Initiation { sys_name = text (); sys_descr = text () }
+  | 2 -> C.Bmp.Termination { reason = Ef_util.Rng.int rng 0x10000 }
+  | 3 ->
+      C.Bmp.Peer_up
+        {
+          header = header ();
+          local_addr = gen_ip rng;
+          local_port = Ef_util.Rng.int rng 0x10000;
+          remote_port = Ef_util.Rng.int rng 0x10000;
+        }
+  | 4 -> C.Bmp.Peer_down { header = header (); reason = Ef_util.Rng.int rng 0x100 }
+  | _ -> C.Bmp.Stats_report { header = header (); routes_monitored = u32 () }
+
+let fuzz_bmp_codec =
+  rng_fuzz "bmp codec fuzz roundtrip (500)" (fun rng ~case ->
+      let msgs = List.init (1 + Ef_util.Rng.int rng 4) (fun _ -> gen_bmp_msg rng) in
+      let wire = String.concat "" (List.map C.Bmp.encode msgs) in
+      let first = List.hd msgs in
+      (match C.Bmp.decode wire with
+      | Ok (decoded, consumed) ->
+          if
+            consumed <> String.length (C.Bmp.encode first)
+            || not (C.Bmp.equal first decoded)
+          then
+            Alcotest.failf "case %d: roundtrip mismatch for %s" case
+              (Format.asprintf "%a" C.Bmp.pp first)
+      | Error e ->
+          Alcotest.failf "case %d: decode of own encoding failed: %s" case
+            (Format.asprintf "%a" C.Bmp.pp_error e));
+      (match C.Bmp.decode_all wire with
+      | Ok decoded ->
+          if not (List.equal C.Bmp.equal msgs decoded) then
+            Alcotest.failf "case %d: decode_all mismatch" case
+      | Error e ->
+          Alcotest.failf "case %d: decode_all of own encoding failed: %s" case
+            (Format.asprintf "%a" C.Bmp.pp_error e));
+      (* totality: truncations and bit flips produce Ok/Error, no raise *)
+      List.iter
+        (fun mutated ->
+          (match C.Bmp.decode mutated with Ok _ | Error _ -> ());
+          match C.Bmp.decode_all mutated with Ok _ | Error _ -> ())
+        [ truncate rng wire; bit_flip rng wire ])
+
 (* --- Patch chains against fresh assembly ------------------------------- *)
 
 (* Random patch sequences: each step draws rate moves, withdrawals and
@@ -966,7 +1029,7 @@ let prop_working_index_lazy =
       true)
 
 let suite =
-  [ fuzz_bgp_codec; fuzz_sflow_codec; fuzz_mrt_codec ]
+  [ fuzz_bgp_codec; fuzz_sflow_codec; fuzz_mrt_codec; fuzz_bmp_codec ]
   @ List.map QCheck_alcotest.to_alcotest
     [
       prop_projection_conserves;

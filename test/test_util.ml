@@ -320,25 +320,6 @@ let test_pool_persistent_reuse () =
           (Pool.map pool (fun i -> i * 3) items)
       done)
 
-let test_pool_map_lane () =
-  (* every task reports a lane in [0, jobs); results stay in submission
-     order regardless of which lane ran them. Tasks only record their
-     lane: assertions run on the calling domain after the join, since
-     Alcotest's reporting formatter is not safe to use from several
-     domains at once. *)
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let results =
-        Pool.map_lane pool (fun ~lane i -> (lane, i * 10)) (List.init 30 Fun.id)
-      in
-      List.iter
-        (fun (lane, _) ->
-          Alcotest.(check bool) "lane in range" true (lane >= 0 && lane < 3))
-        results;
-      Alcotest.(check (list int))
-        "order"
-        (List.init 30 (fun i -> i * 10))
-        (List.map snd results))
-
 let test_pool_nested_map_no_deadlock () =
   (* a map issued from inside a pool task must not wait on the pool's
      own lanes (they are all busy) — it degrades to sequential *)
@@ -367,31 +348,6 @@ let test_pool_global_reuse_and_resize () =
     "resized pool works" [ 2; 4; 6 ]
     (Pool.map c (fun i -> 2 * i) [ 1; 2; 3 ]);
   Pool.shutdown_global ()
-
-let test_pool_chunk_ranges () =
-  (* contiguous cover of [0, n), sizes within one of each other *)
-  List.iter
-    (fun (n, k) ->
-      let ranges = Pool.chunk_ranges ~n ~k in
-      let covered = ref 0 in
-      let min_w = ref max_int and max_w = ref 0 in
-      List.iter
-        (fun (lo, hi) ->
-          Alcotest.(check int)
-            (Printf.sprintf "contiguous n=%d k=%d" n k)
-            !covered lo;
-          covered := hi;
-          let w = hi - lo in
-          if w < !min_w then min_w := w;
-          if w > !max_w then max_w := w)
-        ranges;
-      Alcotest.(check int) (Printf.sprintf "covers n=%d k=%d" n k) n !covered;
-      if n > 0 then
-        Alcotest.(check bool)
-          (Printf.sprintf "balanced n=%d k=%d" n k)
-          true
-          (!max_w - !min_w <= 1))
-    [ (10, 3); (7, 7); (3, 8); (1, 4); (100, 1); (0, 4) ]
 
 let suite =
   [
@@ -433,12 +389,10 @@ let suite =
     Alcotest.test_case "pool empty + validation" `Quick
       test_pool_empty_and_validation;
     Alcotest.test_case "pool persistent reuse" `Quick test_pool_persistent_reuse;
-    Alcotest.test_case "pool map_lane" `Quick test_pool_map_lane;
     Alcotest.test_case "pool nested map no deadlock" `Quick
       test_pool_nested_map_no_deadlock;
     Alcotest.test_case "pool global reuse + resize" `Quick
       test_pool_global_reuse_and_resize;
-    Alcotest.test_case "pool chunk_ranges" `Quick test_pool_chunk_ranges;
     QCheck_alcotest.to_alcotest qcheck_int_bounds;
     QCheck_alcotest.to_alcotest qcheck_pareto_min;
   ]
