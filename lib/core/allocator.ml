@@ -269,25 +269,7 @@ type warm = {
          placement, no allocator moves applied. Never mutated — each use
          copies it first. *)
   warm_snapshot : Snapshot.t;
-  warm_key : int list;
-      (* [warm_snapshot]'s interface ids, sorted — computed once per warm
-         record, never re-sorted on the healthy-cycle hot path *)
 }
-
-let iface_key s = List.sort compare (List.map Iface.id (Snapshot.ifaces s))
-
-(* Set equality between the warm snapshot's interface ids and [snapshot]'s,
-   cheap enough for every healthy cycle: short-circuit on max id, physical
-   list identity (the no-[~ifaces] patch case) and list length before ever
-   comparing against the cached key — the warm side's sort never reruns.
-   (The old implementation allocated and sorted both full lists per cycle.) *)
-let same_iface_ids w snapshot =
-  Snapshot.max_iface_id w.warm_snapshot = Snapshot.max_iface_id snapshot
-  && (Snapshot.ifaces w.warm_snapshot == Snapshot.ifaces snapshot
-     || List.compare_lengths (Snapshot.ifaces w.warm_snapshot)
-          (Snapshot.ifaces snapshot)
-        = 0
-        && w.warm_key = iface_key snapshot)
 
 (* Warm start needs only the delta link: a linked snapshot's recorded
    iface_changes are exact, and [run_warm] patches the image over them
@@ -453,47 +435,35 @@ let run_warm ?obs ~config ?(trace = Trace.noop) ?warm snapshot =
         Some (w, Snapshot.diff w.warm_snapshot snapshot)
     | Some _ | None -> None
   in
-  let before, work, key =
+  let before, work =
     match warm_base with
     | Some (w, d) ->
         (* advance last cycle's pre-relief image: first over the recorded
-           interface-set delta (O(affected), nothing when the set only
-           lost/kept capacity), then over the dirty prefix set. Two
-           sequential passes, not one merged list — a prefix both
+           interface-set delta (O(affected); a linked delta records an
+           entry only when an (id, capacity) pair changed, and a
+           capacity-only entry costs nothing), then over the dirty prefix
+           set. Two sequential passes, not one merged list — a prefix both
            re-placed by the iface pass and rate-churned must be retracted
            and re-placed twice, or its load would double-count. No
            overrides at this stage — the before-projection is always the
            BGP-preferred placement. *)
         let img = Projection.Working.copy w.warm_image in
-        let set_unchanged = same_iface_ids w snapshot in
-        if not set_unchanged then
+        if d.Snapshot.iface_changes <> [] then
           Projection.Working.apply_iface_delta img ~snapshot
             ~delta:d.Snapshot.iface_changes ();
         Projection.Working.apply_dirty img ~snapshot ~dirty:d.Snapshot.changes ();
         ignore (Projection.Working.drain_touched img);
-        let key = if set_unchanged then w.warm_key else iface_key snapshot in
-        (Projection.Working.seal img, img, key)
+        (Projection.Working.seal img, img)
     | None ->
         let before = Projection.project snapshot in
-        (before, Projection.Working.of_projection before, iface_key snapshot)
+        (before, Projection.Working.of_projection before)
   in
   (* retain the pre-relief image before the relief loop mutates it *)
   let next_warm =
-    {
-      warm_image = Projection.Working.copy work;
-      warm_snapshot = snapshot;
-      warm_key = key;
-    }
+    { warm_image = Projection.Working.copy work; warm_snapshot = snapshot }
   in
   let result = run_core ?obs ~config ~trace ~before ~work snapshot in
   (result, next_warm)
-
-let warm_of_result (r : result) snapshot =
-  {
-    warm_image = Projection.Working.of_projection r.before;
-    warm_snapshot = snapshot;
-    warm_key = iface_key snapshot;
-  }
 
 let relief_bps (r : result) =
   List.fold_left (fun acc o -> acc +. o.Override.rate_bps) 0.0 r.overrides

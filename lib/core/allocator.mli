@@ -55,26 +55,22 @@ val run_warm :
   ?warm:warm ->
   Ef_collector.Snapshot.t ->
   result * warm
-(** {!run}, incrementally. When [warm] is given and the new snapshot is
-    [linked] to the warm snapshot (built from it by {!Snapshot.patch}),
-    the pre-relief projection is advanced instead of recomputed: first
-    over the delta's recorded interface-set changes (a removed interface
-    re-places exactly its placements, an added one re-decides the
-    unplaced pool, a capacity change costs nothing —
-    {!Projection.Working.apply_iface_delta}), then over the dirty
-    prefixes — and because the relief loop is a pure function of the
-    pre-relief image, the result is byte-identical to a cold {!run},
-    floats included, interface churn or not. Any other case (no warm,
-    unlinked snapshots) silently falls back to the cold path, so
-    correctness never depends on the caller's cadence. The returned
-    [warm] seeds the next cycle either way. The allocator remains
-    stateless in its *decisions*: overrides are recomputed from scratch
-    every cycle; only the projection work is reused. *)
-
-val warm_of_result : result -> Ef_collector.Snapshot.t -> warm
-(** Rebuild a warm state from a cold {!run}'s result and the snapshot it
-    ran on — how a caller that sometimes runs cold (e.g. after a
-    degraded cycle) re-enters the incremental regime. *)
+(** {!run}, incrementally — the controller's one allocation path. When
+    [warm] is given and the new snapshot is [linked] to the warm snapshot
+    (built from it by {!Snapshot.patch}), the pre-relief projection is
+    advanced instead of recomputed: first over the delta's recorded
+    interface-set changes (a removed interface re-places exactly its
+    placements, an added one re-decides the unplaced pool, a capacity
+    change costs nothing — {!Projection.Working.apply_iface_delta}), then
+    over the dirty prefixes — and because the relief loop is a pure
+    function of the pre-relief image, the result is byte-identical to a
+    cold {!run}, floats included, interface churn or not. Cold is simply
+    the case with no linked warm state (no [warm], or an unlinked
+    snapshot such as a freshly assembled one): the image is projected
+    from scratch, so correctness never depends on the caller's cadence.
+    The returned [warm] seeds the next cycle either way. The allocator
+    remains stateless in its *decisions*: overrides are recomputed from
+    scratch every cycle; only the projection work is reused. *)
 
 val warm_valid : ?warm:warm -> Ef_collector.Snapshot.t -> bool
 (** Whether {!run_warm} would take the incremental path for this

@@ -19,7 +19,6 @@ type t = {
   guard : Guard.config;
   max_snapshot_age_s : int;
   min_rate_confidence : float;
-  incremental : bool;
 }
 
 let default =
@@ -36,7 +35,6 @@ let default =
     guard = Guard.default;
     max_snapshot_age_s = 90;
     min_rate_confidence = 0.0;
-    incremental = true;
   }
 
 let make ?(overload_threshold = default.overload_threshold)
@@ -46,8 +44,7 @@ let make ?(overload_threshold = default.overload_threshold)
     ?(granularity = default.granularity) ?max_overrides_per_cycle
     ?(override_local_pref = default.override_local_pref)
     ?(guard = default.guard) ?(max_snapshot_age_s = default.max_snapshot_age_s)
-    ?(min_rate_confidence = default.min_rate_confidence)
-    ?(incremental = default.incremental) () =
+    ?(min_rate_confidence = default.min_rate_confidence) () =
   {
     overload_threshold;
     iface_thresholds;
@@ -61,7 +58,6 @@ let make ?(overload_threshold = default.overload_threshold)
     guard;
     max_snapshot_age_s;
     min_rate_confidence;
-    incremental;
   }
 
 let with_overload_threshold overload_threshold t = { t with overload_threshold }
@@ -79,7 +75,6 @@ let with_override_local_pref override_local_pref t = { t with override_local_pre
 let with_guard guard t = { t with guard }
 let with_max_snapshot_age_s max_snapshot_age_s t = { t with max_snapshot_age_s }
 let with_min_rate_confidence min_rate_confidence t = { t with min_rate_confidence }
-let with_incremental incremental t = { t with incremental }
 
 let release_threshold t = t.overload_threshold -. t.release_margin
 

@@ -47,13 +47,6 @@ type t = {
                                    rate drops below this fraction of the
                                    recent moving average (0 disables — the
                                    default; chaos runs opt in) *)
-  incremental : bool;          (** warm-start allocator and enforcement
-                                   projections from the previous cycle when
-                                   consecutive snapshots are delta-linked
-                                   (byte-identical results either way; see
-                                   {!Allocator.run_warm}). [false] forces
-                                   the cold path every cycle — the
-                                   differential suites' reference mode *)
 }
 
 val default : t
@@ -71,7 +64,6 @@ val make :
   ?guard:Guard.config ->
   ?max_snapshot_age_s:int ->
   ?min_rate_confidence:float ->
-  ?incremental:bool ->
   unit ->
   t
 (** Every omitted field takes its {!default} value
@@ -94,7 +86,6 @@ val with_override_local_pref : int -> t -> t
 val with_guard : Guard.config -> t -> t
 val with_max_snapshot_age_s : int -> t -> t
 val with_min_rate_confidence : float -> t -> t
-val with_incremental : bool -> t -> t
 
 val release_threshold : t -> float
 (** [overload_threshold -. release_margin]. *)

@@ -332,31 +332,24 @@ let cycle ?now_s t snapshot =
     (if t.healthy_cycles = 0 then total
      else (0.7 *. t.rate_ewma) +. (0.3 *. total));
   t.healthy_cycles <- t.healthy_cycles + 1;
-  let alloc =
+  let alloc, warm =
     Obs.Span.time_h ob.reg ob.sp_allocate (fun () ->
-        if t.config.Config.incremental then begin
-          (if Allocator.warm_valid ?warm:t.alloc_warm snapshot then begin
-             t.incr_hits <- t.incr_hits + 1;
-             (* flap visibility: count warm cycles that also crossed an
-                interface-set change — linked diffs are O(1), so this is
-                a lookup of the recorded delta, not a recomputation *)
-             match t.alloc_warm with
-             | Some w
-               when (Snapshot.diff (Allocator.warm_snapshot w) snapshot)
-                      .Snapshot.iface_changes
-                    <> [] ->
-                 Obs.Counter.inc ob.c_iface_patches
-             | Some _ | None -> ()
-           end);
-          let result, warm =
-            Allocator.run_warm ~obs:ob.reg ~config:t.config ~trace:t.trace
-              ?warm:t.alloc_warm snapshot
-          in
-          t.alloc_warm <- Some warm;
-          result
-        end
-        else Allocator.run ~obs:ob.reg ~config:t.config ~trace:t.trace snapshot)
+        (match t.alloc_warm with
+        | Some w when Allocator.warm_valid ~warm:w snapshot ->
+            t.incr_hits <- t.incr_hits + 1;
+            (* flap visibility: count warm cycles that also crossed an
+               interface-set change — linked diffs are O(1), so this is
+               a lookup of the recorded delta, not a recomputation *)
+            if
+              (Snapshot.diff (Allocator.warm_snapshot w) snapshot)
+                .Snapshot.iface_changes
+              <> []
+            then Obs.Counter.inc ob.c_iface_patches
+        | Some _ | None -> ());
+        Allocator.run_warm ~obs:ob.reg ~config:t.config ~trace:t.trace
+          ?warm:t.alloc_warm snapshot)
   in
+  t.alloc_warm <- Some warm;
   let desired, guard_dropped =
     Obs.Span.time_h ob.reg ob.sp_guard_clamp (fun () ->
         Guard.clamp ~trace:t.trace t.config.Config.guard snapshot
@@ -375,33 +368,29 @@ let cycle ?now_s t snapshot =
   in
   let enforced =
     Obs.Span.time_h ob.reg ob.sp_project (fun () ->
-        let lookup = overrides_lookup reconcile.Hysteresis.active in
-        match t.alloc_warm with
-        | Some w when Allocator.warm_snapshot w == snapshot ->
-            (* the allocator just handed back the pre-relief preferred
-               image of this very snapshot; the enforced projection is
-               that image with only the active override prefixes
-               re-decided — O(overrides), never O(table). Byte-identical
-               to a cold [project ~overrides]: clean prefixes place the
-               same either way, and the integer load accounting makes the
-               aggregates order-independent. *)
-            let img = Allocator.preferred_image w in
-            let dirty =
-              List.map
-                (fun (o : Override.t) ->
-                  let p = o.Override.prefix in
-                  let r = Snapshot.rate_of snapshot p in
-                  let r = if r > 0.0 then Some r else None in
-                  { Snapshot.ch_prefix = p; ch_old_rate = r; ch_new_rate = r;
-                    ch_routes = false })
-                reconcile.Hysteresis.active
-            in
-            Projection.Working.apply_dirty img ~snapshot ~overrides:lookup
-              ~dirty ();
-            ignore (Projection.Working.drain_touched img);
-            Projection.Working.seal img
-        | Some _ | None ->
-            Projection.project ~overrides:lookup snapshot)
+        (* the allocator just handed back the pre-relief preferred image
+           of this very snapshot; the enforced projection is that image
+           with only the active override prefixes re-decided —
+           O(overrides), never O(table). Byte-identical to a cold
+           [project ~overrides]: clean prefixes place the same either
+           way, and the integer load accounting makes the aggregates
+           order-independent. *)
+        let img = Allocator.preferred_image warm in
+        let dirty =
+          List.map
+            (fun (o : Override.t) ->
+              let p = o.Override.prefix in
+              let r = Snapshot.rate_of snapshot p in
+              let r = if r > 0.0 then Some r else None in
+              { Snapshot.ch_prefix = p; ch_old_rate = r; ch_new_rate = r;
+                ch_routes = false })
+            reconcile.Hysteresis.active
+        in
+        Projection.Working.apply_dirty img ~snapshot
+          ~overrides:(overrides_lookup reconcile.Hysteresis.active)
+          ~dirty ();
+        ignore (Projection.Working.drain_touched img);
+        Projection.Working.seal img)
   in
   let threshold = t.config.Config.overload_threshold in
   let guard_violations =
@@ -485,7 +474,6 @@ let detoured_bps stats = stats.detoured_bps
 let preferred stats = stats.preferred
 let enforced stats = stats.enforced
 let allocator_result stats = stats.allocator
-let reconcile_result stats = stats.reconcile
 let guard_dropped stats = stats.guard_dropped
 let guard_violations stats = stats.guard_violations
 let overloaded_before stats = stats.overloaded_before

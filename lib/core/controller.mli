@@ -50,26 +50,8 @@ val degradation_reason : degradation -> string
 
 val pp_degradation : Format.formatter -> degradation -> unit
 
-(** One cycle's outcome. Use the accessor functions below rather than
-    matching on the record directly: the record will keep growing (it is
-    kept exposed for the transition), and accessors insulate callers. *)
-type cycle_stats = {
-  time_s : int;
-  total_bps : float;
-  detoured_bps : float;            (** traffic on overridden placements *)
-  preferred : Projection.t;        (** BGP-only placement *)
-  enforced : Projection.t;         (** placement with active overrides *)
-  allocator : Allocator.result;
-  reconcile : Hysteresis.step_result;
-  guard_dropped : Override.t list;
-      (** proposals shed by the {!Guard} budgets this cycle *)
-  guard_violations : Guard.violation list;
-      (** audit findings on the enforced set (also logged) *)
-  overloaded_before : (Ef_netsim.Iface.t * float) list;
-  overloaded_after : (Ef_netsim.Iface.t * float) list;
-  degraded : degradation option;
-      (** [Some _] when this cycle failed static (see {!degradation}) *)
-}
+type cycle_stats
+(** One cycle's outcome, read through the accessors below. *)
 
 type t
 
@@ -93,12 +75,13 @@ val active_overrides : t -> Override.t list
 val cycles_run : t -> int
 
 val incremental_hits : t -> int
-(** How many cycles advanced the enforced projection incrementally
-    instead of recomputing it — nonzero only when [Config.incremental]
-    is on and consecutive snapshots were delta-linked
-    ({!Ef_collector.Snapshot.patch}). Results are byte-identical either
-    way; this counter exists so scale tests can assert the fast path
-    actually engaged. *)
+(** How many cycles advanced the allocator's pre-relief image from the
+    previous cycle instead of projecting it from scratch — the cycles
+    whose snapshot was delta-linked ({!Ef_collector.Snapshot.patch}) to
+    the last healthy cycle's. The first cycle, a cycle after a degraded
+    one, and any freshly assembled (unlinked) snapshot run cold. Results
+    are byte-identical either way; this counter exists so scale tests
+    can assert the fast path actually engaged. *)
 
 val obs : t -> Ef_obs.Registry.t
 (** The registry this controller reports into. *)
@@ -127,8 +110,7 @@ val detour_fraction : cycle_stats -> float
 (** {2 [cycle_stats] accessors}
 
     Field-for-field accessors plus the derived lists the drivers actually
-    want. New code should use these (and {!pp_cycle_stats} /
-    {!cycle_stats_to_json}) instead of pattern-matching the record. *)
+    want; {!pp_cycle_stats} and {!cycle_stats_to_json} summarize a cycle. *)
 
 val time_s : cycle_stats -> int
 val total_bps : cycle_stats -> float
@@ -136,7 +118,6 @@ val detoured_bps : cycle_stats -> float
 val preferred : cycle_stats -> Projection.t
 val enforced : cycle_stats -> Projection.t
 val allocator_result : cycle_stats -> Allocator.result
-val reconcile_result : cycle_stats -> Hysteresis.step_result
 val guard_dropped : cycle_stats -> Override.t list
 val guard_violations : cycle_stats -> Guard.violation list
 val overloaded_before : cycle_stats -> (Ef_netsim.Iface.t * float) list

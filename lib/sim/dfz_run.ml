@@ -2,6 +2,7 @@ module Snapshot = Ef_collector.Snapshot
 module Controller = Edge_fabric.Controller
 module Config = Edge_fabric.Config
 module Projection = Edge_fabric.Projection
+module Override = Edge_fabric.Override
 module Dfz = Ef_netsim.Dfz
 module Clock = Ef_obs.Clock
 module Json = Ef_obs.Json
@@ -67,12 +68,17 @@ let mean_s r =
 (* --- differential check against the cold pipeline --------------------
 
    The reference side replays an identical generator (same config, pure
-   hash schedules) but assembles every snapshot from scratch — unlinked
-   snapshots plus [incremental = false] force the cold path end to end.
-   Equality is exact, floats included: the incremental path is built to
-   reproduce the cold path's accumulation order, not approximate it. *)
+   hash schedules) but assembles every snapshot from scratch. Those
+   snapshots are unlinked, so the reference controller has no warm state
+   to advance and runs cold end to end. Each cycle is also checked against
+   a cold projection of the incremental side's own enforced override set
+   on the freshly assembled snapshot, so the enforced loads are pinned
+   even where both controllers would share a bug in their enforced
+   derivation. Equality is exact, floats included: the incremental path is
+   built to reproduce the cold path's accumulation order, not approximate
+   it. *)
 
-let check_cycle ~cycle ~stats ~ref_stats =
+let check_cycle ~cycle ~stats ~ref_snap ~ref_stats =
   let buf = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> buf := s :: !buf) fmt in
   let say what = fail "cycle %d: %s differ" cycle what in
@@ -84,18 +90,26 @@ let check_cycle ~cycle ~stats ~ref_stats =
     say "detoured_bps";
   if Controller.residual_overloads stats <> Controller.residual_overloads ref_stats
   then say "residual overloads";
-  let enf = Controller.enforced stats
-  and ref_enf = Controller.enforced ref_stats in
-  if Projection.stale_overrides enf <> Projection.stale_overrides ref_enf then
-    say "stale overrides";
+  let enf = Controller.enforced stats in
+  let oracle =
+    Projection.project
+      ~overrides:(Override.lookup (Controller.overrides_enforced stats))
+      ref_snap
+  in
   List.iter
-    (fun iface ->
-      let id = Ef_netsim.Iface.id iface in
-      let a = Projection.load_bps enf ~iface_id:id
-      and b = Projection.load_bps ref_enf ~iface_id:id in
-      if a <> b then
-        fail "cycle %d: enforced load on iface %d: %.17g <> %.17g" cycle id a b)
-    (Projection.ifaces enf);
+    (fun (what, other) ->
+      if Projection.stale_overrides enf <> Projection.stale_overrides other then
+        say (what ^ " stale overrides");
+      List.iter
+        (fun iface ->
+          let id = Ef_netsim.Iface.id iface in
+          let a = Projection.load_bps enf ~iface_id:id
+          and b = Projection.load_bps other ~iface_id:id in
+          if a <> b then
+            fail "cycle %d: %s enforced load on iface %d: %.17g <> %.17g" cycle
+              what id a b)
+        (Projection.ifaces enf))
+    [ ("reference", Controller.enforced ref_stats); ("projected", oracle) ];
   List.rev !buf
 
 let snapshot_of_gen ?obs ?ifaces gen ~time_s =
@@ -151,14 +165,13 @@ let observe_health health ~cycle ~cycle_s ~duration_s
 let run ?obs ?(health = Ef_health.Tracker.noop) ?(config = config ()) dfz_cfg =
   let gen = Dfz.create dfz_cfg in
   let ctl = Controller.create ~config:config.controller ?obs ~name:"dfz" () in
-  (* the cold twin: own generator, own controller, no shared state *)
+  (* the cold twin: own generator, own controller, no shared state; its
+     snapshots are assembled afresh every cycle, so it never runs warm *)
   let reference =
     if config.verify then
       Some
         ( Dfz.create dfz_cfg,
-          Controller.create
-            ~config:(Config.with_incremental false config.controller)
-            ~name:"dfz-ref" () )
+          Controller.create ~config:config.controller ~name:"dfz-ref" () )
     else None
   in
   let injector = Option.map Ef_fault.Injector.create config.faults in
@@ -216,7 +229,11 @@ let run ?obs ?(health = Ef_health.Tracker.noop) ?(config = config ()) dfz_cfg =
         let ref_snap = snapshot_of_gen ?ifaces:ref_ifaces ref_gen ~time_s in
         let ref_stats = Controller.cycle ref_ctl ref_snap in
         incr verified;
-        mismatches := !mismatches @ check_cycle ~cycle ~stats ~ref_stats)
+        if Controller.incremental_hits ref_ctl > 0 then
+          mismatches :=
+            !mismatches @ [ Printf.sprintf "cycle %d: reference ran warm" cycle ];
+        mismatches :=
+          !mismatches @ check_cycle ~cycle ~stats ~ref_snap ~ref_stats)
   done;
   {
     prefix_count = Snapshot.prefix_count !snap;

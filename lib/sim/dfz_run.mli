@@ -12,10 +12,13 @@
     steady-state churn) is stated over.
 
     In [verify] mode a second generator replays the identical world
-    (the schedules are pure hashes of the config) through a cold
-    controller — [incremental = false], every snapshot assembled from
-    scratch — and each cycle's enforced overrides, loads, residuals and
-    stale lists are compared for exact equality, floats included. *)
+    (the schedules are pure hashes of the config) through a second
+    controller that is cold because every snapshot it sees is assembled
+    from scratch (unlinked, so there is no warm state to advance). Each
+    cycle's enforced overrides, loads, residuals and stale lists are
+    compared for exact equality, floats included, and the enforced loads
+    and stale list are also compared with a cold projection of the
+    enforced override set on the assembled snapshot. *)
 
 type config = {
   cycles : int;
@@ -39,7 +42,7 @@ val config :
   unit ->
   config
 (** Defaults: 30 cycles of 30 s, no verification, no faults, default
-    controller config (incremental on). Verification re-assembles every
+    controller config. Verification re-assembles every
     snapshot from scratch on the reference side — meant for smoke scale,
     not for the million-prefix run. Under [faults], both sides query one
     injector (pure in simulated time), so the differential check also

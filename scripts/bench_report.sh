@@ -32,9 +32,8 @@
 # canned dfz-flap plan the warm path holds on every patched cycle
 # (interface churn never forces a cold recompute), flap-cycle p99 stays
 # under the 1 s bar, and the run is byte-identical to the cold
-# reference, with the warm-vs-forced-cold speedup recorded. Exits
-# non-zero if the benches fail or an emitted file is not well-formed
-# JSON with the expected schema.
+# reference. Exits non-zero if the benches fail or an emitted file is
+# not well-formed JSON with the expected schema.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -1,6 +1,6 @@
 (* Differential pin: the optimized allocator (indexed snapshot, working
    projection, incremental overload set) must be observationally
-   byte-identical to the frozen pre-PR reference (Ef.Allocator_ref) —
+   byte-identical to the frozen pre-PR reference (Allocator_ref) —
    same overrides, same residuals, same counters, same final loads, same
    trace records — across seeded worlds and every config axis the loop
    branches on. *)
@@ -52,7 +52,7 @@ let check_identical ~ctx ~config snap =
     (result, tr)
   in
   let opt, tr_opt = traced (fun ~config ~trace s -> Ef.Allocator.run ~config ~trace s) in
-  let rf, tr_ref = traced (fun ~config ~trace s -> Ef.Allocator_ref.run ~config ~trace s) in
+  let rf, tr_ref = traced (fun ~config ~trace s -> Allocator_ref.run ~config ~trace s) in
   Alcotest.check override_list (ctx ^ ": overrides") rf.Ef.Allocator.overrides
     opt.Ef.Allocator.overrides;
   Alcotest.(check (list (pair int (float 0.0))))
@@ -104,7 +104,7 @@ let test_differential_override_rendering () =
       r.Ef.Allocator.overrides
   in
   let opt = Ef.Allocator.run ~config:Ef.Config.default snap in
-  let rf = Ef.Allocator_ref.run ~config:Ef.Config.default snap in
+  let rf = Allocator_ref.run ~config:Ef.Config.default snap in
   Alcotest.(check (list string)) "rendered overrides" (render rf) (render opt)
 
 let suite =

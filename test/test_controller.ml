@@ -145,8 +145,8 @@ let test_controller_cycle_relieves () =
   let ctrl = Ef.Controller.create ~name:"test" () in
   let snap = snapshot fx [ (pfx_a, 8e9); (pfx_b, 4e9); (pfx_c, 1e9) ] in
   let stats = Ef.Controller.cycle ctrl snap in
-  Alcotest.(check bool) "was overloaded" true (stats.Ef.Controller.overloaded_before <> []);
-  Alcotest.(check int) "fixed" 0 (List.length stats.Ef.Controller.overloaded_after);
+  Alcotest.(check bool) "was overloaded" true (Ef.Controller.overloaded_before stats <> []);
+  Alcotest.(check int) "fixed" 0 (List.length (Ef.Controller.overloaded_after stats));
   Alcotest.(check bool) "detoured something" true
     (Ef.Controller.detour_fraction stats > 0.0);
   Alcotest.(check int) "active overrides" 1
@@ -184,7 +184,7 @@ let test_controller_releases_when_demand_drops () =
   (* demand collapses far below the release threshold *)
   let stats = Ef.Controller.cycle ctrl (snapshot fx [ (pfx_a, 1e9); (pfx_b, 1e9) ]) in
   Alcotest.(check int) "released" 1
-    (List.length stats.Ef.Controller.reconcile.Ef.Hysteresis.removed);
+    (List.length (Ef.Controller.overrides_removed stats));
   Alcotest.(check int) "none active" 0
     (List.length (Ef.Controller.active_overrides ctrl));
   (* the release shows up as a withdrawal on the wire *)
@@ -205,7 +205,7 @@ let test_controller_stateless_across_restart () =
     List.map
       (fun (o : Ef.Override.t) ->
         (Bgp.Prefix.to_string o.Ef.Override.prefix, Ef.Override.target_peer_id o))
-      s.Ef.Controller.reconcile.Ef.Hysteresis.active
+      (Ef.Controller.overrides_enforced s)
   in
   Alcotest.(check (list (pair string int))) "same decisions" (sig_of stats1)
     (sig_of stats2)
@@ -324,7 +324,7 @@ let test_controller_fault_invariants () =
            (fun (i, _) -> N.Iface.id i)
            (Ef.Controller.residual_overloads stats)
        in
-       let final = stats.Ef.Controller.allocator.Ef.Allocator.final in
+       let final = (Ef.Controller.allocator_result stats).Ef.Allocator.final in
        List.iter
          (fun (iface, util) ->
            if not (List.mem (N.Iface.id iface) residual_ids) then
@@ -339,7 +339,7 @@ let test_controller_fault_invariants () =
       List.fold_left
         (fun acc pl -> Bgp.Prefix.to_string pl.Ef.Projection.placed_prefix :: acc)
         []
-        (Ef.Projection.placements stats.Ef.Controller.enforced)
+        (Ef.Projection.placements (Ef.Controller.enforced stats))
     in
     List.iter
       (fun (p, _) ->

@@ -212,14 +212,14 @@ let test_controller_respects_guard () =
   let snap = snapshot fx [ (pfx_a, 8e9); (pfx_b, 4e9) ] in
   let stats = Ef.Controller.cycle ctrl snap in
   Alcotest.(check bool) "proposals were made" true
-    (stats.Ef.Controller.allocator.Ef.Allocator.overrides <> []);
+    ((Ef.Controller.allocator_result stats).Ef.Allocator.overrides <> []);
   Alcotest.(check bool) "guard dropped them" true
-    (stats.Ef.Controller.guard_dropped <> []);
+    (Ef.Controller.guard_dropped stats <> []);
   Alcotest.(check int) "nothing enforced" 0
-    (List.length stats.Ef.Controller.reconcile.Ef.Hysteresis.active);
+    (List.length (Ef.Controller.overrides_enforced stats));
   (* the overload persists, visibly *)
   Alcotest.(check bool) "overload remains" true
-    (stats.Ef.Controller.overloaded_after <> [])
+    (Ef.Controller.overloaded_after stats <> [])
 
 let suite =
   [

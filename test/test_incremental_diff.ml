@@ -1,12 +1,14 @@
 (* The end-to-end incremental pin (e13's correctness half at unit
-   scale): a controller with [Config.incremental] on, fed a
-   {!Snapshot.patch} delta chain, must match — byte for byte — a cold
-   controller recomputing every cycle from freshly assembled snapshots
-   of the same content. 100+ seeded worlds × churn sequences covering
-   rate shifts, prefix withdraw/re-announce, candidate-route
-   invalidation and Ef_fault capacity derates; compared per cycle on
-   enforced overrides, totals, residuals, stale lists and per-interface
-   loads, and at the end on full provenance-trace bytes. *)
+   scale): a controller fed a {!Snapshot.patch} delta chain, which runs
+   warm on every linked cycle, must match — byte for byte — a twin
+   controller fed freshly assembled snapshots of the same content, which
+   runs cold because an unlinked snapshot leaves it no warm state to
+   advance. 100+ seeded worlds × churn sequences covering rate shifts,
+   prefix withdraw/re-announce, candidate-route invalidation and Ef_fault
+   capacity derates; compared per cycle on enforced overrides, totals,
+   residuals, stale lists and per-interface loads (the last two also
+   against a cold projection of the enforced set), and at the end on full
+   provenance-trace bytes. *)
 
 module Bgp = Ef_bgp
 module N = Ef_netsim
@@ -45,9 +47,11 @@ let configs =
 
 (* One seeded world driven [cycles] controller cycles in lockstep: the
    incremental side advances a Snapshot.patch delta chain; the reference
-   side reassembles every snapshot from scratch and runs with
-   incremental recomputation disabled. *)
-let run_lockstep ?(flap = false) ~seed ~cycles () =
+   side reassembles every snapshot from scratch, so it is cold every
+   cycle. With [break_at], the incremental side receives a freshly
+   assembled snapshot at that cycle instead of a patch — a collector
+   restart: it must drop to cold there and patch on from the new chain. *)
+let run_lockstep ?(flap = false) ?break_at ~seed ~cycles () =
   let cycle_s = 30 in
   let cfg_name, config = configs.(seed mod Array.length configs) in
   let w = Gen.world (2000 + seed) in
@@ -136,13 +140,12 @@ let run_lockstep ?(flap = false) ~seed ~cycles () =
       ~trace:tr_incr ~name:"pin" ()
   in
   let cold =
-    Ef.Controller.create
-      ~config:(Ef.Config.with_incremental false config)
+    Ef.Controller.create ~config
       ~obs:(Ef_obs.Registry.create ())
       ~trace:tr_cold ~name:"pin" ()
   in
   let snap = ref (assemble 0) in
-  let down_cycles = ref 0 and up_after_down = ref 0 in
+  let down_cycles = ref 0 and up_after_down = ref 0 and patched = ref 0 in
   for cycle = 0 to cycles - 1 do
     let time_s = cycle * cycle_s in
     (if flap then
@@ -186,14 +189,23 @@ let run_lockstep ?(flap = false) ~seed ~cycles () =
           else Hashtbl.replace model p r)
         rate_updates;
       snap :=
-        C.Snapshot.patch
-          ~obs:(Ef_obs.Registry.create ())
-          ~prev:!snap ~routes ~ifaces:(ifaces_at time_s)
-          ~routes_changed:!routes_changed ~rate_updates ~time_s ()
+        if break_at = Some cycle then assemble time_s
+        else begin
+          Stdlib.incr patched;
+          C.Snapshot.patch
+            ~obs:(Ef_obs.Registry.create ())
+            ~prev:!snap ~routes ~ifaces:(ifaces_at time_s)
+            ~routes_changed:!routes_changed ~rate_updates ~time_s ()
+        end
     end;
     let s_incr = Ef.Controller.cycle incr !snap in
-    let s_cold = Ef.Controller.cycle cold (assemble time_s) in
+    let ref_snap = assemble time_s in
+    let s_cold = Ef.Controller.cycle cold ref_snap in
     let ctx = Printf.sprintf "seed %d (%s) cycle %d" seed cfg_name cycle in
+    Alcotest.(check int)
+      (ctx ^ ": warm path engaged on every patched cycle")
+      !patched
+      (Ef.Controller.incremental_hits incr);
     Alcotest.check override_list (ctx ^ ": enforced overrides")
       (Ef.Controller.overrides_enforced s_cold)
       (Ef.Controller.overrides_enforced s_incr);
@@ -217,13 +229,23 @@ let run_lockstep ?(flap = false) ~seed ~cycles () =
     Alcotest.(check (list (pair int (float 0.0))))
       (ctx ^ ": enforced loads")
       (loads_of (Ef.Controller.enforced s_cold) ifaces)
+      (loads_of (Ef.Controller.enforced s_incr) ifaces);
+    (* the checker's own oracle: a cold projection of the incremental
+       side's enforced set on the assembled snapshot *)
+    let projected =
+      Ef.Projection.project
+        ~overrides:(Ef.Override.lookup (Ef.Controller.overrides_enforced s_incr))
+        ref_snap
+    in
+    Alcotest.(check (list Helpers.prefix_t))
+      (ctx ^ ": stale overrides vs projection")
+      (Ef.Projection.stale_overrides projected)
+      (Ef.Projection.stale_overrides (Ef.Controller.enforced s_incr));
+    Alcotest.(check (list (pair int (float 0.0))))
+      (ctx ^ ": enforced loads vs projection")
+      (loads_of projected ifaces)
       (loads_of (Ef.Controller.enforced s_incr) ifaces)
   done;
-  Alcotest.(check int)
-    (Printf.sprintf "seed %d (%s): warm path engaged every patched cycle"
-       seed cfg_name)
-    (cycles - 1)
-    (Ef.Controller.incremental_hits incr);
   Alcotest.(check int)
     (Printf.sprintf "seed %d (%s): cold reference never warm" seed cfg_name)
     0
@@ -262,6 +284,17 @@ let test_lockstep_flap_sequence () =
     (fun seed -> run_lockstep ~flap:true ~seed ~cycles:16 ())
     [ 0; 1; 2; 3; 7 ]
 
+(* warm -> cold -> warm: mid-run the incremental side is handed a freshly
+   assembled (unlinked) snapshot, as after a collector restart, and then
+   patches on from it. It must go cold on exactly that cycle, warm again
+   on the next, and match the cold reference on every cycle. The four
+   seeds cover every config axis; the flap plan puts interface removals
+   on both sides of the break. *)
+let test_lockstep_cold_reentry () =
+  List.iter
+    (fun seed -> run_lockstep ~flap:true ~break_at:6 ~seed ~cycles:12 ())
+    [ 0; 1; 2; 3 ]
+
 let suite =
   [
     Alcotest.test_case "incremental = cold on 100 seeded churn sequences"
@@ -270,4 +303,6 @@ let suite =
       test_lockstep_long_sequence;
     Alcotest.test_case "incremental = cold across link flaps" `Quick
       test_lockstep_flap_sequence;
+    Alcotest.test_case "cold re-entry on an unlinked snapshot" `Quick
+      test_lockstep_cold_reentry;
   ]

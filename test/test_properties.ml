@@ -205,11 +205,11 @@ let prop_controller_enforced_within_thresholds =
       let residual_ids =
         List.map
           (fun (i, _) -> N.Iface.id i)
-          stats.Ef.Controller.allocator.Ef.Allocator.residual
+          (Ef.Controller.residual_overloads stats)
       in
       List.for_all
         (fun (iface, _) -> List.mem (N.Iface.id iface) residual_ids)
-        stats.Ef.Controller.overloaded_after)
+        (Ef.Controller.overloaded_after stats))
 
 (* --- Zipf demand weights ------------------------------------------------- *)
 
