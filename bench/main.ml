@@ -3,19 +3,71 @@
    Two halves:
    - the experiment suite: regenerates every table/figure of the paper's
      evaluation (E1–E9 plus the ablations), printing paper-shaped rows;
-   - the Bechamel microbenchmark suite (E10): controller-scale timings —
-     allocator cycle time vs world size, plus the hot substrate paths
-     (decision process, trie LPM, codec).
+   - the bench experiments: the Bechamel microbenchmark suite (`micro`:
+     E10 controller-scale timings, the E10d allocator speedup, the E10c
+     trace overhead and the E11 fleet wall-clock), the e13 dfz scale run,
+     the e14 health overhead and the e16 flap run. Each returns one
+     section of the bench record plus its gates.
 
-   `main.exe` runs both; `main.exe e4` (etc.) runs one experiment;
-   `main.exe micro` runs only the timing suite; `main.exe all fast` uses
-   coarser cycles for a quick pass. *)
+   `main.exe` runs the paper experiments and `micro`; `main.exe e4`
+   (etc.) runs one experiment; `fast` uses coarser cycles and quotas for
+   a quick pass; `json=FILE` writes the run's bench record to FILE;
+   `main.exe json-check FILE` validates a record and exits 1 when any
+   gate failed. *)
 
 module Bgp = Ef_bgp
 module N = Ef_netsim
 module C = Ef_collector
 module Ef = Edge_fabric
 module E = Ef_sim.Experiments
+
+(* ------------------------------------------------------------------ *)
+(* The bench record: sections and gates                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Each bench experiment returns one JSON section and its gates; one
+   writer ([write_record]) puts a run's sections and gates into one
+   edge-fabric-bench/2 record. A gate's status is derived from its value,
+   op and bound by [gate] alone (json-check derives it again), so no
+   experiment hand-writes a verdict. *)
+module J = Ef_obs.Json
+
+let schema = "edge-fabric-bench/2"
+
+let ops : (string * (float -> float -> bool)) list =
+  [ (">=", ( >= )); (">", ( > )); ("<=", ( <= )); ("<", ( < )); ("=", ( = )) ]
+
+type gate = {
+  name : string;
+  value : float;
+  op : string;
+  bound : float;
+  status : string;  (* "pass", "fail" or "skipped" *)
+}
+
+(* [skip]: the gate cannot be judged on this machine; it is recorded as
+   "skipped", never as a pass *)
+let gate ?(skip = false) name value op bound =
+  let status =
+    if skip then "skipped"
+    else if (List.assoc op ops) value bound then "pass"
+    else "fail"
+  in
+  { name; value; op; bound; status }
+
+let gate_to_json g =
+  J.Obj
+    [
+      ("name", J.String g.name);
+      ("value", J.Float g.value);
+      ("op", J.String g.op);
+      ("bound", J.Float g.bound);
+      ("status", J.String g.status);
+    ]
+
+let print_gate g =
+  Printf.printf "gate %-28s %12.6g %-2s %-4g %s\n" g.name g.value g.op g.bound
+    g.status
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenches (E10)                                         *)
@@ -146,7 +198,7 @@ let print_timing (name, ns) =
   else if ns >= 1e3 then Printf.printf "  %-40s %10.3f us/run\n%!" name (ns /. 1e3)
   else Printf.printf "  %-40s %10.0f ns/run\n%!" name ns
 
-let measure_suite ?(fast = false) tests =
+let measure_suite ~fast tests =
   let quota = if fast then 0.25 else 0.5 in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second quota) ~kde:None () in
   let instance = Instance.monotonic_clock in
@@ -163,16 +215,19 @@ let measure_suite ?(fast = false) tests =
         (Test.elements test))
     tests
 
-let run_micro ?fast () =
+let run_micro ~fast =
   print_endline "== E10: controller scale microbenchmarks (Bechamel) ==";
-  let results = measure_suite ?fast micro_tests in
+  let results = measure_suite ~fast micro_tests in
   print_newline ();
-  results
+  J.List
+    (List.map
+       (fun (name, ns) ->
+         J.Obj [ ("name", J.String name); ("ns_per_run", J.Float ns) ])
+       results)
 
 (* E10d: one full allocator cycle, optimized implementation vs the frozen
    pre-PR reference (Allocator_ref, the test-side spec oracle), on the
-   same prepared snapshots. The stress-scenario ratio is the PR's
-   acceptance number. *)
+   same prepared snapshots. The stress-scenario ratio is gated. *)
 let e10d_scenarios =
   [
     ("tiny", tiny_snap);
@@ -180,13 +235,13 @@ let e10d_scenarios =
     ("stress", stress_snap);
   ]
 
-let run_e10d ?fast () =
+let run_e10d ~fast =
   print_endline "== E10d: allocator cycle, optimized vs pre-PR reference ==";
   let rows =
     List.map
       (fun (label, snap) ->
         let results =
-          measure_suite ?fast
+          measure_suite ~fast
             [
               Test.make ~name:("e10d/opt-" ^ label) (allocator_bench snap);
               Test.make ~name:("e10d/ref-" ^ label) (allocator_ref_bench snap);
@@ -204,7 +259,23 @@ let run_e10d ?fast () =
       e10d_scenarios
   in
   print_newline ();
-  rows
+  let stress_speedup =
+    match List.find_opt (fun (l, _, _, _) -> l = "stress") rows with
+    | Some (_, _, _, s) -> s
+    | None -> nan
+  in
+  ( J.List
+      (List.map
+         (fun (label, ref_ns, opt_ns, speedup) ->
+           J.Obj
+             [
+               ("scenario", J.String label);
+               ("ref_ns_per_run", J.Float ref_ns);
+               ("opt_ns_per_run", J.Float opt_ns);
+               ("speedup", J.Float speedup);
+             ])
+         rows),
+    [ gate "e10d.stress_speedup" stress_speedup ">=" 5.0 ] )
 
 (* E11: fleet wall-clock vs --jobs. Each measurement builds a fresh
    fleet (engines are single-run) and times Fleet.run on the monotonic
@@ -215,7 +286,7 @@ let run_e10d ?fast () =
    persistent-pool reuse path, not a spawn/join. *)
 let e11_jobs = [ 1; 2; 4 ]
 
-let run_e11_fleet ?(fast = false) () =
+let run_e11_fleet ~fast =
   print_endline "== E11: fleet runner wall-clock vs domains (--jobs) ==";
   let hours = if fast then 2 else 6 in
   let config =
@@ -251,357 +322,37 @@ let run_e11_fleet ?(fast = false) () =
           e11_jobs)
       fleets
   in
+  (* the later experiments of the run share this process: idle pool
+     domains would still join every stop-the-world minor collection *)
+  Ef_util.Pool.shutdown_global ();
   print_newline ();
-  rows
-
-(* BENCH_PR5.json: the machine-readable perf trajectory record.
-
-   The parallel-speedup acceptance only applies where it can physically
-   show up: on a single-core box (this container, some CI shells) every
-   jobs value serializes onto one core, so the gate is keyed on the
-   domain count the runtime reports. *)
-let write_bench_json path ~micro ~e10d ~e11 =
-  let module J = Ef_obs.Json in
-  let stress_speedup =
-    match List.find_opt (fun (l, _, _, _) -> l = "stress") e10d with
+  let gen16_jobs4 =
+    match List.find_opt (fun (l, j, _, _) -> l = "gen-16pop" && j = 4) rows with
     | Some (_, _, _, s) -> s
     | None -> nan
   in
-  let cores = Domain.recommended_domain_count () in
-  let gen16_speedup_j4 =
-    match
-      List.find_opt (fun (l, j, _, _) -> l = "gen-16pop" && j = 4) e11
-    with
-    | Some (_, _, _, s) -> s
-    | None -> nan
-  in
-  let json =
-    J.Obj
-      [
-        ("schema", J.String "edge-fabric-bench/1");
-        ("pr", J.Int 5);
-        ("source", J.String "bench/main.exe micro");
-        ("cores", J.Int cores);
-        ( "micro",
-          J.List
-            (List.map
-               (fun (name, ns) ->
-                 J.Obj [ ("name", J.String name); ("ns_per_run", J.Float ns) ])
-               micro) );
-        ( "e10d",
-          J.List
-            (List.map
-               (fun (label, ref_ns, opt_ns, speedup) ->
-                 J.Obj
-                   [
-                     ("scenario", J.String label);
-                     ("ref_ns_per_run", J.Float ref_ns);
-                     ("opt_ns_per_run", J.Float opt_ns);
-                     ("speedup", J.Float speedup);
-                   ])
-               e10d) );
-        ( "e11_fleet",
-          J.List
-            (List.map
-               (fun (label, jobs, seconds, speedup) ->
-                 J.Obj
-                   [
-                     ("fleet", J.String label);
-                     ("jobs", J.Int jobs);
-                     ("wall_s", J.Float seconds);
-                     ("speedup_vs_jobs1", J.Float speedup);
-                   ])
-               e11) );
-        ( "acceptance",
-          J.Obj
-            [
-              ("stress_speedup", J.Float stress_speedup);
-              ("stress_required_min", J.Float 5.0);
-              ("gen16_jobs4_speedup", J.Float gen16_speedup_j4);
-              ("gen16_jobs4_required_min", J.Float 2.0);
-              ( "gen16_jobs4_applicable",
-                (* < 4 cores: domains serialize, the 2x bar can't show *)
-                J.Bool (cores >= 4) );
-              ( "gen16_status",
-                (* explicit verdict: "skipped" (too few cores to judge),
-                   never a silent pass-when-inapplicable *)
-                J.String
-                  (if cores < 4 then "skipped"
-                   else if gen16_speedup_j4 >= 2.0 then "pass"
-                   else "fail") );
-              ( "pass",
-                J.Bool
-                  (stress_speedup >= 5.0
-                  && (cores < 4 || gen16_speedup_j4 >= 2.0)) );
-            ] );
-      ]
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string json);
-      output_char oc '\n');
-  Printf.printf "wrote %s (stress %.2fx, gen16 jobs=4 %.2fx on %d cores)\n%!"
-    path stress_speedup gen16_speedup_j4 cores
-
-(* ------------------------------------------------------------------ *)
-(* E13: dfz end-to-end incremental cycles (BENCH_PR7.json)             *)
-(* ------------------------------------------------------------------ *)
-
-(* Full mode runs the million-prefix world; fast mode (the CI smoke)
-   the 50k variant. Differential verification re-assembles every
-   snapshot and replays the whole world through a cold pipeline, so it
-   always runs at smoke scale — at 1M the reference side alone would
-   take minutes per cycle. In fast mode the main run verifies inline;
-   in full mode a separate smoke-scale run carries the identity bit. *)
-let run_e13_dfz ~fast () =
-  let module D = Ef_sim.Dfz_run in
-  let scale, dfz_cfg, cycles =
-    if fast then ("dfz-smoke", N.Scenario.dfz_smoke, 10)
-    else ("dfz", N.Scenario.dfz, 30)
-  in
-  Printf.printf "== E13: dfz end-to-end cycles (%s) ==\n%!" scale;
-  let report = D.run ~config:(D.config ~cycles ~verify:fast ()) dfz_cfg in
-  Format.printf "%a@." D.pp_report report;
-  let verify_report =
-    if fast then report
-    else begin
-      Printf.printf "-- differential verification (dfz-smoke) --\n%!";
-      let r =
-        D.run ~config:(D.config ~cycles:10 ~verify:true ()) N.Scenario.dfz_smoke
-      in
-      Format.printf "%a@." D.pp_report r;
-      r
-    end
-  in
-  (scale, report, verify_report)
-
-(* BENCH_PR7.json: the e13 acceptance record. The p99 bar is stated
-   over steady-state churn, so cycle 0 — which assembles the table from
-   nothing — is excluded from the acceptance percentile (both figures
-   are reported). *)
-let write_bench_pr7_json path ~dfz:(scale, report, verify_report) =
-  let module D = Ef_sim.Dfz_run in
-  let module J = Ef_obs.Json in
-  let steady_p99 = D.steady_p99_s report in
-  let identical =
-    verify_report.D.verified_cycles > 0 && verify_report.D.mismatches = []
-  in
-  let hits_expected = report.D.cycles_run - 1 in
-  let pass =
-    steady_p99 < 1.0 && identical
-    && report.D.incremental_hits = hits_expected
-  in
-  let json =
-    J.Obj
-      [
-        ("schema", J.String "edge-fabric-bench/1");
-        ("pr", J.Int 7);
-        ("source", J.String "bench/main.exe e13");
-        ("experiment", J.String "e13-dfz");
-        ("scale", J.String scale);
-        ("dfz", D.report_to_json report);
-        ("verify", D.report_to_json verify_report);
-        ( "acceptance",
-          J.Obj
-            [
-              ("steady_p99_s", J.Float steady_p99);
-              ("steady_p99_required_max_s", J.Float 1.0);
-              ( "steady_note",
-                J.String
-                  "cycle 0 assembles the table cold; the steady-state churn \
-                   bar applies from cycle 1" );
-              ("full_scale", J.Bool (scale = "dfz"));
-              ("incremental_identical", J.Bool identical);
-              ("verified_cycles", J.Int verify_report.D.verified_cycles);
-              ("incremental_hits", J.Int report.D.incremental_hits);
-              ("incremental_hits_expected", J.Int hits_expected);
-              ("pass", J.Bool pass);
-            ] );
-      ]
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string json);
-      output_char oc '\n');
-  Printf.printf "wrote %s (%s: steady p99 %.3fs, identical=%b, hits %d/%d)\n%!"
-    path scale steady_p99 identical report.D.incremental_hits hits_expected
-
-(* ------------------------------------------------------------------ *)
-(* E16: flap cycles on the warm path (BENCH_PR10.json)                *)
-(* ------------------------------------------------------------------ *)
-
-(* The dfz world under the canned dfz-flap plan: iface 1 flaps (whole
-   interface disappears and returns), iface 2 is derated. The flap-cycle
-   latency of the warm path is the figure; the run must never fall back
-   to cold on those cycles. 300 s cycles cover the plan's windows in 12
-   cycles. Verification always runs at smoke scale (as in e13). *)
-let run_e16_flap ~fast () =
-  let module D = Ef_sim.Dfz_run in
-  let scale, dfz_cfg =
-    if fast then ("dfz-smoke", N.Scenario.dfz_smoke) else ("dfz", N.Scenario.dfz)
-  in
-  let cycles = 12 and cycle_s = 300 in
-  let faults =
-    match N.Scenario.find_fault_plan "dfz-flap" with
-    | Some p -> p
-    | None -> failwith "canned plan dfz-flap missing"
-  in
-  Printf.printf "== E16: dfz flap cycles on the warm path (%s) ==\n%!" scale;
-  let warm =
-    D.run
-      ~config:(D.config ~cycles ~cycle_s ~verify:fast ~faults ())
-      dfz_cfg
-  in
-  Format.printf "warm:   %a@." D.pp_report warm;
-  List.iter
-    (fun c ->
-      Printf.printf "  flap cycle %2d: warm %.3fs\n%!" c warm.D.cycle_seconds.(c))
-    warm.D.iface_event_cycles;
-  let verify_report =
-    if fast then warm
-    else begin
-      Printf.printf "-- differential verification (dfz-smoke) --\n%!";
-      let r =
-        D.run
-          ~config:(D.config ~cycles ~cycle_s ~verify:true ~faults ())
-          N.Scenario.dfz_smoke
-      in
-      Format.printf "%a@." D.pp_report r;
-      r
-    end
-  in
-  (scale, warm, verify_report)
-
-let write_bench_pr10_json path ~e16:(scale, warm, verify_report) =
-  let module D = Ef_sim.Dfz_run in
-  let module J = Ef_obs.Json in
-  let flap = warm.D.iface_event_cycles in
-  let flap_p99 =
-    match flap with
-    | [] -> 0.0
-    | _ ->
-        let a = Array.of_list (List.map (fun c -> warm.D.cycle_seconds.(c)) flap) in
-        Array.sort Float.compare a;
-        let n = Array.length a in
-        a.(max 0 (min (n - 1) (int_of_float (ceil (0.99 *. float_of_int n)) - 1)))
-  in
-  let identical =
-    verify_report.D.verified_cycles > 0 && verify_report.D.mismatches = []
-  in
-  let hits_expected = warm.D.cycles_run - 1 in
-  let pass =
-    identical && flap <> []
-    && warm.D.incremental_hits = hits_expected
-    && flap_p99 < 1.0
-  in
-  let json =
-    J.Obj
-      [
-        ("schema", J.String "edge-fabric-bench/1");
-        ("pr", J.Int 10);
-        ("source", J.String "bench/main.exe e16");
-        ("experiment", J.String "e16-iface-churn");
-        ("scale", J.String scale);
-        ("warm", D.report_to_json warm);
-        ("verify", D.report_to_json verify_report);
-        ( "acceptance",
-          J.Obj
-            [
-              ("flap_cycles", J.Int (List.length flap));
-              ("flap_p99_s", J.Float flap_p99);
-              ("flap_p99_required_max_s", J.Float 1.0);
-              ("incremental_identical", J.Bool identical);
-              ("verified_cycles", J.Int verify_report.D.verified_cycles);
-              ("incremental_hits", J.Int warm.D.incremental_hits);
-              ("incremental_hits_expected", J.Int hits_expected);
-              ( "note",
-                J.String
-                  "flap percentiles are over the cycles whose snapshot delta \
-                   carried interface-set changes; the warm run must never \
-                   fall back to cold on them" );
-              ("pass", J.Bool pass);
-            ] );
-      ]
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string json);
-      output_char oc '\n');
-  Printf.printf "wrote %s (%s: flap p99 %.3fs, identical=%b, hits %d/%d)\n%!"
-    path scale flap_p99 identical warm.D.incremental_hits hits_expected
-
-(* `json-check FILE`: exit 0 iff FILE parses as JSON and carries the
-   bench schema — the CI gate against a malformed report *)
-let json_check path =
-  let module J = Ef_obs.Json in
-  let contents =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match J.parse contents with
-  | Error e ->
-      Printf.eprintf "%s: malformed JSON: %s\n" path e;
-      exit 1
-  | Ok json -> (
-      match Option.bind (J.member "schema" json) J.to_string_opt with
-      | Some "edge-fabric-bench/1" -> Printf.printf "%s: ok\n%!" path
-      | Some other ->
-          Printf.eprintf "%s: unexpected schema %S\n" path other;
-          exit 1
-      | None ->
-          Printf.eprintf "%s: missing \"schema\" field\n" path;
-          exit 1)
-
-(* per-stage attribution of the controller cycle, from the Ef_obs spans:
-   where inside a cycle the time actually goes on the pop-a world *)
-let run_stage_attribution () =
-  let cycles = 50 in
-  print_endline "== E10b: controller cycle stage attribution (Ef_obs spans) ==";
-  let reg = Ef_obs.Registry.create () in
-  let ctrl = Ef.Controller.create ~obs:reg ~name:"bench" () in
-  let snap = Lazy.force pop_a_snap in
-  for _ = 1 to cycles do
-    ignore (Ef.Controller.cycle ctrl snap)
-  done;
-  let total =
-    match Ef_obs.Registry.find reg "controller.cycle" with
-    | Some (Ef_obs.Registry.Span_m h) -> Ef_obs.Histogram.sum h
-    | _ -> 0.0
-  in
-  Printf.printf "  %d cycles on pop-a, %.3f ms/cycle total\n" cycles
-    (1e3 *. total /. float_of_int cycles);
-  List.iter
-    (fun name ->
-      match Ef_obs.Registry.find reg name with
-      | Some (Ef_obs.Registry.Span_m h) ->
-          let sum = Ef_obs.Histogram.sum h in
-          Printf.printf "  %-26s %10.3f ms/cycle  p99 %8.3f ms  %5.1f%%\n" name
-            (1e3 *. sum /. float_of_int cycles)
-            (1e3 *. Ef_obs.Histogram.quantile h 0.99)
-            (if total > 0.0 then 100.0 *. sum /. total else 0.0)
-      | _ -> ())
+  ( J.List
+      (List.map
+         (fun (label, jobs, seconds, speedup) ->
+           J.Obj
+             [
+               ("fleet", J.String label);
+               ("jobs", J.Int jobs);
+               ("wall_s", J.Float seconds);
+               ("speedup_vs_jobs1", J.Float speedup);
+             ])
+         rows),
     [
-      "controller.allocate";
-      "controller.guard.clamp";
-      "controller.reconcile";
-      "controller.project";
-      "controller.guard.audit";
-    ];
-  print_newline ()
+      (* below 4 cores every jobs value serializes onto the cores there
+         are, so the 2x bar cannot show *)
+      gate
+        ~skip:(Domain.recommended_domain_count () < 4)
+        "e11.gen16pop_jobs4_speedup" gen16_jobs4 ">=" 2.0;
+    ] )
 
 (* E10c: what decision tracing costs. Three controllers on the same
-   snapshot: no recorder (the noop), recorder enabled, and enabled with a
-   small ring (more truncation). The acceptance bar for the trace layer
-   is noop within 2% of the pre-trace baseline — the noop run IS the
-   shipped default path, so its delta vs itself is what CI watches. *)
+   snapshot: no recorder (the noop, the shipped default path), recorder
+   enabled, and enabled with a small ring (more truncation). *)
 let run_trace_overhead () =
   let cycles = 50 in
   print_endline "== E10c: decision-trace overhead (noop vs enabled) ==";
@@ -632,10 +383,137 @@ let run_trace_overhead () =
   Printf.printf "  %-26s %10.3f ms/cycle  (%+.1f%% vs noop)\n"
     "trace enabled, ring=4" small
     (if noop > 0.0 then 100.0 *. (small -. noop) /. noop else nan);
-  print_newline ()
+  print_newline ();
+  J.Obj
+    [
+      ("cycles", J.Int cycles);
+      ("noop_ms_per_cycle", J.Float noop);
+      ("traced_ms_per_cycle", J.Float full);
+      ("traced_ring4_ms_per_cycle", J.Float small);
+    ]
+
+(* `micro`: E10, E10d, E10c and E11 as one section *)
+let run_micro_suite ~fast =
+  let e10 = run_micro ~fast in
+  let e10d, e10d_gates = run_e10d ~fast in
+  let e10c = run_trace_overhead () in
+  let e11, e11_gates = run_e11_fleet ~fast in
+  ( J.Obj
+      [ ("e10", e10); ("e10d", e10d); ("e10c", e10c); ("e11_fleet", e11) ],
+    e10d_gates @ e11_gates )
 
 (* ------------------------------------------------------------------ *)
-(* E14: health/profiling overhead (BENCH_PR8.json)                     *)
+(* E13 / E16: dfz end-to-end cycles                                    *)
+(* ------------------------------------------------------------------ *)
+
+module D = Ef_sim.Dfz_run
+
+(* Differential verification re-assembles every snapshot and replays the
+   whole world through a cold pipeline, so it always runs at smoke scale
+   — at 1M the reference side alone would take minutes per cycle. In
+   fast mode the main run verifies inline; in full mode a separate
+   smoke-scale run under [config] carries the identity gates. *)
+let verify_run ~fast ~config main =
+  if fast then main
+  else begin
+    Printf.printf "-- differential verification (dfz-smoke) --\n%!";
+    let r = D.run ~config N.Scenario.dfz_smoke in
+    Format.printf "%a@." D.pp_report r;
+    r
+  end
+
+(* the warm path engaged on every patched cycle of [main], and the
+   verified run matched the cold reference exactly *)
+let warm_path_gates prefix ~main ~verify =
+  [
+    gate (prefix ^ ".verified_cycles")
+      (float_of_int verify.D.verified_cycles) ">" 0.0;
+    gate (prefix ^ ".mismatches")
+      (float_of_int (List.length verify.D.mismatches)) "=" 0.0;
+    gate (prefix ^ ".incremental_hits")
+      (float_of_int main.D.incremental_hits) "="
+      (float_of_int (main.D.cycles_run - 1));
+  ]
+
+(* E13: full mode runs the million-prefix world; fast mode (the CI smoke)
+   the 50k variant. *)
+let run_e13_dfz ~fast =
+  let scale, dfz_cfg, cycles =
+    if fast then ("dfz-smoke", N.Scenario.dfz_smoke, 10)
+    else ("dfz", N.Scenario.dfz, 30)
+  in
+  Printf.printf "== E13: dfz end-to-end cycles (%s) ==\n%!" scale;
+  let report = D.run ~config:(D.config ~cycles ~verify:fast ()) dfz_cfg in
+  Format.printf "%a@." D.pp_report report;
+  let verify =
+    verify_run ~fast ~config:(D.config ~cycles:10 ~verify:true ()) report
+  in
+  ( J.Obj
+      [
+        ("scale", J.String scale);
+        ("dfz", D.report_to_json report);
+        ("verify", D.report_to_json verify);
+        ( "note",
+          J.String
+            "cycle 0 assembles the table cold; the steady-state p99 gate \
+             applies from cycle 1" );
+      ],
+    gate "e13.steady_p99_s" (D.p99_s report) "<" 1.0
+    :: warm_path_gates "e13" ~main:report ~verify )
+
+(* E16: the dfz world under the canned dfz-flap plan: iface 1 flaps
+   (whole interface disappears and returns), iface 2 is derated. The
+   flap-cycle latency of the warm path is the figure; the run must never
+   fall back to cold on those cycles. 300 s cycles cover the plan's
+   windows in 12 cycles. *)
+let run_e16_flap ~fast =
+  let scale, dfz_cfg =
+    if fast then ("dfz-smoke", N.Scenario.dfz_smoke) else ("dfz", N.Scenario.dfz)
+  in
+  let cycles = 12 and cycle_s = 300 in
+  let faults =
+    match N.Scenario.find_fault_plan "dfz-flap" with
+    | Some p -> p
+    | None -> failwith "canned plan dfz-flap missing"
+  in
+  Printf.printf "== E16: dfz flap cycles on the warm path (%s) ==\n%!" scale;
+  let warm =
+    D.run
+      ~config:(D.config ~cycles ~cycle_s ~verify:fast ~faults ())
+      dfz_cfg
+  in
+  Format.printf "warm:   %a@." D.pp_report warm;
+  let flap = warm.D.iface_event_cycles in
+  List.iter
+    (fun c ->
+      Printf.printf "  flap cycle %2d: warm %.3fs\n%!" c warm.D.cycle_seconds.(c))
+    flap;
+  let verify =
+    verify_run ~fast
+      ~config:(D.config ~cycles ~cycle_s ~verify:true ~faults ())
+      warm
+  in
+  let flap_p99 =
+    D.percentile
+      (Array.of_list (List.map (fun c -> warm.D.cycle_seconds.(c)) flap))
+      0.99
+  in
+  ( J.Obj
+      [
+        ("scale", J.String scale);
+        ("warm", D.report_to_json warm);
+        ("verify", D.report_to_json verify);
+        ( "note",
+          J.String
+            "the flap p99 is over the cycles whose snapshot delta carried \
+             interface-set changes" );
+      ],
+    gate "e16.flap_cycles" (float_of_int (List.length flap)) ">" 0.0
+    :: gate "e16.flap_p99_s" flap_p99 "<" 1.0
+    :: warm_path_gates "e16" ~main:warm ~verify )
+
+(* ------------------------------------------------------------------ *)
+(* E14: health/profiling overhead                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* What continuous self-profiling costs. Two controllers on the stress
@@ -643,96 +521,182 @@ let run_trace_overhead () =
    fully enabled health stack (profiler attached to the registry, so
    every span pays the hook dispatch, plus the tracker fed once per
    cycle). Wall time is measured around the cycle loop — not from the
-   spans, which would exclude their own hook cost — and each config takes
-   the minimum over [reps] fresh runs, so scheduler noise cannot fail the
-   gate. The acceptance bar: enabled within 2% of noop. *)
-let run_e14_health ?(fast = false) () =
-  let cycles = 30 and reps = if fast then 3 else 5 in
+   spans, which would exclude their own hook cost. The runs come in
+   noop/enabled pairs that alternate which side goes first, and the gate
+   judges the median of the per-pair enabled/noop ratios: timing one side
+   always first biased the comparison by several percent, and a host
+   spell during one run moves one ratio, not the median. *)
+let run_e14_health ~fast =
+  let cycles = 30 and pairs = if fast then 41 else 61 in
   print_endline "== E14: health/profiling overhead (noop vs enabled) ==";
   let snap = Lazy.force stress_snap in
-  let ms_per_cycle ~enabled name =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      Gc.compact ();
-      let reg = Ef_obs.Registry.create () in
-      let health =
-        if enabled then begin
-          let p = Ef_health.Profiler.create () in
-          Ef_health.Profiler.attach p reg;
-          Ef_health.Tracker.create ~profiler:p ~obs:reg ()
-        end
-        else Ef_health.Tracker.noop
-      in
-      let ctrl = Ef.Controller.create ~obs:reg ~name () in
-      let t0 = Ef_obs.Clock.now_ns () in
-      for cycle = 1 to cycles do
-        let c0 = Ef_obs.Clock.now_ns () in
-        let stats = Ef.Controller.cycle ctrl snap in
-        if Ef_health.Tracker.enabled health then
-          ignore
-            (Ef_health.Tracker.observe_cycle health
-               {
-                 Ef_health.Tracker.time_s = 30 * cycle;
-                 duration_s = Ef_obs.Clock.elapsed_s c0;
-                 degraded = Ef.Controller.degraded stats <> None;
-                 skipped = false;
-                 stale = false;
-                 violations = List.length (Ef.Controller.guard_violations stats);
-                 residual = List.length (Ef.Controller.residual_overloads stats);
-               })
-      done;
-      let ms = 1e3 *. Ef_obs.Clock.elapsed_s t0 /. float_of_int cycles in
-      if ms < !best then best := ms
+  let ms_per_cycle ~enabled =
+    Gc.compact ();
+    let reg = Ef_obs.Registry.create () in
+    let health =
+      if enabled then begin
+        let p = Ef_health.Profiler.create () in
+        Ef_health.Profiler.attach p reg;
+        Ef_health.Tracker.create ~profiler:p ~obs:reg ()
+      end
+      else Ef_health.Tracker.noop
+    in
+    let name = if enabled then "bench-health-on" else "bench-health-noop" in
+    let ctrl = Ef.Controller.create ~obs:reg ~name () in
+    let t0 = Ef_obs.Clock.now_ns () in
+    for cycle = 1 to cycles do
+      let c0 = Ef_obs.Clock.now_ns () in
+      let stats = Ef.Controller.cycle ctrl snap in
+      if Ef_health.Tracker.enabled health then
+        ignore
+          (Ef_health.Tracker.observe_cycle health
+             {
+               Ef_health.Tracker.time_s = 30 * cycle;
+               duration_s = Ef_obs.Clock.elapsed_s c0;
+               degraded = Ef.Controller.degraded stats <> None;
+               skipped = false;
+               stale = false;
+               violations = List.length (Ef.Controller.guard_violations stats);
+               residual = List.length (Ef.Controller.residual_overloads stats);
+             })
     done;
-    !best
+    1e3 *. Ef_obs.Clock.elapsed_s t0 /. float_of_int cycles
   in
-  let noop = ms_per_cycle ~enabled:false "bench-health-noop" in
-  let enabled = ms_per_cycle ~enabled:true "bench-health-on" in
+  let runs =
+    List.init pairs (fun i ->
+        if i mod 2 = 0 then
+          let noop = ms_per_cycle ~enabled:false in
+          (noop, ms_per_cycle ~enabled:true)
+        else
+          let enabled = ms_per_cycle ~enabled:true in
+          (ms_per_cycle ~enabled:false, enabled))
+  in
+  let median xs = D.percentile (Array.of_list xs) 0.5 in
+  let noop = median (List.map fst runs) in
+  let enabled = median (List.map snd runs) in
   let overhead_pct =
-    if noop > 0.0 then 100.0 *. (enabled -. noop) /. noop else nan
+    100.0 *. (median (List.map (fun (n, e) -> e /. n) runs) -. 1.0)
   in
   Printf.printf "  %-26s %10.3f ms/cycle\n" "health disabled (noop)" noop;
-  Printf.printf "  %-26s %10.3f ms/cycle  (%+.2f%% vs noop)\n"
+  Printf.printf "  %-26s %10.3f ms/cycle  (%+.2f%% vs noop, median pair)\n"
     "profiler + tracker" enabled overhead_pct;
   print_newline ();
-  (noop, enabled, overhead_pct)
+  ( J.Obj
+      [
+        ("scenario", J.String "stress");
+        ("cycles", J.Int cycles);
+        ("pairs", J.Int pairs);
+        ("noop_ms_per_cycle", J.Float noop);
+        ("enabled_ms_per_cycle", J.Float enabled);
+        ( "note",
+          J.String
+            (Printf.sprintf
+               "overhead = median over %d noop/enabled pairs (alternating \
+                which runs first) of the enabled/noop ratio of wall time per \
+                controller cycle, %d cycles per run on the stress snapshot; \
+                the ms figures are each side's median; enabled = profiler \
+                hook on every span + GC counters + tracker fed per cycle"
+               pairs cycles) );
+      ],
+    [ gate "e14.overhead_pct" overhead_pct "<=" 2.0 ] )
 
-let write_bench_pr8_json path ~e14:(noop_ms, enabled_ms, overhead_pct) =
-  let module J = Ef_obs.Json in
-  let pass = overhead_pct <= 2.0 in
+(* ------------------------------------------------------------------ *)
+(* The record writer and its checker                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One run, one record: run metadata, each bench experiment's section,
+   and every gate of the run. *)
+let write_record path ~fast sections =
   let json =
     J.Obj
       [
-        ("schema", J.String "edge-fabric-bench/1");
-        ("pr", J.Int 8);
-        ("source", J.String "bench/main.exe e14");
-        ("experiment", J.String "e14-health-overhead");
-        ("scenario", J.String "stress");
-        ("cycles", J.Int 30);
-        ("noop_ms_per_cycle", J.Float noop_ms);
-        ("enabled_ms_per_cycle", J.Float enabled_ms);
-        ( "acceptance",
+        ("schema", J.String schema);
+        ( "run",
           J.Obj
             [
-              ("overhead_pct", J.Float overhead_pct);
-              ("overhead_required_max_pct", J.Float 2.0);
-              ( "note",
-                J.String
-                  "min-of-reps wall time per controller cycle on the stress \
-                   snapshot; enabled = profiler hook on every span + GC \
-                   counters + tracker fed per cycle" );
-              ("pass", J.Bool pass);
+              ("mode", J.String (if fast then "fast" else "full"));
+              ("cores", J.Int (Domain.recommended_domain_count ()));
+              ("ocaml", J.String Sys.ocaml_version);
+              ( "argv",
+                J.List
+                  (List.map
+                     (fun a -> J.String a)
+                     (Filename.basename Sys.argv.(0)
+                     :: List.tl (Array.to_list Sys.argv))) );
             ] );
+        ( "experiments",
+          J.Obj (List.map (fun (id, (section, _)) -> (id, section)) sections) );
+        ( "gates",
+          J.List
+            (List.concat_map
+               (fun (_, (_, gates)) -> List.map gate_to_json gates)
+               sections) );
       ]
   in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Out_channel.with_open_bin path (fun oc ->
       output_string oc (J.to_string json);
       output_char oc '\n');
-  Printf.printf "wrote %s (overhead %+.2f%%, pass=%b)\n%!" path overhead_pct
-    pass
+  Printf.printf "wrote %s\n%!" path
+
+(* `json-check FILE`: exit 0 iff FILE is a well-formed bench record and
+   none of its gates failed. Each gate's status must agree with its
+   value, op and bound (or be "skipped"), so a hand-edited verdict is
+   caught too. *)
+let json_check path =
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "%s: %s\n" path msg;
+        exit 1)
+      fmt
+  in
+  let json =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error e -> fail "%s" e
+    | contents -> (
+        match J.parse contents with
+        | Ok json -> json
+        | Error e -> fail "malformed JSON: %s" e)
+  in
+  (match Option.bind (J.member "schema" json) J.to_string_opt with
+  | Some s when s = schema -> ()
+  | Some other -> fail "unexpected schema %S" other
+  | None -> fail "missing \"schema\" field");
+  List.iter
+    (fun key ->
+      match J.member key json with
+      | Some (J.Obj _) -> ()
+      | _ -> fail "missing %S object" key)
+    [ "run"; "experiments" ];
+  let gates =
+    match Option.bind (J.member "gates" json) J.to_list_opt with
+    | Some gates -> gates
+    | None -> fail "missing \"gates\" list"
+  in
+  let failed =
+    List.filter_map
+      (fun g ->
+        let field key conv =
+          match Option.bind (J.member key g) conv with
+          | Some v -> v
+          | None -> fail "gate without a valid %S: %s" key (J.to_string g)
+        in
+        let name = field "name" J.to_string_opt in
+        let value = field "value" J.to_float_opt in
+        let op = field "op" J.to_string_opt in
+        let bound = field "bound" J.to_float_opt in
+        let status = field "status" J.to_string_opt in
+        if not (List.mem_assoc op ops) then fail "gate %s: unknown op %S" name op;
+        let derived = (gate name value op bound).status in
+        if status <> "skipped" && status <> derived then
+          fail "gate %s: status %S, but %g %s %g is %S" name status value op
+            bound derived;
+        if status = "fail" then Some name else None)
+      gates
+  in
+  match failed with
+  | [] -> Printf.printf "%s: ok (%d gates)\n%!" path (List.length gates)
+  | names -> fail "failed gates: %s" (String.concat ", " names)
 
 (* ------------------------------------------------------------------ *)
 (* Experiment dispatch                                                 *)
@@ -773,67 +737,59 @@ let run_one params (id, title, f) =
   Printf.printf "== %s: %s ==\n%!" (String.uppercase_ascii id) title;
   Ef_stats.Table.print (f params)
 
+(* the experiments that return a record section and gates *)
+let bench_suites =
+  [
+    ("micro", run_micro_suite);
+    ("e11", run_e11_fleet);
+    ("e13", run_e13_dfz);
+    ("e14", run_e14_health);
+    ("e16", run_e16_flap);
+  ]
+
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
+  let args = List.tl (Array.to_list Sys.argv) in
   match args with
   | [ "json-check"; path ] -> json_check path
   | _ ->
+      let json_args, args = List.partition (String.starts_with ~prefix:"json=") args in
       let fast = List.mem "fast" args in
-      let json_out =
-        List.find_map
-          (fun a ->
-            if String.length a > 5 && String.sub a 0 5 = "json=" then
-              Some (String.sub a 5 (String.length a - 5))
-            else None)
-          args
-      in
       let params =
         if fast then { E.default_params with E.cycle_s = 600 }
         else E.default_params
       in
-      let run_micro_suite () =
-        let micro = run_micro ~fast () in
-        let e10d = run_e10d ~fast () in
-        run_stage_attribution ();
-        run_trace_overhead ();
-        let e11 = run_e11_fleet ~fast () in
-        Option.iter
-          (fun path -> write_bench_json path ~micro ~e10d ~e11)
-          json_out
+      let ids =
+        match List.filter (( <> ) "fast") args with
+        | [] | [ "all" ] ->
+            List.iter (run_one params) experiments;
+            [ "micro" ]
+        | ids -> ids
       in
-      let selected =
-        List.filter
-          (fun a ->
-            a <> "fast" && not (String.length a > 5 && String.sub a 0 5 = "json="))
-          args
+      let sections =
+        List.filter_map
+          (fun id ->
+            match
+              ( List.assoc_opt id bench_suites,
+                List.find_opt (fun (i, _, _) -> i = id) experiments )
+            with
+            | Some run, _ -> Some (id, run ~fast)
+            | None, Some exp ->
+                run_one params exp;
+                None
+            | None, None ->
+                Printf.eprintf
+                  "unknown experiment %S (known: %s, %s, all; modifiers: \
+                   fast, json=FILE)\n"
+                  id
+                  (String.concat ", " (List.map (fun (i, _, _) -> i) experiments))
+                  (String.concat ", " (List.map fst bench_suites));
+                exit 1)
+          ids
       in
-      (match selected with
-      | [] | [ "all" ] ->
-          List.iter (run_one params) experiments;
-          run_micro_suite ()
-      | ids ->
-          List.iter
-            (fun id ->
-              if id = "micro" then run_micro_suite ()
-              else if id = "e11" then ignore (run_e11_fleet ~fast ())
-              else if id = "e13" then
-                let dfz = run_e13_dfz ~fast () in
-                Option.iter (fun path -> write_bench_pr7_json path ~dfz) json_out
-              else if id = "e14" then
-                let e14 = run_e14_health ~fast () in
-                Option.iter (fun path -> write_bench_pr8_json path ~e14) json_out
-              else if id = "e16" then
-                let e16 = run_e16_flap ~fast () in
-                Option.iter (fun path -> write_bench_pr10_json path ~e16) json_out
-              else
-                match List.find_opt (fun (i, _, _) -> i = id) experiments with
-                | Some exp -> run_one params exp
-                | None ->
-                    Printf.eprintf
-                      "unknown experiment %S (known: %s, e11, e13, e14, e16, \
-                       micro, all; modifiers: fast, json=FILE)\n"
-                      id
-                      (String.concat ", "
-                         (List.map (fun (i, _, _) -> i) experiments));
-                    exit 1)
-            ids)
+      List.iter
+        (fun (_, (_, gates)) -> List.iter print_gate gates)
+        sections;
+      List.iter
+        (fun arg ->
+          write_record (String.sub arg 5 (String.length arg - 5)) ~fast sections)
+        json_args

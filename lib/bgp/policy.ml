@@ -148,37 +148,3 @@ let pp fmt t =
   Format.fprintf fmt "@[<v>%a@,%-28s -> %a@]"
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_clause)
     t.clauses "(default)" pp_verdict t.default
-
-let default_ingest ~self_asn =
-  let kind_clause kind =
-    {
-      clause_name = "ingest-" ^ Peer.kind_to_string kind;
-      guard = Match_peer_kind kind;
-      actions =
-        [
-          Set_local_pref (local_pref_for_kind kind);
-          Add_community (ingest_community kind);
-        ];
-      verdict = Accept;
-    }
-  in
-  make ~default:Reject
-    ({
-       clause_name = "deny-own-asn";
-       guard = Match_path_contains self_asn;
-       actions = [];
-       verdict = Reject;
-     }
-     :: {
-          clause_name = "deny-too-specific";
-          guard = Match_prefix_len_at_least 25;
-          actions = [];
-          verdict = Reject;
-        }
-     :: {
-          clause_name = "deny-default-route";
-          guard = Match_prefix_exact Prefix.default;
-          actions = [];
-          verdict = Reject;
-        }
-     :: List.map kind_clause Peer.all_kinds)

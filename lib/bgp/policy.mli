@@ -39,11 +39,10 @@ type clause = {
 type t
 
 val make : ?default:verdict -> clause list -> t
-  [@@deprecated
-    "construct policies with Ef_policy builders and compile them \
-     (Ef_policy.Compile.route_map); raw clause lists are the legacy path"]
-(** [default] applies when no clause matches; vendors default to deny,
-    and so do we. *)
+(** The route-map compiler's constructor ([Ef_policy.Compile.route_map]);
+    everything else builds policies with the [Ef_policy] DSL and compiles
+    them. [default] applies when no clause matches; vendors default to
+    deny, and so do we. *)
 
 val clauses : t -> clause list
 
@@ -68,15 +67,6 @@ val local_pref_for_kind : Peer.kind -> int
 val ingest_community : Peer.kind -> Community.t
 (** Community tagged onto routes at ingestion, recording the neighbor
     kind — lets later stages classify routes without re-deriving it. *)
-
-val default_ingest : self_asn:Asn.t -> t
-  [@@deprecated
-    "use Ef_policy.standard_import (compiled via \
-     Ef_policy.standard_import_map); this clause list is the legacy shim"]
-(** The PoP's standard import policy: drop routes containing our own ASN
-    (loop prevention), drop martians (length > 24 or default routes from
-    peers), set kind-tier LOCAL_PREF, tag ingest community. Compiles to
-    the same clauses as [Ef_policy.standard_import] (pinned by test). *)
 
 (** {2 Printers} *)
 

@@ -272,9 +272,9 @@ let generate config =
       ~asn:config.self_asn ()
   in
   (* the import route-map: the DSL program when the config carries one,
-     else the standard import (same clauses as the legacy default_ingest,
-     pinned by test) — compiled once, against the generated AS universe's
-     region map, before any route is ingested *)
+     else the standard import (its clause list pinned by test) — compiled
+     once, against the generated AS universe's region map, before any
+     route is ingested *)
   let policy =
     let env =
       Ef_policy.env ~regions:(regions_of_ases ases) ~self_asn:config.self_asn ()

@@ -1,7 +1,3 @@
-(* The compiler is the one sanctioned caller of the deprecated raw
-   route-map constructors — everything else goes through the DSL. *)
-[@@@alert "-deprecated"]
-
 module Bgp = Ef_bgp
 module P = Bgp.Policy
 

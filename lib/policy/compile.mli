@@ -35,5 +35,4 @@ val program_route_map : Dsl.env -> Dsl.program -> Ef_bgp.Policy.t
 
 val standard_import_map : self_asn:Ef_bgp.Asn.t -> Ef_bgp.Policy.t
 (** {!Dsl.standard_import} compiled with an empty environment — the
-    drop-in replacement for the deprecated
-    [Ef_bgp.Policy.default_ingest], producing identical clauses. *)
+    PoP's standard import route-map. *)

@@ -212,9 +212,10 @@ val standard_tiers : t
     derived from that one table so code and docs cannot drift. *)
 
 val standard_import : self_asn:Ef_bgp.Asn.t -> t
-(** [standard_guards <+> standard_tiers] — compiles to exactly the
-    clauses of the legacy [Ef_bgp.Policy.default_ingest] (pinned by
-    test). *)
+(** [standard_guards <+> standard_tiers]: drop routes containing our
+    own ASN (loop prevention), drop martians (length > 24 or the default
+    route), set the kind-tier LOCAL_PREF and tag the ingest community.
+    Its compiled clause list is pinned by test. *)
 
 (** {1 Validation, equality, printing} *)
 

@@ -57,7 +57,6 @@ let steady_times r =
 
 let p50_s r = percentile (steady_times r) 0.50
 let p99_s r = percentile (steady_times r) 0.99
-let steady_p99_s = p99_s
 let max_s r = Array.fold_left Float.max 0.0 (steady_times r)
 
 let mean_s r =
@@ -258,7 +257,6 @@ let report_to_json r =
       ("cold_s", Json.Float (cold_s r));
       ("p50_s", Json.Float (p50_s r));
       ("p99_s", Json.Float (p99_s r));
-      ("steady_p99_s", Json.Float (steady_p99_s r));
       ("max_s", Json.Float (max_s r));
       ("mean_s", Json.Float (mean_s r));
       ("verified_cycles", Json.Int r.verified_cycles);

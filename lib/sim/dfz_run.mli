@@ -71,15 +71,16 @@ val cold_s : report -> float
     controller cycle. Reported separately because it is a different
     regime from the steady-state cycles. *)
 
+val percentile : float array -> float -> float
+(** [percentile times q]: the nearest-rank [q]-percentile of [times]
+    ([0 < q <= 1]); [0.0] for an empty array. [times] is not modified. *)
+
 val p50_s : report -> float
 val p99_s : report -> float
-(** Nearest-rank percentiles over the steady-state cycles — cycle 0's
+(** {!percentile}s over the steady-state cycles — cycle 0's
     cold build is excluded (see {!cold_s}) so the headline reflects the
     regime the controller actually lives in. A single-cycle run has no
     steady state and falls back to the full (one-cycle) distribution. *)
-
-val steady_p99_s : report -> float
-(** Alias of {!p99_s}, named for the acceptance JSON. *)
 
 val max_s : report -> float
 val mean_s : report -> float

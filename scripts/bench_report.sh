@@ -1,53 +1,27 @@
 #!/usr/bin/env bash
-# Run the controller-scale microbenchmarks (E10/E10b/E10c/E10d), the
-# E11 fleet-parallelism bench, the E13 dfz scale run, the E14
-# health-overhead gate and the E16 interface-churn (link-flap) warm-path
-# bench, then emit the machine-readable perf records BENCH_PR5.json,
-# BENCH_PR7.json, BENCH_PR8.json and BENCH_PR10.json.
+# Run the bench experiments — micro (E10 microbenches, E10d allocator
+# speedup, E10c trace overhead, E11 fleet wall-clock), e13 (dfz scale),
+# e14 (health overhead) and e16 (flap cycles on the warm path) — in one
+# process, and write their one edge-fabric-bench/2 record: run metadata,
+# a section per experiment and a list of gates with pass/fail/skipped
+# status. Exits non-zero if a bench fails, the record is malformed, or
+# any gate failed.
 #
-# Usage: scripts/bench_report.sh [OUTPUT.json] [fast] [PR7_OUTPUT.json] [PR8_OUTPUT.json] [PR10_OUTPUT.json]
+# Usage: scripts/bench_report.sh [OUTPUT.json] [fast]
 #
-#   OUTPUT.json       where to write the micro/fleet report
-#                     (default: BENCH_PR5.json)
-#   fast              shorter quotas + smoke-scale dfz — the CI mode
-#   PR7_OUTPUT.json   where to write the e13 dfz report
-#                     (default: BENCH_PR7.json)
-#   PR8_OUTPUT.json   where to write the e14 health-overhead report
-#                     (default: BENCH_PR8.json)
-#   PR10_OUTPUT.json  where to write the e16 iface-churn report
-#                     (default: BENCH_PR10.json)
-#
-# BENCH_PR5.json carries the E10d allocator-cycle speedup and the E11
-# fleet wall-clock speedup acceptance numbers. The fleet bar (>= 2x at
-# jobs=4 on the 16-PoP fleet) is judged only on >= 4 cores, where its
-# verdict is "pass" or "fail"; below that it is "skipped". A "skipped"
-# verdict is only honest on a machine without the cores: on a >= 4-core
-# runner this script refuses it. BENCH_PR7.json carries the e13
-# acceptance: steady-state full-cycle p99 < 1 s on the dfz world (1M
-# prefixes; 50k in fast mode) and the incremental = cold
-# differential-verification bit. BENCH_PR8.json carries the e14
-# acceptance: the fully enabled Ef_health stack (profiler hook on every
-# span + SLO/alert tracker) within 2% of the noop path on the stress
-# snapshot. BENCH_PR10.json carries the e16 acceptance: under the
-# canned dfz-flap plan the warm path holds on every patched cycle
-# (interface churn never forces a cold recompute), flap-cycle p99 stays
-# under the 1 s bar, and the run is byte-identical to the cold
-# reference. Exits non-zero if the benches fail or an emitted file is
-# not well-formed JSON with the expected schema.
+#   OUTPUT.json   where to write the record (default: BENCH.json)
+#   fast          shorter quotas + smoke-scale dfz — the CI mode
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR5.json}"
+out="${1:-BENCH.json}"
 mode="${2:-}"
-pr7_out="${3:-BENCH_PR7.json}"
-pr8_out="${4:-BENCH_PR8.json}"
-pr10_out="${5:-BENCH_PR10.json}"
 
 case "$mode" in
   "" | fast) ;;
   *)
-    echo "usage: $0 [OUTPUT.json] [fast] [PR7_OUTPUT.json] [PR8_OUTPUT.json] [PR10_OUTPUT.json]" >&2
+    echo "usage: $0 [OUTPUT.json] [fast]" >&2
     exit 2
     ;;
 esac
@@ -55,38 +29,16 @@ esac
 dune build bench/main.exe
 
 # shellcheck disable=SC2086  # $mode is deliberately word-split ("" or "fast")
-dune exec bench/main.exe -- micro $mode "json=$out"
+dune exec bench/main.exe -- micro e13 e14 e16 $mode "json=$out"
 
-test -s "$out" || { echo "$out: missing or empty" >&2; exit 1; }
-
-# shellcheck disable=SC2086
-dune exec bench/main.exe -- e13 $mode "json=$pr7_out"
-
-test -s "$pr7_out" || { echo "$pr7_out: missing or empty" >&2; exit 1; }
-
-# shellcheck disable=SC2086
-dune exec bench/main.exe -- e14 $mode "json=$pr8_out"
-
-test -s "$pr8_out" || { echo "$pr8_out: missing or empty" >&2; exit 1; }
-
-# shellcheck disable=SC2086
-dune exec bench/main.exe -- e16 $mode "json=$pr10_out"
-
-test -s "$pr10_out" || { echo "$pr10_out: missing or empty" >&2; exit 1; }
-
-# self-contained JSON validation (no jq/python dependency): the bench
-# binary re-parses the files with the same parser the repo ships
+# the bench binary re-parses the record with the parser the repo ships,
+# checks every gate and exits 1 on a failed one
 dune exec bench/main.exe -- json-check "$out"
-dune exec bench/main.exe -- json-check "$pr7_out"
-dune exec bench/main.exe -- json-check "$pr8_out"
-dune exec bench/main.exe -- json-check "$pr10_out"
 
-# honesty gate: "skipped" means "too few cores to judge the speedup".
-# On a runner that does have >= 4 cores, a skipped fleet verdict is a
-# bench bug (or a config mistake), not an acceptable outcome.
-if [ "$(nproc)" -ge 4 ] && grep -q '"gen16_status":"skipped"' "$out"; then
-  echo "$out: fleet gate reported \"skipped\" on a $(nproc)-core runner" >&2
+# "skipped" means "too few cores to judge the speedup" (only the E11
+# jobs=4 gate may skip). On a runner that has >= 4 cores it is a bench
+# bug, not an acceptable outcome.
+if [ "$(nproc)" -ge 4 ] && grep -q '"status":"skipped"' "$out"; then
+  echo "$out: a gate reported \"skipped\" on a $(nproc)-core runner" >&2
   exit 1
 fi
-
-echo "bench reports: $out $pr7_out $pr8_out $pr10_out"

@@ -3,7 +3,6 @@
    This file exercises the clause-level Ef_bgp.Policy layer directly —
    it is the compiled target of Ef_policy programs, and its first-match
    semantics must stay pinned independently of the DSL. *)
-[@@@alert "-deprecated"]
 
 module Bgp = Ef_bgp
 open Helpers
@@ -155,7 +154,9 @@ let test_policy_matchers () =
     checks
 
 let test_default_ingest_tiers () =
-  let policy = Bgp.Policy.default_ingest ~self_asn:(Bgp.Asn.of_int 64500) in
+  let policy =
+    Ef_policy.standard_import_map ~self_asn:(Bgp.Asn.of_int 64500)
+  in
   let check_kind kind expected_lp =
     let r = route ~kind ~path:[ 100 ] () in
     match Bgp.Policy.apply policy r with
@@ -173,7 +174,9 @@ let test_default_ingest_tiers () =
   check_kind Bgp.Peer.Transit 200
 
 let test_default_ingest_rejects () =
-  let policy = Bgp.Policy.default_ingest ~self_asn:(Bgp.Asn.of_int 64500) in
+  let policy =
+    Ef_policy.standard_import_map ~self_asn:(Bgp.Asn.of_int 64500)
+  in
   (* own ASN in path: loop *)
   Alcotest.(check bool) "own asn" true
     (Option.is_none (Bgp.Policy.apply policy (route ~path:[ 100; 64500; 7 ] ())));

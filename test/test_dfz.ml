@@ -211,8 +211,6 @@ let test_percentiles_exclude_cold () =
   let r = report [| 10.0; 0.2; 0.1; 0.3 |] in
   Alcotest.(check (float 0.0)) "cold_s is cycle 0" 10.0 (D.cold_s r);
   Alcotest.(check (float 0.0)) "p99 excludes cold" 0.3 (D.p99_s r);
-  Alcotest.(check (float 0.0)) "steady_p99_s alias" (D.p99_s r)
-    (D.steady_p99_s r);
   Alcotest.(check (float 0.0)) "max excludes cold" 0.3 (D.max_s r);
   Alcotest.(check (float 1e-9)) "mean excludes cold" 0.2 (D.mean_s r);
   (* a single-cycle run has no steady state: fall back to the full
@@ -237,8 +235,6 @@ let test_report_json_shape () =
   Alcotest.(check (option int)) "cycles_run" (Some 3)
     (Option.bind (J.member "cycles_run" json) J.to_int_opt);
   Alcotest.(check bool) "cold_s present" true (J.member "cold_s" json <> None);
-  Alcotest.(check bool) "steady_p99_s present" true
-    (J.member "steady_p99_s" json <> None);
   Alcotest.(check bool) "round-trips through the parser" true
     (match J.parse (J.to_string json) with Ok _ -> true | Error _ -> false)
 

@@ -3,12 +3,7 @@
    The central property: the direct interpreter and the route-map
    compiler are the same denotation — byte-identical route decisions on
    hundreds of seeded fuzz worlds, including [>>] sequencing (whose
-   compilation goes through weakest-precondition guard rewriting).
-
-   This file also references the deprecated legacy constructors on
-   purpose: the DSL's [standard_import] must stay pinned to exactly the
-   clauses of the legacy [default_ingest] shim. *)
-[@@@alert "-deprecated"]
+   compilation goes through weakest-precondition guard rewriting). *)
 
 module Bgp = Ef_bgp
 module Pol = Ef_policy
@@ -357,16 +352,41 @@ let test_remote_peering_alloc_side () =
   Alcotest.(check (option (float 0.0)))
     "detour budget" (Some 0.3) ap.Pol.ap_detour_budget
 
-(* --- standard import = legacy shim ------------------------------------ *)
+(* --- standard import = its expected clause list ------------------------ *)
 
-let test_standard_import_equals_default_ingest () =
+(* The PoP's standard import route-map, written out clause by clause:
+   loop prevention, the two martian guards, then one accept per neighbor
+   kind setting its LOCAL_PREF tier and tagging its ingest community. *)
+let expected_standard_import =
+  let open Bgp.Policy in
+  let reject clause_name guard =
+    { clause_name; guard; actions = []; verdict = Reject }
+  in
+  let kind_clause kind =
+    {
+      clause_name = "ingest-" ^ Bgp.Peer.kind_to_string kind;
+      guard = Match_peer_kind kind;
+      actions =
+        [
+          Set_local_pref (local_pref_for_kind kind);
+          Add_community (ingest_community kind);
+        ];
+      verdict = Accept;
+    }
+  in
+  make ~default:Reject
+    (reject "deny-own-asn" (Match_path_contains self_asn)
+    :: reject "deny-too-specific" (Match_prefix_len_at_least 25)
+    :: reject "deny-default-route" (Match_prefix_exact Bgp.Prefix.default)
+    :: List.map kind_clause Bgp.Peer.all_kinds)
+
+let test_standard_import_equals_expected () =
   let compiled = Pol.standard_import_map ~self_asn in
-  let legacy = Bgp.Policy.default_ingest ~self_asn in
   (* structurally identical clause lists (the printers render every
      clause, guard, action and the default verdict) *)
   Alcotest.(check string)
     "identical clauses"
-    (Format.asprintf "%a" Bgp.Policy.pp legacy)
+    (Format.asprintf "%a" Bgp.Policy.pp expected_standard_import)
     (Format.asprintf "%a" Bgp.Policy.pp compiled);
   (* and behaviorally identical on fuzzed routes *)
   let rng = Rng.create 4242 in
@@ -375,7 +395,8 @@ let test_standard_import_equals_default_ingest () =
     Alcotest.check
       (Alcotest.option route_t)
       (Printf.sprintf "route %d" i)
-      (Bgp.Policy.apply legacy r) (Bgp.Policy.apply compiled r)
+      (Bgp.Policy.apply expected_standard_import r)
+      (Bgp.Policy.apply compiled r)
   done
 
 let test_local_pref_table_is_the_source () =
@@ -593,7 +614,7 @@ let suite =
     Alcotest.test_case "remote-peering alloc side" `Quick
       test_remote_peering_alloc_side;
     Alcotest.test_case "standard import = default ingest" `Quick
-      test_standard_import_equals_default_ingest;
+      test_standard_import_equals_expected;
     Alcotest.test_case "one local-pref table" `Quick
       test_local_pref_table_is_the_source;
     Alcotest.test_case "validate rejects bad programs" `Quick

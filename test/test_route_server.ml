@@ -2,7 +2,6 @@
 
    Export policies here are built at the clause level on purpose: the
    route server is a consumer of the compiled representation. *)
-[@@@alert "-deprecated"]
 
 module Bgp = Ef_bgp
 open Helpers
