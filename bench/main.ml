@@ -535,9 +535,8 @@ let run_e14_health ~fast =
     let reg = Ef_obs.Registry.create () in
     let health =
       if enabled then begin
-        let p = Ef_health.Profiler.create () in
-        Ef_health.Profiler.attach p reg;
-        Ef_health.Tracker.create ~profiler:p ~obs:reg ()
+        Ef_health.Profiler.attach (Ef_health.Profiler.create ()) reg;
+        Ef_health.Tracker.create ~obs:reg ()
       end
       else Ef_health.Tracker.noop
     in
@@ -547,18 +546,8 @@ let run_e14_health ~fast =
     for cycle = 1 to cycles do
       let c0 = Ef_obs.Clock.now_ns () in
       let stats = Ef.Controller.cycle ctrl snap in
-      if Ef_health.Tracker.enabled health then
-        ignore
-          (Ef_health.Tracker.observe_cycle health
-             {
-               Ef_health.Tracker.time_s = 30 * cycle;
-               duration_s = Ef_obs.Clock.elapsed_s c0;
-               degraded = Ef.Controller.degraded stats <> None;
-               skipped = false;
-               stale = false;
-               violations = List.length (Ef.Controller.guard_violations stats);
-               residual = List.length (Ef.Controller.residual_overloads stats);
-             })
+      Ef_sim.Engine.observe_health health ~time_s:(30 * cycle)
+        ~duration_s:(Ef_obs.Clock.elapsed_s c0) ~stale:false (Some stats)
     done;
     1e3 *. Ef_obs.Clock.elapsed_s t0 /. float_of_int cycles
   in

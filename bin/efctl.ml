@@ -380,7 +380,6 @@ let run_cmd =
               Ef_health.Slo.default_config with
               Ef_health.Slo.deadline_s = slo_deadline;
             }
-          ~profiler
           ~obs:(Ef_obs.Registry.default ())
           ()
       else Ef_health.Tracker.noop
@@ -389,7 +388,7 @@ let run_cmd =
       S.Engine.make_config ~cycle_s ~duration_s:(hours * 3600)
         ~controller_enabled:(not no_controller)
         ~use_sampling:(not no_sampling) ~seed ?faults:fault_plan
-        ?policy:policy_prog ~trace ~health ()
+        ?policy:policy_prog ()
     in
     (* the common export tail: every world class (engine, dfz, mrt) gets
        the same exporters, each through the shared sink helper *)
@@ -418,12 +417,7 @@ let run_cmd =
       | None -> ()
       | Some path ->
           write_sink ~flag:"--prom-out" path (fun oc ->
-              output_string oc
-                (Ef_obs.Prom.of_registry
-                   ~extra:
-                     (Ef_trace.Export.prom_families trace
-                     @ Ef_health.Tracker.prom_families health)
-                   (Ef_obs.Registry.default ())));
+              output_string oc (render_metrics ~format:`Prom ~trace ~health ()));
           if path <> "-" then Printf.printf "wrote OpenMetrics to %s\n" path);
       (match trace_out with
       | None -> ()
@@ -452,68 +446,51 @@ let run_cmd =
     in
     Fun.protect ~finally:journal_finish @@ fun () ->
     let n_cycles = max 1 (hours * 3600 / cycle_s) in
+    let rc =
+      S.Dfz_run.config ~cycles:n_cycles ~cycle_s ~verify:verify_incremental
+        ?faults:fault_plan ()
+    in
+    let obs = Ef_obs.Registry.default () in
+    (* dfz and mrt worlds share Dfz_run's loop, report and exporters *)
+    let dfz_done name report =
+      print_dfz_report name report;
+      (match report.S.Dfz_run.iface_event_cycles with
+      | [] -> ()
+      | evs ->
+          Printf.printf
+            "interface churn in %d cycles; warm path held on %d of %d \
+             patched cycles\n"
+            (List.length evs)
+            report.S.Dfz_run.incremental_hits
+            (report.S.Dfz_run.cycles_run - 1));
+      if verify_incremental then
+        Printf.printf
+          "verified %d cycles against the cold pipeline: identical\n"
+          report.S.Dfz_run.verified_cycles;
+      export_results ()
+    in
     match (mrt, world) with
     | Some dump_path, _ -> (
         (* --mrt: seed the table from a TABLE_DUMP_V2 dump instead of a
            generated world; rates are synthesized (Zipf over the dump's
            prefixes) and drift through the incremental snapshot chain *)
-        let rc =
-          S.Dfz_run.config ~cycles:n_cycles ~cycle_s ()
-        in
-        let dump =
-          match Bgp.Mrt.load dump_path with
-          | Ok d -> d
-          | Error e ->
-              Printf.eprintf "efctl: %s: %s\n" dump_path
-                (Format.asprintf "%a" Bgp.Mrt.pp_error e);
-              exit 1
-        in
-        if verify_incremental then
-          Printf.eprintf
-            "efctl: note: --verify-incremental applies to dfz worlds only\n";
         match
-          S.Dfz_run.run_mrt
-            ~obs:(Ef_obs.Registry.default ())
-            ~health ~config:rc ~seed dump
+          Result.bind (Bgp.Mrt.load dump_path)
+            (S.Dfz_run.run_mrt ~obs ~trace ~health ~config:rc ~seed)
         with
+        | Ok report -> dfz_done dump_path report
         | Error e ->
             Printf.eprintf "efctl: %s: %s\n" dump_path
               (Format.asprintf "%a" Bgp.Mrt.pp_error e);
-            exit 1
-        | Ok report ->
-            print_dfz_report dump_path report;
-            export_results ())
+            exit 1)
     | None, Dfz_world (name, dfz_cfg) ->
         let dfz_cfg = { dfz_cfg with N.Dfz.seed } in
-        let rc =
-          S.Dfz_run.config ~cycles:n_cycles ~cycle_s
-            ~verify:verify_incremental ?faults:fault_plan ()
-        in
-        let report =
-          S.Dfz_run.run
-            ~obs:(Ef_obs.Registry.default ())
-            ~health ~config:rc dfz_cfg
-        in
-        print_dfz_report name report;
-        (match report.S.Dfz_run.iface_event_cycles with
-        | [] -> ()
-        | evs ->
-            Printf.printf
-              "interface churn in %d cycles; warm path held on %d of %d \
-               patched cycles\n"
-              (List.length evs)
-              report.S.Dfz_run.incremental_hits
-              (report.S.Dfz_run.cycles_run - 1));
-        if verify_incremental then
-          Printf.printf
-            "verified %d cycles against the cold pipeline: identical\n"
-            report.S.Dfz_run.verified_cycles;
-        export_results ()
+        dfz_done name (S.Dfz_run.run ~obs ~trace ~health ~config:rc dfz_cfg)
     | None, Topo_world scenario ->
     if verify_incremental then
       Printf.eprintf
-        "efctl: note: --verify-incremental applies to dfz worlds only\n";
-    let engine = S.Engine.create ~config scenario in
+        "efctl: note: --verify-incremental applies to dfz and mrt worlds only\n";
+    let engine = S.Engine.create ~config ~trace ~health scenario in
     let metrics = S.Engine.run engine in
     let rows = S.Metrics.rows metrics in
     Printf.printf "%s: %d cycles over %dh (controller %s)\n"
@@ -661,9 +638,9 @@ let run_cmd =
       value & flag
       & info [ "verify-incremental" ]
           ~doc:
-            "DFZ worlds only: replay the identical world through the cold \
-             (non-incremental) pipeline in lockstep and fail unless every \
-             cycle's outputs match exactly.")
+            "DFZ and $(b,--mrt) worlds only: replay the identical world \
+             through the cold (non-incremental) pipeline in lockstep and \
+             fail unless every cycle's outputs match exactly.")
   in
   Cmd.v (Cmd.info "run" ~doc:"Simulate a day and summarise the outcome.")
     Term.(
@@ -705,9 +682,9 @@ let health_cmd =
     | Topo_world scenario ->
         let config =
           S.Engine.make_config ~cycle_s ~duration_s:(hours * 3600) ~seed
-            ?faults:fault_plan ~health ()
+            ?faults:fault_plan ()
         in
-        let engine = S.Engine.create ~config scenario in
+        let engine = S.Engine.create ~config ~health scenario in
         ignore (S.Engine.run engine : S.Metrics.t));
     if json then
       print_endline
@@ -750,9 +727,9 @@ let explain_cmd =
         let trace = Ef_trace.Recorder.create ~capacity:ring () in
         let config =
           S.Engine.make_config ~cycle_s ~duration_s:(hours * 3600) ~seed
-            ?faults:fault_plan ~trace ()
+            ?faults:fault_plan ()
         in
-        let engine = S.Engine.create ~config scenario in
+        let engine = S.Engine.create ~config ~trace scenario in
         ignore (S.Engine.run engine);
         if json then
           let chosen =
@@ -903,9 +880,9 @@ let top_cmd =
     let health = Ef_health.Tracker.create () in
     let config =
       S.Engine.make_config ~cycle_s ~duration_s:(hours * 3600) ~seed
-        ?faults:fault_plan ~trace ~health ()
+        ?faults:fault_plan ()
     in
-    let engine = S.Engine.create ~config scenario in
+    let engine = S.Engine.create ~config ~trace ~health scenario in
     let steps = hours * 3600 / cycle_s in
     for _ = 1 to steps do
       ignore (S.Engine.step engine);

@@ -4,9 +4,10 @@
     with Chrome trace-event export), {!Slo} (cycle-deadline budgets,
     rolling-window burn rate, the Healthy/Degraded/Broken state machine)
     and {!Alert} (a deterministic, edge-triggered rule DSL). {!Tracker}
-    composes them behind one per-cycle observation call; engines carry a
-    tracker in their config ({!Tracker.noop} by default) so health
-    tracking costs nothing unless switched on. See [DESIGN.md] §14. *)
+    composes the last two behind one per-cycle observation call; drivers
+    take a tracker when they are created ({!Tracker.noop} by default) so
+    health tracking costs nothing unless switched on. See [DESIGN.md]
+    §14. *)
 
 module Profiler = Profiler
 module Slo = Slo

@@ -15,7 +15,6 @@ type input = {
 type active = {
   slo : Slo.t;
   alerts : Alert.t;
-  profiler : Profiler.t;
   reg : Obs.t;
   g_state : Obs.Gauge.t;
   c_fired : Obs.Counter.t;
@@ -29,8 +28,7 @@ type t = Noop | Active of active
 
 let noop = Noop
 
-let create ?(slo = Slo.default_config) ?rules ?(profiler = Profiler.noop)
-    ?obs () =
+let create ?(slo = Slo.default_config) ?rules ?obs () =
   let reg = match obs with Some r -> r | None -> Obs.create () in
   let rules =
     match rules with
@@ -41,7 +39,6 @@ let create ?(slo = Slo.default_config) ?rules ?(profiler = Profiler.noop)
     {
       slo = Slo.create ~config:slo ();
       alerts = Alert.create rules;
-      profiler;
       reg;
       (* ".rank" so the sanitized prom name cannot collide with the
          labeled [health_state] family from {!prom_families} *)
@@ -55,7 +52,6 @@ let create ?(slo = Slo.default_config) ?rules ?(profiler = Profiler.noop)
 
 let enabled = function Noop -> false | Active _ -> true
 let state = function Noop -> Slo.Healthy | Active a -> Slo.state a.slo
-let profiler = function Noop -> Profiler.noop | Active a -> a.profiler
 let firings = function Noop -> [] | Active a -> Alert.firings a.alerts
 let cycles = function Noop -> 0 | Active a -> a.cycle
 

@@ -1,8 +1,8 @@
-(** The Ef_health front door: SLO tracking + alerting + profiling,
-    composed behind one per-cycle call.
+(** The Ef_health front door: SLO tracking + alerting, composed behind
+    one per-cycle call.
 
-    A tracker is either {!noop} — the shipped default, free to thread
-    through engine configs — or active, in which case each
+    A tracker is either {!noop} — the shipped default, free to pass to
+    every driver — or active, in which case each
     {!observe_cycle} feeds the {!Slo} state machine, evaluates the
     {!Alert} rules against the cycle context, mirrors health into the
     attached registry ([health.state.rank] gauge, [health.alerts.fired] /
@@ -28,15 +28,15 @@ val noop : t
 val create :
   ?slo:Slo.config ->
   ?rules:Alert.rule list ->
-  ?profiler:Profiler.t ->
   ?obs:Ef_obs.Registry.t ->
   unit ->
   t
 (** An active tracker. [rules] defaults to
     [Alert.default_rules ~deadline_s:slo.deadline_s]; [obs] defaults to a
     private registry (pass the run's registry so health metrics land next
-    to everything else and [Metric]/[Delta] rule operands can see it);
-    [profiler] defaults to {!Profiler.noop}. *)
+    to everything else and [Metric]/[Delta] rule operands can see it).
+    Profiling is not a tracker concern: it reaches the run's spans
+    through {!Profiler.attach} on the registry. *)
 
 val enabled : t -> bool
 val observe_cycle : t -> input -> Alert.firing list
@@ -49,8 +49,6 @@ val cycles : t -> int
 val firings : t -> Alert.firing list
 val transitions : t -> (int * int * Slo.state * Slo.state) list
 (** [(cycle, time_s, from, to)] state changes, in order. *)
-
-val profiler : t -> Profiler.t
 
 val slo_exn : t -> Slo.t
 val alerts_exn : t -> Alert.t

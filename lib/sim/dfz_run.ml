@@ -142,53 +142,66 @@ let faulted_ifaces inj ifaces ~time_s =
                ~shared:(Ef_netsim.Iface.shared ifc)))
     ifaces
 
-(* One health observation per timed cycle: the dfz driver has no fault
-   injection or feed retry machinery, so staleness/skips are always
-   false here — the tracker still sees deadline overruns, guard
-   violations and residual overloads. *)
-let observe_health health ~cycle ~cycle_s ~duration_s
-    (stats : Controller.cycle_stats) =
-  if Ef_health.Tracker.enabled health then
-    ignore
-      (Ef_health.Tracker.observe_cycle health
-         {
-           Ef_health.Tracker.time_s = cycle * cycle_s;
-           duration_s;
-           degraded = Controller.degraded stats <> None;
-           skipped = false;
-           stale = false;
-           violations = List.length (Controller.guard_violations stats);
-           residual = List.length (Controller.residual_overloads stats);
-         })
+(* --- the cycle loop ------------------------------------------------------
 
-let run ?obs ?(health = Ef_health.Tracker.noop) ?(config = config ()) dfz_cfg =
+   The loop drives a [world]: something that builds a cold snapshot of
+   its current state and advances one cycle, returning exactly the delta
+   it applied. Both world kinds — the {!Dfz} generator and the MRT-seeded
+   RIB — are pure in their config and cycle index, so a second,
+   freshly built world replays the first: that is verify's cold twin. *)
+
+type world = {
+  ifaces : Ef_netsim.Iface.t list;  (* the unfaulted interface set *)
+  assemble :
+    obs:Ef_obs.Registry.t -> ifaces:Ef_netsim.Iface.t list -> time_s:int ->
+    Snapshot.t;
+  churn : cycle:int -> Dfz.churn_event;
+}
+
+let dfz_world dfz_cfg () =
   let gen = Dfz.create dfz_cfg in
-  let ctl = Controller.create ~config:config.controller ?obs ~name:"dfz" () in
-  (* the cold twin: own generator, own controller, no shared state; its
-     snapshots are assembled afresh every cycle, so it never runs warm *)
+  {
+    ifaces = Dfz.ifaces gen;
+    assemble =
+      (fun ~obs ~ifaces ~time_s -> snapshot_of_gen ~obs ~ifaces gen ~time_s);
+    churn = (fun ~cycle -> Dfz.churn gen ~cycle);
+  }
+
+let drive ?obs ?(trace = Ef_trace.Recorder.noop)
+    ?(health = Ef_health.Tracker.noop) ~config ~name new_world =
+  let obs = match obs with Some r -> r | None -> Ef_obs.Registry.default () in
+  let world = new_world () in
+  let ctl = Controller.create ~config:config.controller ~obs ~trace ~name () in
+  (* the cold twin: own world, own controller, own throwaway registry, no
+     shared state; its snapshots are assembled afresh every cycle, so it
+     never runs warm, and its telemetry lands nowhere *)
   let reference =
     if config.verify then
+      let ref_obs = Ef_obs.Registry.create () in
       Some
-        ( Dfz.create dfz_cfg,
-          Controller.create ~config:config.controller ~name:"dfz-ref" () )
+        ( new_world (),
+          ref_obs,
+          Controller.create ~config:config.controller ~obs:ref_obs
+            ~name:(name ^ "-ref") () )
     else None
   in
   let injector = Option.map Ef_fault.Injector.create config.faults in
   (* [None] when no plan: patch then reuses the parent's interface set
      for free instead of re-diffing an identical list every cycle *)
-  let ifaces_at ~time_s =
-    match injector with
-    | None -> None
-    | Some inj -> Some (faulted_ifaces inj (Dfz.ifaces gen) ~time_s)
+  let faulted w ~time_s =
+    Option.map (fun inj -> faulted_ifaces inj w.ifaces ~time_s) injector
+  in
+  let cold_snapshot w ~obs ~time_s =
+    w.assemble ~obs
+      ~ifaces:(Option.value (faulted w ~time_s) ~default:w.ifaces)
+      ~time_s
   in
   let times = Array.make config.cycles 0.0 in
   let dirty_total = ref 0 in
   let iface_event_cycles = ref [] in
   let verified = ref 0 in
   let mismatches = ref [] in
-  let snap =
-    ref (snapshot_of_gen ?obs ?ifaces:(ifaces_at ~time_s:0) gen ~time_s:0)
-  in
+  let snap = ref (cold_snapshot world ~obs ~time_s:0) in
   for cycle = 0 to config.cycles - 1 do
     let time_s = cycle * config.cycle_s in
     let t0 = Clock.now_ns () in
@@ -196,15 +209,15 @@ let run ?obs ?(health = Ef_health.Tracker.noop) ?(config = config ()) dfz_cfg =
       (* advance the world and thread the delta through the snapshot
          chain — this, not just the controller call, is the end-to-end
          incremental cycle the acceptance clock covers *)
-      let ev = Dfz.churn gen ~cycle in
+      let ev = world.churn ~cycle in
       dirty_total :=
         !dirty_total
         + List.length ev.Dfz.rate_updates
         + List.length ev.Dfz.routes_changed;
       let prev = !snap in
       snap :=
-        Snapshot.patch ?obs ~prev
-          ?ifaces:(ifaces_at ~time_s)
+        Snapshot.patch ~obs ~prev
+          ?ifaces:(faulted world ~time_s)
           ~routes_changed:ev.Dfz.routes_changed
           ~rate_updates:ev.Dfz.rate_updates
           ~time_s ();
@@ -214,25 +227,22 @@ let run ?obs ?(health = Ef_health.Tracker.noop) ?(config = config ()) dfz_cfg =
     end;
     let stats = Controller.cycle ctl !snap in
     times.(cycle) <- Clock.elapsed_s t0;
-    observe_health health ~cycle ~cycle_s:config.cycle_s
-      ~duration_s:times.(cycle) stats;
-    (match reference with
+    (* the dfz driver has no feed retry machinery: never stale *)
+    Engine.observe_health health ~time_s ~duration_s:times.(cycle)
+      ~stale:false (Some stats);
+    match reference with
     | None -> ()
-    | Some (ref_gen, ref_ctl) ->
-        if cycle > 0 then ignore (Dfz.churn ref_gen ~cycle : Dfz.churn_event);
-        let ref_ifaces =
-          match injector with
-          | None -> None
-          | Some inj -> Some (faulted_ifaces inj (Dfz.ifaces ref_gen) ~time_s)
-        in
-        let ref_snap = snapshot_of_gen ?ifaces:ref_ifaces ref_gen ~time_s in
+    | Some (ref_world, ref_obs, ref_ctl) ->
+        if cycle > 0 then
+          ignore (ref_world.churn ~cycle : Dfz.churn_event);
+        let ref_snap = cold_snapshot ref_world ~obs:ref_obs ~time_s in
         let ref_stats = Controller.cycle ref_ctl ref_snap in
         incr verified;
         if Controller.incremental_hits ref_ctl > 0 then
           mismatches :=
             !mismatches @ [ Printf.sprintf "cycle %d: reference ran warm" cycle ];
         mismatches :=
-          !mismatches @ check_cycle ~cycle ~stats ~ref_snap ~ref_stats)
+          !mismatches @ check_cycle ~cycle ~stats ~ref_snap ~ref_stats
   done;
   {
     prefix_count = Snapshot.prefix_count !snap;
@@ -244,6 +254,9 @@ let run ?obs ?(health = Ef_health.Tracker.noop) ?(config = config ()) dfz_cfg =
     verified_cycles = !verified;
     mismatches = !mismatches;
   }
+
+let run ?obs ?trace ?health ?(config = config ()) dfz_cfg =
+  drive ?obs ?trace ?health ~config ~name:"dfz" (dfz_world dfz_cfg)
 
 let report_to_json r =
   Json.Obj
@@ -286,14 +299,7 @@ let pp_report ppf r =
    deterministically through the patch chain — the dump seeds the RIB,
    the incremental machinery does the rest. *)
 
-type mrt_world = {
-  mrt_rib : Ef_bgp.Rib.t;
-  mrt_prefixes : Ef_bgp.Prefix.t array;
-  mrt_base_rates : float array;
-  mrt_ifaces : Ef_netsim.Iface.t array;
-}
-
-let mrt_world ?(total_bps = 40e9) ?(zipf_s = 1.0) ?(seed = 7) dump =
+let mrt_world ?(total_bps = 40e9) ?(zipf_s = 1.0) ~seed dump =
   match Ef_bgp.Mrt.to_rib dump with
   | Error e -> Error e
   | Ok rib ->
@@ -302,7 +308,12 @@ let mrt_world ?(total_bps = 40e9) ?(zipf_s = 1.0) ?(seed = 7) dump =
         |> List.rev |> Array.of_list
       in
       let n = Array.length prefixes in
+      let peer_ids = Ef_bgp.Rib.peer_ids rib in
       if n = 0 then Error (Ef_bgp.Mrt.Malformed "dump has no routed prefixes")
+      else if peer_ids = [] then
+        (* routes but no resolvable peers would otherwise make an
+           all-unroutable world that runs "successfully" *)
+        Error (Ef_bgp.Mrt.Malformed "dump has no usable peer interfaces")
       else begin
         let zipf = Ef_util.Zipf.create ~n ~s:zipf_s in
         let probs = Ef_util.Zipf.weights zipf in
@@ -311,92 +322,58 @@ let mrt_world ?(total_bps = 40e9) ?(zipf_s = 1.0) ?(seed = 7) dump =
         let base_rates =
           Array.init n (fun i -> total_bps *. probs.(perm.(i)))
         in
-        let peer_ids = Ef_bgp.Rib.peer_ids rib in
-        (* a dump with routes but no resolvable peers would otherwise
-           produce an all-unroutable world that runs "successfully" —
-           the old [max 1 n] here hid exactly that case *)
-        match peer_ids with
-        | [] -> Error (Ef_bgp.Mrt.Malformed "dump has no usable peer interfaces")
-        | _ :: _ ->
-        let n_ifaces = List.length peer_ids in
-        let fair = total_bps /. float_of_int n_ifaces in
+        let fair = total_bps /. float_of_int (List.length peer_ids) in
         let ifaces =
-          Array.of_list
-            (List.mapi
-               (fun i peer_id ->
-                 Ef_netsim.Iface.make ~id:peer_id
-                   ~name:(Printf.sprintf "mrt-if%d" peer_id)
-                   ~capacity_bps:(if i = 0 then 0.8 *. fair else 1.4 *. fair)
-                   ~shared:false)
-               peer_ids)
+          List.mapi
+            (fun i peer_id ->
+              Ef_netsim.Iface.make ~id:peer_id
+                ~name:(Printf.sprintf "mrt-if%d" peer_id)
+                ~capacity_bps:(if i = 0 then 0.8 *. fair else 1.4 *. fair)
+                ~shared:false)
+            peer_ids
         in
-        Ok { mrt_rib = rib; mrt_prefixes = prefixes; mrt_base_rates = base_rates; mrt_ifaces = ifaces }
+        let by_id = Hashtbl.create (List.length ifaces) in
+        List.iter
+          (fun ifc -> Hashtbl.replace by_id (Ef_netsim.Iface.id ifc) ifc)
+          ifaces;
+        (* everything above is shared and immutable; a world's own state
+           is its current rates, of which ~1% drift per cycle,
+           deterministic in (seed, cycle) *)
+        Ok
+          (fun () ->
+            let rates = Array.copy base_rates in
+            let assemble ~obs ~ifaces ~time_s =
+              let prefix_rates = ref [] in
+              for i = n - 1 downto 0 do
+                if rates.(i) > 0.0 then
+                  prefix_rates := (prefixes.(i), rates.(i)) :: !prefix_rates
+              done;
+              Snapshot.assemble ~obs
+                ~routes:(Ef_bgp.Rib.ranked_view rib)
+                ~iface_of_peer:(Hashtbl.find_opt by_id)
+                ~ifaces ~prefix_rates:!prefix_rates ~time_s ()
+            in
+            let churn ~cycle =
+              let rng = Ef_util.Rng.create ((seed * 0x9E37) lxor cycle) in
+              let n_events = max 1 (n / 100) in
+              let touched = Hashtbl.create (2 * n_events) in
+              let updates = ref [] in
+              for _ = 1 to n_events do
+                let i = Ef_util.Rng.int rng n in
+                if not (Hashtbl.mem touched i) then begin
+                  Hashtbl.replace touched i ();
+                  let r = base_rates.(i) *. (0.5 +. Ef_util.Rng.float rng 1.0) in
+                  rates.(i) <- r;
+                  updates := (prefixes.(i), r) :: !updates
+                end
+              done;
+              { Dfz.rate_updates = !updates; routes_changed = [] }
+            in
+            { ifaces; assemble; churn })
       end
 
-let mrt_snapshot ?obs w ~rates ~time_s =
-  let prefix_rates = ref [] in
-  for i = Array.length w.mrt_prefixes - 1 downto 0 do
-    if rates.(i) > 0.0 then
-      prefix_rates := (w.mrt_prefixes.(i), rates.(i)) :: !prefix_rates
-  done;
-  let by_id = Hashtbl.create (Array.length w.mrt_ifaces) in
-  Array.iter
-    (fun ifc -> Hashtbl.replace by_id (Ef_netsim.Iface.id ifc) ifc)
-    w.mrt_ifaces;
-  Snapshot.assemble ?obs
-    ~routes:(Ef_bgp.Rib.ranked_view w.mrt_rib)
-    ~iface_of_peer:(Hashtbl.find_opt by_id)
-    ~ifaces:(Array.to_list w.mrt_ifaces)
-    ~prefix_rates:!prefix_rates ~time_s ()
-
-let run_mrt ?obs ?(health = Ef_health.Tracker.noop) ?(config = config ())
-    ?total_bps ?zipf_s ?(seed = 7) dump =
-  match mrt_world ?total_bps ?zipf_s ~seed dump with
-  | Error e -> Error e
-  | Ok w ->
-      let n = Array.length w.mrt_prefixes in
-      let rates = Array.copy w.mrt_base_rates in
-      let ctl =
-        Controller.create ~config:config.controller ?obs ~name:"mrt" ()
-      in
-      let times = Array.make config.cycles 0.0 in
-      let dirty_total = ref 0 in
-      let snap = ref (mrt_snapshot ?obs w ~rates ~time_s:0) in
-      for cycle = 0 to config.cycles - 1 do
-        let t0 = Clock.now_ns () in
-        if cycle > 0 then begin
-          (* ~1% of prefixes drift per cycle, deterministic in (seed, cycle) *)
-          let rng = Ef_util.Rng.create ((seed * 0x9E37) lxor cycle) in
-          let n_events = max 1 (n / 100) in
-          let touched = Hashtbl.create (2 * n_events) in
-          let updates = ref [] in
-          for _ = 1 to n_events do
-            let i = Ef_util.Rng.int rng n in
-            if not (Hashtbl.mem touched i) then begin
-              Hashtbl.replace touched i ();
-              let r = w.mrt_base_rates.(i) *. (0.5 +. Ef_util.Rng.float rng 1.0) in
-              rates.(i) <- r;
-              updates := (w.mrt_prefixes.(i), r) :: !updates
-            end
-          done;
-          dirty_total := !dirty_total + List.length !updates;
-          snap :=
-            Snapshot.patch ?obs ~prev:!snap ~rate_updates:!updates
-              ~time_s:(cycle * config.cycle_s) ()
-        end;
-        let stats = Controller.cycle ctl !snap in
-        times.(cycle) <- Clock.elapsed_s t0;
-        observe_health health ~cycle ~cycle_s:config.cycle_s
-          ~duration_s:times.(cycle) stats
-      done;
-      Ok
-        {
-          prefix_count = n;
-          cycles_run = config.cycles;
-          incremental_hits = Controller.incremental_hits ctl;
-          dirty_total = !dirty_total;
-          iface_event_cycles = [];
-          cycle_seconds = times;
-          verified_cycles = 0;
-          mismatches = [];
-        }
+let run_mrt ?obs ?trace ?health ?(config = config ()) ?total_bps ?zipf_s
+    ?(seed = 7) dump =
+  Result.map
+    (drive ?obs ?trace ?health ~config ~name:"mrt")
+    (mrt_world ?total_bps ?zipf_s ~seed dump)

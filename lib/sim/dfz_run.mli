@@ -11,10 +11,14 @@
     end-to-end figure the acceptance bar (p99 < 1 s at 1M prefixes,
     steady-state churn) is stated over.
 
-    In [verify] mode a second generator replays the identical world
-    (the schedules are pure hashes of the config) through a second
-    controller that is cold because every snapshot it sees is assembled
-    from scratch (unlinked, so there is no warm state to advance). Each
+    One cycle loop serves both world kinds: the {!Ef_netsim.Dfz}
+    generator ({!run}) and a RIB seeded from an MRT dump ({!run_mrt}).
+    In [verify] mode a second, freshly built world replays the identical
+    run (both kinds are pure in their config and cycle index) through a
+    second controller that is cold because every snapshot it sees is
+    assembled from scratch (unlinked, so there is no warm state to
+    advance). That reference side reports into a private throwaway
+    registry, so its spans and counters land nowhere. Each
     cycle's enforced overrides, loads, residuals and stale lists are
     compared for exact equality, floats included, and the enforced loads
     and stale list are also compared with a cold projection of the
@@ -100,13 +104,17 @@ val snapshot_of_gen :
 
 val run :
   ?obs:Ef_obs.Registry.t ->
+  ?trace:Ef_trace.Recorder.t ->
   ?health:Ef_health.Tracker.t ->
   ?config:config ->
   Ef_netsim.Dfz.config ->
   report
-(** Generate the world, run the cycles, time them. [obs] receives the
-    collector/controller spans and counters of the incremental side
-    (the reference side reports nowhere). [health] (default
+(** Generate the world, run the cycles, time them. [obs] (default
+    {!Ef_obs.Registry.default}) receives the collector/controller spans
+    and counters of the incremental side only. [trace] (default
+    {!Ef_trace.Recorder.noop}) is the incremental controller's
+    decision-trace recorder: one committed trace cycle per controller
+    cycle, up to its ring capacity. [health] (default
     {!Ef_health.Tracker.noop}) is fed once per cycle with the end-to-end
     wall time — churn + patch + controller — so the SLO deadline is
     judged over the same figure the acceptance bar uses. *)
@@ -119,6 +127,7 @@ val pp_report : Format.formatter -> report -> unit
 
 val run_mrt :
   ?obs:Ef_obs.Registry.t ->
+  ?trace:Ef_trace.Recorder.t ->
   ?health:Ef_health.Tracker.t ->
   ?config:config ->
   ?total_bps:float ->
@@ -131,9 +140,11 @@ val run_mrt :
     ({!Ef_bgp.Mrt.to_rib}), demand is synthesized Zipf-skewed over the
     dump's prefixes ([total_bps], default 40 Gbps, permuted by [seed]),
     and one interface per dump peer is sized so the busiest needs
-    relief. Cycles drift ~1% of rates deterministically through the
-    patch chain. [verify] is ignored (no second world to replay).
-    [faults] is likewise ignored. Errors are the dump's: decode/peer-table
+    relief (interface ids are the dump's peer ids, which is what a fault
+    plan names). Cycles drift ~1% of rates deterministically in
+    ([seed], cycle) through the patch chain. The run itself is {!run}'s
+    loop: [obs], [trace], [health], [verify] and [faults] mean what they
+    mean there. Errors are the dump's: decode/peer-table
     problems, or [Malformed] when the dump routes no prefixes or
-    resolves no usable peer interfaces (the latter previously produced a
+    resolves no usable peer interfaces (which would otherwise run as a
     silently all-unroutable world). *)

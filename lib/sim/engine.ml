@@ -27,8 +27,6 @@ type config = {
   events : Ef_traffic.Demand.event list;
   peer_events : peer_event list;
   faults : Ef_fault.Plan.t option;
-  trace : Ef_trace.Recorder.t;
-  health : Ef_health.Tracker.t;
 }
 
 let default_config =
@@ -49,8 +47,6 @@ let default_config =
     events = [];
     peer_events = [];
     faults = None;
-    trace = Ef_trace.Recorder.noop;
-    health = Ef_health.Tracker.noop;
   }
 
 let make_config ?(cycle_s = default_config.cycle_s)
@@ -64,8 +60,7 @@ let make_config ?(cycle_s = default_config.cycle_s)
     ?(perf_aware = default_config.perf_aware)
     ?(perf_config = default_config.perf_config) ?policy
     ?(seed = default_config.seed) ?(events = default_config.events)
-    ?(peer_events = default_config.peer_events) ?faults
-    ?(trace = default_config.trace) ?(health = default_config.health) () =
+    ?(peer_events = default_config.peer_events) ?faults () =
   {
     cycle_s;
     duration_s;
@@ -83,28 +78,14 @@ let make_config ?(cycle_s = default_config.cycle_s)
     events;
     peer_events;
     faults;
-    trace;
-    health;
   }
 
 let with_cycle_s cycle_s c = { c with cycle_s }
 let with_duration_s duration_s c = { c with duration_s }
 let with_start_s start_s c = { c with start_s }
-let with_controller_enabled controller_enabled c = { c with controller_enabled }
-let with_controller_config controller_config c = { c with controller_config }
-let with_use_sampling use_sampling c = { c with use_sampling }
-let with_sflow sflow c = { c with sflow }
-let with_measure_altpaths measure_altpaths c = { c with measure_altpaths }
-let with_measurer_config measurer_config c = { c with measurer_config }
-let with_perf_aware perf_aware c = { c with perf_aware }
-let with_perf_config perf_config c = { c with perf_config }
 let with_policy policy c = { c with policy = Some policy }
 let with_seed seed c = { c with seed }
-let with_events events c = { c with events }
-let with_peer_events peer_events c = { c with peer_events }
 let with_faults faults c = { c with faults = Some faults }
-let with_trace trace c = { c with trace }
-let with_health health c = { c with health }
 
 type placement_state = {
   actual : Ef.Projection.t;
@@ -161,6 +142,8 @@ type t = {
   measurer : Ef_altpath.Measurer.t option;
   metrics : Metrics.t;
   obs : obs_handles;
+  trace : Ef_trace.Recorder.t;
+  health : Ef_health.Tracker.t;
   rng : Rng.t;
   mutable now : int;
   mutable last_state : placement_state option;
@@ -211,7 +194,8 @@ let apply_policy_params env policy config =
   in
   { config with controller_config = ctl; perf_config = perf }
 
-let create ?(config = default_config) ?obs scenario =
+let create ?(config = default_config) ?obs ?(trace = Ef_trace.Recorder.noop)
+    ?(health = Ef_health.Tracker.noop) scenario =
   if config.cycle_s < 1 then invalid_arg "Engine.create: cycle_s must be positive";
   if config.duration_s < 0 then
     invalid_arg "Engine.create: duration_s must be non-negative";
@@ -257,7 +241,7 @@ let create ?(config = default_config) ?obs scenario =
       (if config.controller_enabled then
          Some
            (Ef.Controller.create ~config:config.controller_config ~obs:reg
-              ~trace:config.trace
+              ~trace
               ~name:(Ef_netsim.Pop.name world.Ef_netsim.Topo_gen.pop)
               ())
        else None);
@@ -273,6 +257,8 @@ let create ?(config = default_config) ?obs scenario =
        else None);
     metrics = Metrics.create ();
     obs = obs_handles reg;
+    trace;
+    health;
     rng = Rng.create (config.seed * 131);
     now = config.start_s;
     last_state = None;
@@ -299,6 +285,24 @@ let last_state t = t.last_state
 let injector t = t.injector
 let bmp_session t = t.bmp_session
 let cycles_skipped t = t.cycles_skipped
+
+(* [None] is a controller round an injected fault skipped *)
+let count f = function None -> 0 | Some stats -> List.length (f stats)
+
+(* the one place a controller round becomes a tracker input *)
+let observe_health health ~time_s ~duration_s ~stale stats =
+  if Ef_health.Tracker.enabled health then
+    ignore
+      (Ef_health.Tracker.observe_cycle health
+         {
+           Ef_health.Tracker.time_s;
+           duration_s;
+           degraded = Option.bind stats Ef.Controller.degraded <> None;
+           skipped = stats = None;
+           stale;
+           violations = count Ef.Controller.guard_violations stats;
+           residual = count Ef.Controller.residual_overloads stats;
+         })
 
 (* apply scheduled session outages/recoveries for the window ending now *)
 let apply_peer_events t ~time_s =
@@ -545,50 +549,30 @@ let step t =
   (* controller round — a skipped cycle holds the installed override set
      untouched; a delayed cycle runs against a view [delay_s] old *)
   let ctl_t0 = Obs.Clock.now_ns () in
-  let active, added, removed, residual, ctl_violations, ctl_degraded =
+  let active, stats =
     Obs.Span.time_h ob.reg ob.sp_controller @@ fun () ->
     match t.controller with
-    | None -> ([], 0, 0, 0, 0, None)
+    | None -> ([], None)
+    | Some ctrl when skipped ->
+        t.cycles_skipped <- t.cycles_skipped + 1;
+        Obs.Counter.inc ob.c_cycles_skipped;
+        (Ef.Controller.active_overrides ctrl, None)
     | Some ctrl ->
-        if skipped then begin
-          t.cycles_skipped <- t.cycles_skipped + 1;
-          Obs.Counter.inc ob.c_cycles_skipped;
-          (Ef.Controller.active_overrides ctrl, 0, 0, 0, 0, None)
-        end
-        else begin
-          let now_s = time_s + delay_s in
-          let stats = Ef.Controller.cycle ~now_s ctrl ctl_snapshot in
-          Metrics.record_removals t.metrics
-            (List.map
-               (fun (o, age) ->
-                 {
-                   Metrics.removed_prefix = o.Ef.Override.prefix;
-                   lifetime_s = age;
-                 })
-               (Ef.Controller.overrides_removed stats));
-          ( Ef.Controller.overrides_enforced stats,
-            List.length (Ef.Controller.overrides_added stats),
-            List.length (Ef.Controller.overrides_removed stats),
-            List.length (Ef.Controller.residual_overloads stats),
-            List.length (Ef.Controller.guard_violations stats),
-            Ef.Controller.degraded stats )
-        end
+        let now_s = time_s + delay_s in
+        let stats = Ef.Controller.cycle ~now_s ctrl ctl_snapshot in
+        Metrics.record_removals t.metrics
+          (List.map
+             (fun (o, age) ->
+               { Metrics.removed_prefix = o.Ef.Override.prefix; lifetime_s = age })
+             (Ef.Controller.overrides_removed stats));
+        (Ef.Controller.overrides_enforced stats, Some stats)
   in
   (* health tracking: one observation per controller round, fed with the
      round's wall time and the deterministic impairment signals *)
-  (if Ef_health.Tracker.enabled t.config.health && t.controller <> None then
-     let duration_s = Obs.Clock.elapsed_s ctl_t0 in
-     ignore
-       (Ef_health.Tracker.observe_cycle t.config.health
-          {
-            Ef_health.Tracker.time_s;
-            duration_s;
-            degraded = ctl_degraded <> None;
-            skipped;
-            stale = not (Ef_collector.Retry.healthy t.bmp_session);
-            violations = ctl_violations;
-            residual;
-          }));
+  if t.controller <> None then
+    observe_health t.health ~time_s ~duration_s:(Obs.Clock.elapsed_s ctl_t0)
+      ~stale:(not (Ef_collector.Retry.healthy t.bmp_session))
+      stats;
 
   (* performance-aware stage (§7): steer measured-faster prefixes, but
      never fight a capacity override and never breach the capacity guard *)
@@ -631,11 +615,8 @@ let step t =
      cycle from its estimated view; annotate it with the ground-truth
      egress the placement actually produced (skipped cycles committed
      nothing new, so there is nothing to annotate) *)
-  (if
-     Ef_trace.Recorder.enabled t.config.trace
-     && t.controller <> None && not skipped
-   then
-     Ef_trace.Recorder.annotate_actual t.config.trace
+  (if Ef_trace.Recorder.enabled t.trace && stats <> None then
+     Ef_trace.Recorder.annotate_actual t.trace
        (List.map
           (fun iface ->
             let id = Ef_netsim.Iface.id iface in
@@ -675,14 +656,14 @@ let step t =
       offered_bps = List.fold_left (fun acc (_, r) -> acc +. r) 0.0 truth;
       detoured_bps = Ef.Projection.overridden_bps actual;
       overrides_active = List.length active;
-      overrides_added = added;
-      overrides_removed = removed;
+      overrides_added = count Ef.Controller.overrides_added stats;
+      overrides_removed = count Ef.Controller.overrides_removed stats;
       ifaces = iface_stats ~ifaces ~actual ~preferred;
       dropped_bps = dropped_bps actual ifaces;
       dropped_preferred_bps = dropped_bps preferred ifaces;
       weighted_rtt_ms = weighted_rtt t actual ~ifaces;
       weighted_rtt_preferred_ms = weighted_rtt t preferred ~ifaces;
-      residual_overloads = residual;
+      residual_overloads = count Ef.Controller.residual_overloads stats;
       detour_levels = detour_levels active actual;
       perf_overrides_active = List.length perf_overrides;
     }
@@ -702,7 +683,7 @@ let step t =
         ("overrides_active", Obs.Json.Int row.Metrics.overrides_active);
         ("residual_overloads", Obs.Json.Int row.Metrics.residual_overloads);
       ]
-      @ (match ctl_degraded with
+      @ (match Option.bind stats Ef.Controller.degraded with
         | None -> []
         | Some reason ->
             [

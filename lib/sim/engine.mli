@@ -22,7 +22,11 @@ type peer_event = {
     targeting the dead peer become stale and fall back safely — the
     machinery this exists to exercise. *)
 
-(** The engine configuration.
+(** The engine configuration: plain immutable data, so one value can be
+    shared by engines running on different domains (see {!Fleet}). The
+    run's instrumentation handles — registry, decision-trace recorder,
+    health tracker — are not configuration; they are {!create}'s
+    arguments.
 
     {b Deprecated for construction:} build configurations with
     {!make_config} and the [with_*] updaters rather than record literals
@@ -58,17 +62,6 @@ type config = {
       (** deterministic fault plan injected into this run: link flaps,
           capacity degradations, feed stalls, cycle skips/delays (see
           {!Ef_fault.Plan}); [None] = healthy run *)
-  trace : Ef_trace.Recorder.t;
-      (** decision-provenance recorder threaded into the embedded
-          controller; each committed cycle is additionally annotated with
-          the ground-truth per-interface egress. Defaults to
-          {!Ef_trace.Recorder.noop} (zero recording cost). *)
-  health : Ef_health.Tracker.t;
-      (** health tracker fed once per controller round with the round's
-          wall time, degradation/skip/staleness flags, guard violations
-          and residual overloads — drives the SLO state machine and the
-          alert rules. Defaults to {!Ef_health.Tracker.noop} (one boolean
-          test per step). *)
 }
 
 val default_config : config
@@ -92,8 +85,6 @@ val make_config :
   ?events:Ef_traffic.Demand.event list ->
   ?peer_events:peer_event list ->
   ?faults:Ef_fault.Plan.t ->
-  ?trace:Ef_trace.Recorder.t ->
-  ?health:Ef_health.Tracker.t ->
   unit ->
   config
 (** Every omitted field takes its {!default_config} value. *)
@@ -104,30 +95,14 @@ val make_config :
 val with_cycle_s : int -> config -> config
 val with_duration_s : int -> config -> config
 val with_start_s : int -> config -> config
-val with_controller_enabled : bool -> config -> config
-val with_controller_config : Edge_fabric.Config.t -> config -> config
-val with_use_sampling : bool -> config -> config
-val with_sflow : Ef_traffic.Sflow.config -> config -> config
-val with_measure_altpaths : bool -> config -> config
-val with_measurer_config : Ef_altpath.Measurer.config -> config -> config
-val with_perf_aware : bool -> config -> config
-val with_perf_config : Ef_altpath.Perf_policy.config -> config -> config
 
 val with_policy : Ef_policy.program -> config -> config
 (** Attach a DSL policy program (wraps it in [Some] for you). *)
 
 val with_seed : int -> config -> config
-val with_events : Ef_traffic.Demand.event list -> config -> config
-val with_peer_events : peer_event list -> config -> config
 
 val with_faults : Ef_fault.Plan.t -> config -> config
 (** Inject a fault plan (wraps it in [Some] for you). *)
-
-val with_trace : Ef_trace.Recorder.t -> config -> config
-(** Attach an enabled decision-trace recorder (see {!Ef_trace.Recorder}). *)
-
-val with_health : Ef_health.Tracker.t -> config -> config
-(** Attach an active health tracker (see {!Ef_health.Tracker}). *)
 
 val apply_policy_params : Ef_policy.env -> Ef_policy.t -> config -> config
 (** Merge a policy's allocator-side denotation
@@ -140,15 +115,40 @@ val apply_policy_params : Ef_policy.env -> Ef_policy.t -> config -> config
 
 type t
 
-val create : ?config:config -> ?obs:Ef_obs.Registry.t -> Ef_netsim.Scenario.t -> t
+val create :
+  ?config:config ->
+  ?obs:Ef_obs.Registry.t ->
+  ?trace:Ef_trace.Recorder.t ->
+  ?health:Ef_health.Tracker.t ->
+  Ef_netsim.Scenario.t ->
+  t
 (** [obs] is shared with the embedded controller and snapshot assembly, so
     one registry carries the whole pipeline's spans and counters; defaults
     to {!Ef_obs.Registry.default}. Each {!step} records the [engine.step]
     span plus one span per stage ([engine.demand], [engine.estimate],
     [engine.controller], [engine.placement], [engine.accounting]) and
-    updates the [engine.*] counters and gauges. Raises
-    [Invalid_argument] if [config.cycle_s < 1] or
-    [config.duration_s < 0]. *)
+    updates the [engine.*] counters and gauges.
+
+    [trace] (default {!Ef_trace.Recorder.noop}, zero recording cost) is
+    the embedded controller's decision-provenance recorder; each cycle it
+    commits is additionally annotated with the ground-truth
+    per-interface egress. [health] (default {!Ef_health.Tracker.noop})
+    is fed once per controller round through {!observe_health}. Neither
+    may be shared across domains. Raises [Invalid_argument] if
+    [config.cycle_s < 1] or [config.duration_s < 0]. *)
+
+val observe_health :
+  Ef_health.Tracker.t ->
+  time_s:int ->
+  duration_s:float ->
+  stale:bool ->
+  Edge_fabric.Controller.cycle_stats option ->
+  unit
+(** Feed one controller round to a tracker: its wall time, collector
+    staleness, and the degradation, guard violations and residual
+    overloads of its stats — [None] for a round an injected fault
+    skipped. A no-op on {!Ef_health.Tracker.noop}. Shared by {!step} and
+    {!Dfz_run}, so every driver judges the SLO over the same signals. *)
 
 val config : t -> config
 val world : t -> Ef_netsim.Topo_gen.world

@@ -10,7 +10,7 @@ type t = {
   mutable buffers : (unit -> Obs.Event.t list) list option;
 }
 
-let create ?(config = Engine.default_config) ?config_of ?obs
+let create ?(config = Engine.default_config) ?trace_of ?obs
     ?(profiler = Ef_health.Profiler.noop) scenarios =
   let fleet_obs =
     match obs with Some r -> r | None -> Obs.Registry.default ()
@@ -26,10 +26,8 @@ let create ?(config = Engine.default_config) ?config_of ?obs
       (fun s ->
         let reg = Obs.Registry.create () in
         Ef_health.Profiler.attach profiler reg;
-        let config =
-          match config_of with Some f -> f s | None -> config
-        in
-        (s.Scenario.scenario_name, Engine.create ~config ~obs:reg s, reg))
+        let trace = Option.map (fun f -> f s) trace_of in
+        (s.Scenario.scenario_name, Engine.create ~config ~obs:reg ?trace s, reg))
       scenarios
   in
   Ef_health.Profiler.attach profiler fleet_obs;
@@ -41,8 +39,8 @@ let create ?(config = Engine.default_config) ?config_of ?obs
     buffers = None;
   }
 
-let of_paper_pops ?config ?config_of ?obs ?profiler () =
-  create ?config ?config_of ?obs ?profiler Scenario.paper_pops
+let of_paper_pops ?config ?obs ?profiler () =
+  create ?config ?obs ?profiler Scenario.paper_pops
 
 let engines t = t.engines
 let registries t = t.regs

@@ -19,15 +19,17 @@ type t
 
 val create :
   ?config:Engine.config ->
-  ?config_of:(Ef_netsim.Scenario.t -> Engine.config) ->
+  ?trace_of:(Ef_netsim.Scenario.t -> Ef_trace.Recorder.t) ->
   ?obs:Ef_obs.Registry.t ->
   ?profiler:Ef_health.Profiler.t ->
   Ef_netsim.Scenario.t list ->
   t
-(** One engine per scenario, sharing the engine configuration (each world
-    still derives from its own scenario seed); [config_of], when given,
-    overrides [config] per scenario — the way to give each engine its own
-    trace recorder, which must not be shared across domains. Every engine
+(** One engine per scenario, sharing the engine configuration — plain
+    data, safe to share across domains (each world still derives from its
+    own scenario seed). [trace_of], when given, supplies each engine's
+    decision-trace recorder ({!Engine.create}'s [trace]); a recorder is
+    mutable and must not be shared across domains, so give each scenario
+    its own. Every engine
     reports into a private registry; {!run} merges them into [obs] (the
     process-wide default when omitted) and additionally records a
     [fleet.pop_run] span and bumps [fleet.pops_run] per completed PoP.
@@ -39,7 +41,6 @@ val create :
 
 val of_paper_pops :
   ?config:Engine.config ->
-  ?config_of:(Ef_netsim.Scenario.t -> Engine.config) ->
   ?obs:Ef_obs.Registry.t ->
   ?profiler:Ef_health.Profiler.t ->
   unit ->

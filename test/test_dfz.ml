@@ -3,7 +3,8 @@
    in the bench (e13); here the same machinery is pinned small:
    generator determinism (replayability is what makes the driver's
    differential verification meaningful), demand shape, the lockstep
-   verify mode itself, and the MRT-seeded path. *)
+   verify mode itself, the run handles, and the MRT-seeded path — which
+   runs through the same loop, verify and faults included. *)
 
 module Bgp = Ef_bgp
 module N = Ef_netsim
@@ -130,6 +131,45 @@ let test_driver_flap_verified_identical () =
         true
         (c >= 1 && c < 8))
     report.D.iface_event_cycles
+
+(* the recorder is a run argument: the incremental controller commits one
+   trace cycle per controller cycle, and the ring keeps the newest
+   [capacity] of them *)
+let test_driver_trace_one_cycle_each () =
+  let retained ~capacity =
+    let trace = Ef_trace.Recorder.create ~capacity () in
+    ignore
+      (D.run ~obs:(Ef_obs.Registry.create ()) ~trace
+         ~config:(D.config ~cycles:6 ())
+         (small 1_000)
+        : D.report);
+    List.map
+      (fun c -> c.Ef_trace.Recorder.cy_index)
+      (Ef_trace.Recorder.cycles trace)
+  in
+  Alcotest.(check (list int)) "one per cycle" [ 1; 2; 3; 4; 5; 6 ]
+    (retained ~capacity:16);
+  Alcotest.(check (list int)) "ring keeps the newest" [ 3; 4; 5; 6 ]
+    (retained ~capacity:4)
+
+(* verify's cold twin reports into a throwaway registry: with a private
+   [obs] the process-wide default must not move, and [obs] itself sees
+   the incremental side's cycles only *)
+let test_driver_verify_reports_nowhere () =
+  let default_cycles () =
+    Ef_obs.Counter.value
+      (Ef_obs.Registry.counter (Ef_obs.Registry.default ()) "controller.cycles")
+  in
+  let before = default_cycles () in
+  let obs = Ef_obs.Registry.create () in
+  let report =
+    D.run ~obs ~config:(D.config ~cycles:4 ~verify:true ()) (small 1_000)
+  in
+  Alcotest.(check int) "verified" 4 report.D.verified_cycles;
+  Alcotest.(check (float 0.0)) "default registry untouched" before
+    (default_cycles ());
+  Alcotest.(check (float 0.0)) "obs counts the incremental side only" 4.0
+    (Ef_obs.Counter.value (Ef_obs.Registry.counter obs "controller.cycles"))
 
 (* duplicated prefixes in the table build: later entries win and a late
    non-positive entry unrates, exactly as patch applies rate updates — in
@@ -277,6 +317,48 @@ let test_run_mrt_deterministic () =
   in
   Alcotest.(check bool) "same dump, same seed, same run" true (go () = go ())
 
+(* one loop for both world kinds: an MRT-seeded run replays its cold
+   twin and honours a fault plan, here one that flaps and derates two of
+   the dump's peer interfaces *)
+let test_run_mrt_verified_under_faults () =
+  let mrt = mrt_of_small_world () in
+  let flap_id, derate_id =
+    match Bgp.Mrt.to_rib mrt with
+    | Ok rib -> (
+        match Bgp.Rib.peer_ids rib with
+        | a :: b :: _ -> (a, b)
+        | _ -> Alcotest.fail "dump has fewer than two peers")
+    | Error e -> Alcotest.failf "to_rib: %a" Bgp.Mrt.pp_error e
+  in
+  let faults =
+    Ef_fault.Plan.make ~seed:3
+      [
+        Ef_fault.Plan.Link_flap
+          {
+            iface_id = flap_id;
+            from_s = 300;
+            until_s = 2400;
+            period_s = 600;
+            down_s = 300;
+          };
+        Ef_fault.Plan.Capacity_degradation
+          { iface_id = derate_id; from_s = 600; until_s = 1800; factor = 0.6 };
+      ]
+  in
+  match
+    D.run_mrt
+      ~obs:(Ef_obs.Registry.create ())
+      ~config:(D.config ~cycles:8 ~cycle_s:300 ~verify:true ~faults ())
+      ~seed:3 mrt
+  with
+  | Error e -> Alcotest.failf "run_mrt: %a" Bgp.Mrt.pp_error e
+  | Ok report ->
+      Alcotest.(check int) "verified every cycle" report.D.cycles_run
+        report.D.verified_cycles;
+      Alcotest.(check (list string)) "no mismatches" [] report.D.mismatches;
+      Alcotest.(check bool) "the plan hit the dump's interfaces" true
+        (report.D.iface_event_cycles <> [])
+
 let test_run_mrt_rejects_empty () =
   let mrt = mrt_of_small_world () in
   let empty = { mrt with Bgp.Mrt.records = [] } in
@@ -298,6 +380,10 @@ let suite =
       test_driver_verified_identical;
     Alcotest.test_case "driver verify: flap cycles stay warm and identical"
       `Quick test_driver_flap_verified_identical;
+    Alcotest.test_case "driver trace: one committed cycle per cycle" `Quick
+      test_driver_trace_one_cycle_each;
+    Alcotest.test_case "driver verify: reference reports nowhere" `Quick
+      test_driver_verify_reports_nowhere;
     Alcotest.test_case "assemble duplicates: last entry wins" `Quick
       test_assemble_duplicates;
     Alcotest.test_case "percentiles exclude the cold cycle" `Quick
@@ -306,6 +392,8 @@ let suite =
     Alcotest.test_case "run_mrt smoke" `Quick test_run_mrt_smoke;
     Alcotest.test_case "run_mrt deterministic" `Quick
       test_run_mrt_deterministic;
+    Alcotest.test_case "run_mrt verified under a fault plan" `Quick
+      test_run_mrt_verified_under_faults;
     Alcotest.test_case "run_mrt rejects dump with no prefixes" `Quick
       test_run_mrt_rejects_empty;
   ]

@@ -48,14 +48,11 @@ let fleet_outputs ~jobs () =
       (fun s -> (s.N.Scenario.scenario_name, Ef_trace.Recorder.create ()))
       det_scenarios
   in
-  let config_of s =
-    quick_config
-    |> S.Engine.with_trace (List.assoc s.N.Scenario.scenario_name traces)
-  in
+  let trace_of s = List.assoc s.N.Scenario.scenario_name traces in
   let obs = Ef_obs.Registry.create () in
   let sink, flush = Ef_obs.Registry.memory_sink () in
   Ef_obs.Registry.add_sink obs sink;
-  let fleet = S.Fleet.create ~config:quick_config ~config_of ~obs det_scenarios in
+  let fleet = S.Fleet.create ~config:quick_config ~trace_of ~obs det_scenarios in
   let results = S.Fleet.run ~jobs fleet in
   let table = Ef_stats.Table.render (S.Fleet.summary_table results) in
   let rows =

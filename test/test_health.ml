@@ -353,12 +353,10 @@ let test_tracker_engine_integration () =
   let module S = Ef_sim in
   let run ?health () =
     let reg = O.Registry.create () in
-    let config =
-      match health with
-      | None -> S.Engine.make_config ~duration_s:1800 ~seed:3 ()
-      | Some h -> S.Engine.make_config ~duration_s:1800 ~seed:3 ~health:h ()
+    let config = S.Engine.make_config ~duration_s:1800 ~seed:3 () in
+    let engine =
+      S.Engine.create ~config ~obs:reg ?health Ef_netsim.Scenario.pop_a
     in
-    let engine = S.Engine.create ~config ~obs:reg Ef_netsim.Scenario.pop_a in
     S.Engine.run engine
   in
   let plain = run () in

@@ -217,9 +217,9 @@ let traced_run () =
   O.Registry.add_sink reg sink;
   let config =
     S.Engine.make_config ~cycle_s:60 ~duration_s:300 ~start_s:(18 * 3600)
-      ~controller_enabled:true ~use_sampling:true ~seed:3 ~trace:tr ()
+      ~controller_enabled:true ~use_sampling:true ~seed:3 ()
   in
-  let e = S.Engine.create ~config ~obs:reg Ef_netsim.Scenario.tiny in
+  let e = S.Engine.create ~config ~obs:reg ~trace:tr Ef_netsim.Scenario.tiny in
   ignore (S.Engine.run e);
   (tr, events ())
 
