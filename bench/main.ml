@@ -281,9 +281,10 @@ let run_e10d ~fast =
    fleet (engines are single-run) and times Fleet.run on the monotonic
    clock. Two fleet shapes: the four paper PoPs, and a generated 16-PoP
    fleet where domain parallelism has enough PoPs to bite. Every jobs
-   value runs once untimed first: that pays world generation and spawns
-   the process-wide pool's domains, so the timed run measures the
-   persistent-pool reuse path, not a spawn/join. *)
+   value runs once untimed first, which pays world generation. Each
+   Fleet.run forks its domains and joins them before it returns, so the
+   timed figure includes one spawn/join per domain and no domain idles
+   into the later experiments of the process. *)
 let e11_jobs = [ 1; 2; 4 ]
 
 let run_e11_fleet ~fast =
@@ -322,9 +323,6 @@ let run_e11_fleet ~fast =
           e11_jobs)
       fleets
   in
-  (* the later experiments of the run share this process: idle pool
-     domains would still join every stop-the-world minor collection *)
-  Ef_util.Pool.shutdown_global ();
   print_newline ();
   let gen16_jobs4 =
     match List.find_opt (fun (l, j, _, _) -> l = "gen-16pop" && j = 4) rows with

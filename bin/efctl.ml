@@ -60,6 +60,21 @@ let hours_t ?(doc = "Simulated duration.") default =
 let cycle_t ?(doc = "Controller period.") default =
   Arg.(value & opt (int_at_least 1) default & info [ "cycle" ] ~docv:"SEC" ~doc)
 
+(* --jobs for fleet and experiment: the lane counts Pool.map accepts.
+   Anything else is a usage error (exit 124), rejected before a domain
+   is spawned. *)
+let jobs_t ~doc =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= 128 -> Ok n
+    | Some _ | None ->
+        Error (`Msg (Printf.sprintf "expected an integer in [1, 128], got %S" s))
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Format.pp_print_int)) 1
+    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
 let hour_t =
   Arg.(
     value
@@ -179,7 +194,8 @@ let policy_t =
         ~doc:
           "Run under an $(b,Ef_policy) program: a canned program name (see \
            $(b,scenarios)) or a policy JSON file. Replaces the scenario's \
-           import policy and applies the program's allocator/perf knobs.")
+           import policy and applies the program's allocator/perf knobs. \
+           Not on dfz or $(b,--mrt) worlds.")
 
 (* --- scenarios --------------------------------------------------------- *)
 
@@ -352,6 +368,28 @@ let run_cmd =
   let run world seed hours cycle_s no_controller no_sampling obs_metrics
       metrics_format journal faults policy prom_out trace_out profile_out
       alerts alerts_out slo_deadline mrt verify_incremental =
+    (* dfz and mrt worlds run Dfz_run's loop, which always runs the
+       controller on sampled rates under the world's own policy: the
+       engine-only flags would be silently ignored there *)
+    let dfz_class =
+      mrt <> None
+      || match world with Dfz_world _ -> true | Topo_world _ -> false
+    in
+    let engine_only =
+      List.filter_map
+        (fun (flag, set) -> if set then Some flag else None)
+        [
+          ("--no-controller", no_controller);
+          ("--no-sampling", no_sampling);
+          ("--policy", policy <> None);
+        ]
+    in
+    if dfz_class && engine_only <> [] then
+      `Error
+        ( true,
+          Printf.sprintf "%s: not supported on dfz or --mrt worlds"
+            (String.concat ", " engine_only) )
+    else
     let fault_plan = resolve_fault_plan faults in
     let policy_prog = resolve_policy policy in
     (* tracing is paid for only when something will read it: a trace dump,
@@ -469,7 +507,7 @@ let run_cmd =
           report.S.Dfz_run.verified_cycles;
       export_results ()
     in
-    match (mrt, world) with
+    (match (mrt, world) with
     | Some dump_path, _ -> (
         (* --mrt: seed the table from a TABLE_DUMP_V2 dump instead of a
            generated world; rates are synthesized (Zipf over the dump's
@@ -551,13 +589,19 @@ let run_cmd =
           (count "collector.session.failures")
           (count "collector.session.retries")
           (count "collector.session.reconnects"));
-    export_results ()
+    export_results ());
+    `Ok ()
   in
   let no_controller_t =
-    Arg.(value & flag & info [ "no-controller" ] ~doc:"BGP-only baseline.")
+    Arg.(
+      value & flag
+      & info [ "no-controller" ] ~doc:"BGP-only baseline (not on dfz/mrt worlds).")
   in
   let no_sampling_t =
-    Arg.(value & flag & info [ "no-sampling" ] ~doc:"Give the controller true rates.")
+    Arg.(
+      value & flag
+      & info [ "no-sampling" ]
+          ~doc:"Give the controller true rates (not on dfz/mrt worlds).")
   in
   let journal_t =
     Arg.(
@@ -644,10 +688,12 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Simulate a day and summarise the outcome.")
     Term.(
-      const run $ run_world_t $ seed_t $ hours_t 24 $ cycle_t 120
-      $ no_controller_t $ no_sampling_t $ metrics_t $ metrics_format_t $ journal_t $ faults_t
-      $ policy_t $ prom_out_t $ trace_out_t $ profile_out_t $ alerts_t
-      $ alerts_out_t $ slo_deadline_t $ mrt_t $ verify_incremental_t)
+      ret
+        (const run $ run_world_t $ seed_t $ hours_t 24 $ cycle_t 120
+       $ no_controller_t $ no_sampling_t $ metrics_t $ metrics_format_t
+       $ journal_t $ faults_t $ policy_t $ prom_out_t $ trace_out_t
+       $ profile_out_t $ alerts_t $ alerts_out_t $ slo_deadline_t $ mrt_t
+       $ verify_incremental_t))
 
 (* --- health ---------------------------------------------------------------- *)
 
@@ -955,12 +1001,10 @@ let experiment_cmd =
       & info [] ~docv:"ID" ~doc:"e1..e9, e12, a1, a3, a4.")
   in
   let jobs_t =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Run the experiment's daily simulations on $(docv) domains. \
-             Results are identical for every value.")
+    jobs_t
+      ~doc:
+        "Run the experiment's daily simulations on $(docv) domains (1-128). \
+         Results are identical for every value."
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate one table/figure of the paper.")
@@ -1052,12 +1096,10 @@ let fleet_cmd =
     print_metrics metrics
   in
   let jobs_t =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Run PoPs on $(docv) domains in parallel. The dashboard is \
-             byte-identical for every value.")
+    jobs_t
+      ~doc:
+        "Run PoPs on $(docv) domains in parallel (1-128). The dashboard is \
+         byte-identical for every value."
   in
   let profile_out_t =
     Arg.(

@@ -258,40 +258,6 @@ let merge ~into src =
       (counter into "obs.merge.dropped_samples")
       (float_of_int newly_dropped)
 
-(* Balanced pairwise reduction of many source registries into [into].
-   Each round pairs adjacent registries in list order and merges every
-   pair into a fresh intermediate; the tree's shape is a function of the
-   list length alone and every pairwise merge is the deterministic
-   serial [merge], so the result does not depend on which domain ran
-   which pair — a [pool] only changes wall-clock. Relative to a serial
-   left fold the float gauge sums re-associate (same multiset of
-   addends, different bracketing); nothing downstream pins that
-   bracketing, and any jobs/pool count yields the same bytes. *)
-let merge_tree ?pool ~into regs =
-  let merge_pair = function
-    | [ a ] -> a
-    | pair ->
-        let m = create () in
-        List.iter (fun r -> merge ~into:m r) pair;
-        m
-  in
-  let rec pairs = function
-    | a :: b :: rest -> [ a; b ] :: pairs rest
-    | [ a ] -> [ [ a ] ]
-    | [] -> []
-  in
-  let round regs =
-    match pool with
-    | Some pool -> Ef_util.Pool.map pool merge_pair (pairs regs)
-    | None -> List.map merge_pair (pairs regs)
-  in
-  let rec reduce = function
-    | [] -> ()
-    | [ r ] -> merge ~into r
-    | regs -> reduce (round regs)
-  in
-  reduce regs
-
 let reset t =
   Hashtbl.reset t.table;
   t.names_rev <- [];

@@ -142,17 +142,6 @@ val merge : into:t -> t -> unit
     [Invalid_argument] if a name is registered with different kinds in
     the two registries. *)
 
-val merge_tree : ?pool:Ef_util.Pool.t -> into:t -> t list -> unit
-(** Merge many registries into [into] by balanced pairwise reduction:
-    each round pairs adjacent registries in list order and merges every
-    pair into a fresh intermediate. The tree shape depends only on the
-    list length and every pairwise step is the deterministic {!merge},
-    so the result is independent of [pool] (and of which domain ran
-    which pair) — a pool only cuts the wall-clock of a wide fleet join
-    from O(fleet) serial merges to O(log fleet) rounds. Float gauge sums
-    re-associate relative to a serial left fold (same addends, different
-    bracketing); nothing pins that bracketing. *)
-
 (** {2 Span timing} *)
 
 module Span : sig

@@ -94,21 +94,17 @@ let prewarm ~params specs =
     in
     if missing <> [] then begin
       let computed =
-        Ef_util.Pool.with_pool ~jobs:params.jobs (fun pool ->
-            Ef_util.Pool.map pool
-              (fun (controller, controller_config, scenario) ->
-                let reg = Ef_obs.Registry.create () in
-                let engine =
-                  Engine.create ~obs:reg
-                    ~config:
-                      (engine_config ~params ~controller ?controller_config ())
-                    scenario
-                in
-                let m = Engine.run engine in
-                ( run_key ~controller ~controller_config ~params scenario,
-                  m,
-                  reg ))
-              missing)
+        Ef_util.Pool.map ~jobs:params.jobs
+          (fun (controller, controller_config, scenario) ->
+            let reg = Ef_obs.Registry.create () in
+            let engine =
+              Engine.create ~obs:reg
+                ~config:(engine_config ~params ~controller ?controller_config ())
+                scenario
+            in
+            let m = Engine.run engine in
+            (run_key ~controller ~controller_config ~params scenario, m, reg))
+          missing
       in
       List.iter
         (fun (key, m, reg) ->

@@ -28,7 +28,8 @@ val prewarm :
   unit
 (** [prewarm ~params specs] fills the daily-run cache for each
     [(controller, controller_config, scenario)] spec, [params.jobs] runs
-    at a time on separate domains. Pass the {e same} [controller_config]
+    at a time on separate domains, forked and joined by
+    {!Ef_util.Pool.map}. Pass the {e same} [controller_config]
     option the later driver will use — [None] and [Some Ef.Config.default]
     are distinct cache keys. A no-op when [params.jobs <= 1], so the
     sequential path is untouched. Parallel runs use private telemetry

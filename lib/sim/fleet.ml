@@ -68,29 +68,25 @@ let run ?(jobs = 1) t =
     Obs.Counter.inc (Obs.Registry.counter reg "fleet.pops_run");
     (name, metrics)
   in
-  let members = List.combine t.engines t.regs in
-  (* the process-wide pool: worker domains spawn on the first parallel
-     run and persist across runs (and bench iterations) — repeated
-     Fleet.runs stop paying a domain spawn/join each *)
-  let pool = if jobs <= 1 then None else Some (Ef_util.Pool.global ~jobs ()) in
+  (* per-lane attribution, parallel runs only: each task runs inside a
+     profiler span tagged with its executing lane, so the trace shows
+     which domain ran which PoP and how busy each lane was *)
+  let wrap =
+    if jobs = 1 then None
+    else
+      Some
+        (fun ~lane task ->
+          Ef_health.Profiler.span ~lane t.profiler ~name:"pool.task" task)
+  in
   let results =
-    match pool with
-    | None -> List.map work members
-    | Some pool ->
-        (* per-lane attribution: each pool task runs inside a profiler span
-           tagged with its executing lane, so the trace shows which domain
-           ran which PoP and how busy each lane was. The wrap is per-call —
-           the shared pool carries no per-fleet state *)
-        let wrap ~lane task =
-          Ef_health.Profiler.span ~lane t.profiler ~name:"pool.task" task
-        in
-        Ef_util.Pool.map ~wrap pool work members
+    Ef_util.Pool.map ?wrap ~jobs work (List.combine t.engines t.regs)
   in
   (* after the barrier: deterministic fold of the per-PoP telemetry into
-     the fleet view — pairwise tree reduction in engine order, so the
-     merge itself parallelizes while staying independent of [jobs] *)
+     the fleet view, in engine order, so it is independent of [jobs] *)
   Ef_health.Profiler.span t.profiler ~name:"fleet.merge" (fun () ->
-      Obs.Registry.merge_tree ?pool ~into:t.fleet_obs (List.map snd t.regs));
+      List.iter
+        (fun (_, reg) -> Obs.Registry.merge ~into:t.fleet_obs reg)
+        t.regs);
   (match t.buffers with
   | None -> ()
   | Some buffers ->

@@ -11,7 +11,8 @@
     unsynchronized mutable state, unsafe to share across domains); after
     the barrier the per-PoP registries are folded into the fleet registry
     with {!Ef_obs.Registry.merge}, in engine order, on the calling
-    domain. Results, merged telemetry and replayed journals are therefore
+    domain. The domains are forked per run by {!Ef_util.Pool.map} and
+    joined before {!run} returns; none outlives the run. Results, merged telemetry and replayed journals are therefore
     byte-identical for every [jobs] value — parallelism can never change
     a routing decision (pinned by test). *)
 
@@ -55,16 +56,19 @@ val registry : t -> Ef_obs.Registry.t
 (** The fleet registry that {!run} merges into. *)
 
 val run : ?jobs:int -> t -> (string * Metrics.t) list
-(** Run every PoP to completion, [jobs] at a time ([jobs <= 1], the
-    default, is the plain sequential path — no domain is spawned).
+(** Run every PoP to completion, [jobs] at a time ([jobs = 1], the
+    default, is the plain sequential path — no domain is spawned). Raises
+    [Invalid_argument] unless [1 <= jobs <= 128].
     Results keep scenario order regardless of [jobs]. If the fleet
     registry has journal sinks when [run] starts, engine events are
     buffered during the run and replayed into those sinks after the
     barrier, in engine order, with their original timestamps. [run] is
     intended to be called once per fleet: a second call would simulate a
     further day and merge the (cumulative) per-engine telemetry again.
-    With an enabled profiler, per-lane busy seconds also land in the
-    fleet registry as [pool.laneN.busy_s] gauges after the barrier. *)
+    With an enabled profiler, a parallel run ([jobs > 1]) records one
+    [pool.task] span per PoP, tagged with the lane that ran it, and the
+    per-lane busy seconds land in the fleet registry as
+    [pool.laneN.busy_s] gauges after the barrier. *)
 
 type summary = {
   pops : int;

@@ -107,6 +107,49 @@ let test_fleet_parallel_merges_registries () =
         (List.length det_scenarios) (Ef_obs.Histogram.count h)
   | _ -> Alcotest.fail "fleet.pop_run span missing after merge"
 
+(* the wrap hook's one user: lane attribution. A parallel run records
+   one pool.task span per PoP, tagged with the lane that ran it, and the
+   lane busy-time gauges land in the fleet registry; a sequential run
+   records neither *)
+let lane_attribution ~jobs =
+  let profiler = Ef_health.Profiler.create () in
+  let reg = Ef_obs.Registry.create () in
+  let scenarios = [ N.Scenario.tiny; N.Scenario.pop_d ] in
+  let fleet =
+    S.Fleet.create ~config:quick_config ~obs:reg ~profiler scenarios
+  in
+  ignore (S.Fleet.run ~jobs fleet);
+  let lane_gauges =
+    List.filter_map
+      (fun (name, _) ->
+        if String.starts_with ~prefix:"pool.lane" name then Some name else None)
+      (Ef_obs.Registry.metrics reg)
+  in
+  ( List.length scenarios,
+    Ef_health.Profiler.span_count profiler ~name:"pool.task",
+    List.map fst (Ef_health.Profiler.lane_busy_s profiler),
+    lane_gauges )
+
+let test_fleet_lane_attribution () =
+  let pops, tasks, lanes, gauges = lane_attribution ~jobs:2 in
+  Alcotest.(check int) "one pool.task span per pop" pops tasks;
+  Alcotest.(check bool) "some lane busy" true (lanes <> []);
+  List.iter
+    (fun lane ->
+      Alcotest.(check bool)
+        (Printf.sprintf "lane %d in {0, 1}" lane)
+        true
+        (lane = 0 || lane = 1))
+    lanes;
+  Alcotest.(check (list string))
+    "one busy gauge per lane"
+    (List.map (Printf.sprintf "pool.lane%d.busy_s") lanes)
+    (List.sort compare gauges);
+  let _, tasks, lanes, gauges = lane_attribution ~jobs:1 in
+  Alcotest.(check int) "jobs=1: no pool.task span" 0 tasks;
+  Alcotest.(check (list int)) "jobs=1: no lane busy" [] lanes;
+  Alcotest.(check (list string)) "jobs=1: no lane gauge" [] gauges
+
 let suite =
   [
     Alcotest.test_case "fleet runs all" `Slow test_fleet_runs_all;
@@ -116,4 +159,6 @@ let suite =
       test_fleet_jobs_invariant;
     Alcotest.test_case "fleet parallel registry merge" `Slow
       test_fleet_parallel_merges_registries;
+    Alcotest.test_case "fleet lane attribution" `Slow
+      test_fleet_lane_attribution;
   ]

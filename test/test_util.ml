@@ -253,101 +253,79 @@ let qcheck_pareto_min =
       let rng = Rng.create seed in
       Rng.pareto rng ~alpha:1.3 ~xmin:2.0 >= 2.0)
 
-(* --- Pool: the domain work pool behind Fleet.run ~jobs ------------------ *)
+(* --- Pool: the per-call fork-join behind Fleet.run ~jobs ------------------ *)
 
 let test_pool_map_order () =
-  (* results come back in submission order, whatever the worker count *)
+  (* results come back in input order, whatever the lane count *)
   let items = List.init 50 Fun.id in
   let expect = List.map (fun i -> i * i) items in
   List.iter
     (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          Alcotest.(check (list int))
-            (Printf.sprintf "jobs=%d" jobs)
-            expect
-            (Pool.map pool (fun i -> i * i) items)))
+      Alcotest.(check (list int))
+        (Printf.sprintf "jobs=%d" jobs)
+        expect
+        (Pool.map ~jobs (fun i -> i * i) items))
     [ 1; 2; 4; 7 ]
 
 let test_pool_jobs1_is_sequential () =
-  (* size-1 pools never spawn a domain: side effects happen in list
-     order on the calling thread *)
+  (* jobs=1 never spawns a domain: side effects happen in list order on
+     the calling domain, each inside the wrap hook on lane 0 *)
   let log = ref [] in
-  Pool.with_pool ~jobs:1 (fun pool ->
-      ignore
-        (Pool.map pool
-           (fun i ->
-             log := i :: !log;
-             i)
-           [ 1; 2; 3 ]));
-  Alcotest.(check (list int)) "list order" [ 3; 2; 1 ] !log
+  let wrap ~lane task =
+    log := Printf.sprintf "lane %d" lane :: !log;
+    task ()
+  in
+  ignore
+    (Pool.map ~wrap ~jobs:1
+       (fun i ->
+         log := string_of_int i :: !log;
+         i)
+       [ 1; 2; 3 ]);
+  Alcotest.(check (list string))
+    "list order" [ "lane 0"; "1"; "lane 0"; "2"; "lane 0"; "3" ] (List.rev !log)
 
 let test_pool_exception () =
-  (* an exception in a task surfaces to the caller (lowest submission
-     index wins when several fail), and the pool survives for reuse *)
-  Pool.with_pool ~jobs:4 (fun pool ->
-      (match
-         Pool.map pool
-           (fun i -> if i mod 2 = 1 then failwith (string_of_int i) else i)
-           [ 0; 1; 2; 3 ]
-       with
-      | _ -> Alcotest.fail "expected Failure"
-      | exception Failure msg ->
-          Alcotest.(check string) "first failing index" "1" msg);
-      Alcotest.(check (list int))
-        "pool usable after failure" [ 2; 4 ]
-        (Pool.map pool (fun i -> 2 * i) [ 1; 2 ]))
+  (* an exception in a task surfaces to the caller; the lowest failing
+     index wins when several fail, and every other task still ran *)
+  let ran = Atomic.make 0 in
+  (match
+     Pool.map ~jobs:4
+       (fun i ->
+         Atomic.incr ran;
+         if i mod 2 = 1 then failwith (string_of_int i) else i)
+       (List.init 8 Fun.id)
+   with
+  | _ -> Alcotest.fail "expected Failure"
+  | exception Failure msg ->
+      Alcotest.(check string) "first failing index" "1" msg);
+  Alcotest.(check int) "all tasks ran" 8 (Atomic.get ran)
 
 let test_pool_empty_and_validation () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      Alcotest.(check (list int)) "empty" [] (Pool.map pool Fun.id []));
-  Alcotest.check_raises "jobs=0 rejected"
-    (Invalid_argument "Pool.create: jobs 0 not in [1, 128]") (fun () ->
-      ignore (Pool.create ~jobs:0 ()))
+  Alcotest.(check (list int)) "empty" [] (Pool.map ~jobs:3 Fun.id []);
+  Alcotest.(check (list int)) "one item, many jobs" [ 5 ]
+    (Pool.map ~jobs:8 Fun.id [ 5 ]);
+  (* out-of-range values are rejected before anything runs *)
+  List.iter
+    (fun jobs ->
+      Alcotest.check_raises
+        (Printf.sprintf "jobs=%d rejected" jobs)
+        (Invalid_argument
+           (Printf.sprintf "Pool.map: jobs %d not in [1, 128]" jobs))
+        (fun () ->
+          ignore (Pool.map ~jobs (fun _ -> Alcotest.fail "task ran") [ 1 ])))
+    [ 0; -1; 129; max_int ]
 
-let test_pool_persistent_reuse () =
-  (* the workers spawn once at create and survive across maps: repeated
-     runs on one pool keep answering (this is the persistent-runtime
-     contract Fleet.run and the bench loops rely on) *)
-  let pool = Pool.create ~jobs:4 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      for round = 1 to 5 do
-        let items = List.init 20 (fun i -> i + round) in
-        Alcotest.(check (list int))
-          (Printf.sprintf "round %d" round)
-          (List.map (fun i -> i * 3) items)
-          (Pool.map pool (fun i -> i * 3) items)
-      done)
-
-let test_pool_nested_map_no_deadlock () =
-  (* a map issued from inside a pool task must not wait on the pool's
-     own lanes (they are all busy) — it degrades to sequential *)
-  Pool.with_pool ~jobs:2 (fun pool ->
-      let outer =
-        Pool.map pool
-          (fun i ->
-            let inner = Pool.map pool (fun j -> j + i) [ 1; 2; 3 ] in
-            List.fold_left ( + ) 0 inner)
-          [ 10; 20; 30; 40 ]
-      in
-      Alcotest.(check (list int)) "nested totals" [ 36; 66; 96; 126 ] outer)
-
-let test_pool_global_reuse_and_resize () =
-  (* same jobs value: the process-wide pool is returned as-is; a new
-     jobs value replaces it (old workers shut down) *)
-  Pool.shutdown_global ();
-  let a = Pool.global ~jobs:2 () in
-  let b = Pool.global ~jobs:2 () in
-  Alcotest.(check bool) "same pool reused" true (a == b);
-  Alcotest.(check int) "jobs" 2 (Pool.jobs a);
-  let c = Pool.global ~jobs:3 () in
-  Alcotest.(check bool) "resized pool is fresh" true (not (a == c));
-  Alcotest.(check int) "resized jobs" 3 (Pool.jobs c);
-  Alcotest.(check (list int))
-    "resized pool works" [ 2; 4; 6 ]
-    (Pool.map c (fun i -> 2 * i) [ 1; 2; 3 ]);
-  Pool.shutdown_global ()
+let test_pool_nested_map () =
+  (* a map issued from inside a task forks its own lanes; results stay
+     correct and in order *)
+  let outer =
+    Pool.map ~jobs:2
+      (fun i ->
+        let inner = Pool.map ~jobs:2 (fun j -> j + i) [ 1; 2; 3 ] in
+        List.fold_left ( + ) 0 inner)
+      [ 10; 20; 30; 40 ]
+  in
+  Alcotest.(check (list int)) "nested totals" [ 36; 66; 96; 126 ] outer
 
 let suite =
   [
@@ -388,11 +366,8 @@ let suite =
     Alcotest.test_case "pool exception propagation" `Quick test_pool_exception;
     Alcotest.test_case "pool empty + validation" `Quick
       test_pool_empty_and_validation;
-    Alcotest.test_case "pool persistent reuse" `Quick test_pool_persistent_reuse;
     Alcotest.test_case "pool nested map no deadlock" `Quick
-      test_pool_nested_map_no_deadlock;
-    Alcotest.test_case "pool global reuse + resize" `Quick
-      test_pool_global_reuse_and_resize;
+      test_pool_nested_map;
     QCheck_alcotest.to_alcotest qcheck_int_bounds;
     QCheck_alcotest.to_alcotest qcheck_pareto_min;
   ]
