@@ -456,7 +456,7 @@ let run_e13_dfz ~fast =
             "cycle 0 assembles the table cold; the steady-state p99 gate \
              applies from cycle 1" );
       ],
-    gate "e13.steady_p99_s" (D.p99_s report) "<" 1.0
+    gate "e13.steady_p99_s" (D.p99_s report) "<" 0.3
     :: warm_path_gates "e13" ~main:report ~verify )
 
 (* E16: the dfz world under the canned dfz-flap plan: iface 1 flaps

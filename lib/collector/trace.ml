@@ -279,8 +279,16 @@ let parse_lines lines =
                   Ef_netsim.Iface.make
                     ~id:(int_field fields "id" ~line)
                     ~name:(field fields "name" ~line)
-                    ~capacity_bps:(float_of_string (field fields "capacity" ~line))
-                    ~shared:(bool_of_string (field fields "shared" ~line))
+                    ~capacity_bps:
+                      (let s = field fields "capacity" ~line in
+                       match float_of_string_opt s with
+                       | Some c -> c
+                       | None -> failf "line %d: bad capacity %S" line s)
+                    ~shared:
+                      (let s = field fields "shared" ~line in
+                       match bool_of_string_opt s with
+                       | Some b -> b
+                       | None -> failf "line %d: bad shared %S" line s)
                 in
                 b.b_ifaces <- iface :: b.b_ifaces
             | "PEER" ->

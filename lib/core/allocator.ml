@@ -266,7 +266,8 @@ let relieve_once st iface_id =
 type warm = {
   warm_image : Projection.Working.t;
       (* the pre-relief working view of [warm_snapshot]: BGP-preferred
-         placement, no allocator moves applied. Never mutated — each use
+         placement, no allocator moves applied, with the ordered slots of
+         exactly the interfaces overloaded in it. Never mutated — each use
          copies it first. *)
   warm_snapshot : Snapshot.t;
 }
@@ -282,21 +283,15 @@ let warm_valid ?warm snapshot =
   | None -> false
 
 let warm_snapshot w = w.warm_snapshot
-let preferred_image w = Projection.Working.copy w.warm_image
+let warm_image w = Projection.Working.copy w.warm_image
+let preferred_image w = Projection.Working.copy_unindexed w.warm_image
 
-(* The relief loop proper, from a pre-relief projection: pure in
-   (before, work, snapshot, config), so reaching the same pre-relief image
-   incrementally or from scratch yields byte-identical results. *)
-let run_core ?obs ~config ~trace ~before ~work snapshot =
+(* Per-iface thresholds, resolved once per run into an array so the hot
+   path stays a single load (and is untouched when the list is empty). An
+   entry whose id falls outside the snapshot's interface universe is a
+   misconfiguration the operator should see, not a silent drop. *)
+let thresholds ~reg ~config snapshot =
   let universe = Snapshot.max_iface_id snapshot + 1 in
-  let pos_of_iface = Array.make universe max_int in
-  List.iteri
-    (fun pos iface -> pos_of_iface.(Iface.id iface) <- pos)
-    (Snapshot.ifaces snapshot);
-  (* per-iface thresholds, resolved once into an array so the hot path
-     stays a single load (and is untouched when the list is empty). An
-     entry whose id falls outside the snapshot's interface universe is a
-     misconfiguration the operator should see, not a silent drop. *)
   let thr = Array.make universe config.Config.overload_threshold in
   List.iter
     (fun (id, th) ->
@@ -307,13 +302,23 @@ let run_core ?obs ~config ~trace ~before ~work snapshot =
               "iface_thresholds entry for interface %d (%.3f) ignored: id \
                outside the snapshot's interface universe [0, %d)"
               id th universe);
-        let reg =
-          match obs with Some r -> r | None -> Ef_obs.Registry.default ()
-        in
         Ef_obs.Counter.inc
           (Ef_obs.Registry.counter reg "allocator.iface_thresholds.dropped")
       end)
     config.Config.iface_thresholds;
+  thr
+
+(* The relief loop proper, from a pre-relief projection: pure in
+   (before, work, snapshot, config), so reaching the same pre-relief image
+   incrementally or from scratch yields byte-identical results.
+   [initially_over] holds the interfaces overloaded in [before] under
+   [thr]. *)
+let run_core ~config ~trace ~thr ~initially_over ~before ~work snapshot =
+  let universe = Array.length thr in
+  let pos_of_iface = Array.make universe max_int in
+  List.iteri
+    (fun pos iface -> pos_of_iface.(Iface.id iface) <- pos)
+    (Snapshot.ifaces snapshot);
   let st =
     {
       config;
@@ -327,7 +332,7 @@ let run_core ?obs ~config ~trace ~before ~work snapshot =
       splits = 0;
       split_parent = Hashtbl.create 64;
       gave_up = Bitset.create universe;
-      initially_over = Bitset.create universe;
+      initially_over;
       over = Bitset.create universe;
       pos_of_iface;
       trace;
@@ -337,11 +342,7 @@ let run_core ?obs ~config ~trace ~before ~work snapshot =
      overloaded in the original projection: it does not react to overloads
      its own detours create — that reaction is exactly what the iterative
      re-projection adds *)
-  List.iter
-    (fun (i, _) ->
-      Bitset.add st.initially_over (Iface.id i);
-      Bitset.add st.over (Iface.id i))
-    (Projection.overloaded_by before ~threshold_of:(fun id -> thr.(id)));
+  Bitset.iter (Bitset.add st.over) initially_over;
   let progress = ref true in
   while !progress && budget_left st do
     progress := false;
@@ -421,14 +422,9 @@ let validate_config config =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Allocator.run: bad config: " ^ msg)
 
-let run ?obs ~config ?(trace = Trace.noop) snapshot =
-  validate_config config;
-  let before = Projection.project snapshot in
-  let work = Projection.Working.of_projection before in
-  run_core ?obs ~config ~trace ~before ~work snapshot
-
 let run_warm ?obs ~config ?(trace = Trace.noop) ?warm snapshot =
   validate_config config;
+  let reg = match obs with Some r -> r | None -> Ef_obs.Registry.default () in
   let warm_base =
     match warm with
     | Some w when warm_valid ~warm:w snapshot ->
@@ -458,12 +454,29 @@ let run_warm ?obs ~config ?(trace = Trace.noop) ?warm snapshot =
         let before = Projection.project snapshot in
         (before, Projection.Working.of_projection before)
   in
-  (* retain the pre-relief image before the relief loop mutates it *)
+  let thr = thresholds ~reg ~config snapshot in
+  let initially_over = Bitset.create (Array.length thr) in
+  List.iter
+    (fun (i, _) -> Bitset.add initially_over (Iface.id i))
+    (Projection.overloaded_by before ~threshold_of:(fun id -> thr.(id)));
+  (* The relief loop's first ordered read of an overloaded interface
+     needs its slot. Build it (or keep the one carried in) before the
+     image is retained, so the next cycle inherits it, kept current by the
+     warm patch at O(churn · log n); drop every other slot, so a cycle
+     that relieves nothing pays no index upkeep. *)
+  Projection.Working.retain_slots work ~keep:(Bitset.mem initially_over);
   let next_warm =
     { warm_image = Projection.Working.copy work; warm_snapshot = snapshot }
   in
-  let result = run_core ?obs ~config ~trace ~before ~work snapshot in
+  let result =
+    run_core ~config ~trace ~thr ~initially_over ~before ~work snapshot
+  in
+  Ef_obs.Counter.add
+    (Ef_obs.Registry.counter reg "allocator.slot_builds")
+    (float_of_int (Projection.Working.slot_builds work));
   (result, next_warm)
+
+let run ?obs ~config ?trace snapshot = fst (run_warm ?obs ~config ?trace snapshot)
 
 let relief_bps (r : result) =
   List.fold_left (fun acc o -> acc +. o.Override.rate_bps) 0.0 r.overrides

@@ -36,17 +36,25 @@ val run :
     route examined with its verdict, plus the outcome (moved, stuck, or
     split). Costs one branch per stage when disabled.
 
-    [obs] (default {!Ef_obs.Registry.default}) receives the allocator's
-    misconfiguration counters — currently
-    [allocator.iface_thresholds.dropped], bumped (with a log warning)
-    for each {!Config.iface_thresholds} entry whose id lies outside the
-    snapshot's interface universe and would otherwise vanish silently. *)
+    [obs] (default {!Ef_obs.Registry.default}) receives two counters:
+    - [allocator.iface_thresholds.dropped], bumped once per run (with a
+      log warning) for each {!Config.iface_thresholds} entry whose id lies
+      outside the snapshot's interface universe and would otherwise
+      vanish silently;
+    - [allocator.slot_builds], one per ordered slot built (see
+      {!Projection.Working.placements_on}) — a slot carried in a warm
+      state costs none.
+
+    [run] is {!run_warm} with no warm state: a cold run. *)
 
 type warm
 (** Last cycle's pre-relief working image: the BGP-preferred placement of
     its snapshot before any allocator move. Holding one lets the next
     cycle skip the O(n) projection and re-place only the prefixes the
-    snapshot delta touched. *)
+    snapshot delta touched. The image also carries the ordered slot of
+    every interface overloaded in it (under the run's per-interface
+    thresholds) and no other slot, so a PoP that relieves the same
+    interfaces cycle after cycle builds their slots once. *)
 
 val run_warm :
   ?obs:Ef_obs.Registry.t ->
@@ -70,7 +78,9 @@ val run_warm :
     from scratch, so correctness never depends on the caller's cadence.
     The returned [warm] seeds the next cycle either way. The allocator
     remains stateless in its *decisions*: overrides are recomputed from
-    scratch every cycle; only the projection work is reused. *)
+    scratch every cycle; only the projection work (and the ordered slots
+    of overloaded interfaces, a cache of an order the placements already
+    define) is reused. *)
 
 val warm_valid : ?warm:warm -> Ef_collector.Snapshot.t -> bool
 (** Whether {!run_warm} would take the incremental path for this
@@ -85,10 +95,15 @@ val warm_snapshot : warm -> Ef_collector.Snapshot.t
 val preferred_image : warm -> Projection.Working.t
 (** A private copy of the warm state's pre-relief image — the
     BGP-preferred placement of {!warm_snapshot} with no allocator move
-    applied. Because {!run_warm} hands back the warm state for the very
-    snapshot it just ran, the controller derives the cycle's {e enforced}
-    projection from this copy by re-placing only the override prefixes —
-    O(overrides), never O(table). *)
+    applied — with no slot built. Because {!run_warm} hands back the warm
+    state for the very snapshot it just ran, the controller derives the
+    cycle's {e enforced} projection from this copy by re-placing only the
+    override prefixes — O(overrides), never O(table), and with no slot to
+    keep current per re-placement. *)
+
+val warm_image : warm -> Projection.Working.t
+(** {!preferred_image} with the carried slots: a private copy of the
+    image the next {!run_warm} advances. For tests and diagnostics. *)
 
 val relief_bps : result -> float
 (** Total traffic detoured by the produced overrides. *)

@@ -213,9 +213,12 @@ module Working = struct
     mutable w_placements : placement Bgp.Ptrie.t;
     mutable w_by_iface : PSet.t option array;
         (* iface id -> its placements in (rate desc, prefix) order; [None]
-           until the first ordered read of that interface, current after
-           it. Replaced (with w_loads) only when an added interface grows
-           the id universe *)
+           until the first ordered read of that interface (or after
+           [retain_slots] drops it), current after it. [copy] shares built
+           slots, so they ride a retained image into the next cycle.
+           Replaced (with w_loads) only when an added interface grows the
+           id universe, keeping every built slot *)
+    mutable w_slot_builds : int; (* slots built since opened or copied *)
     mutable w_total : int64;
     mutable w_overridden : int64;
     mutable w_unroutable : int64;
@@ -226,13 +229,16 @@ module Working = struct
 
   (* The per-iface index is built lazily: most cycles relieve nothing, and
      keeping a 200k-element set current on every warm patch cost more than
-     the patch's trie work. So opening a view indexes nothing. *)
+     the patch's trie work. So opening a view indexes nothing; a caller
+     that relieves the same interface cycle after cycle keeps just that
+     slot with [retain_slots]. *)
   let of_projection (p : proj) =
     {
       w_ifaces = p.ifaces;
       w_loads = Array.copy p.loads;
       w_placements = p.placements;
       w_by_iface = Array.make (Array.length p.loads) None;
+      w_slot_builds = 0;
       w_total = p.total_m;
       w_overridden = p.overridden_m;
       w_unroutable = p.unroutable_m;
@@ -241,12 +247,13 @@ module Working = struct
       w_touched = [];
     }
 
-  let copy w =
+  let copy_with_slots w w_by_iface =
     {
       w_ifaces = w.w_ifaces;
       w_loads = Array.copy w.w_loads;
       w_placements = w.w_placements;
-      w_by_iface = Array.copy w.w_by_iface;
+      w_by_iface;
+      w_slot_builds = 0;
       w_total = w.w_total;
       w_overridden = w.w_overridden;
       w_unroutable = w.w_unroutable;
@@ -254,6 +261,11 @@ module Working = struct
       w_stale = w.w_stale;
       w_touched = [];
     }
+
+  let copy w = copy_with_slots w (Array.copy w.w_by_iface)
+
+  let copy_unindexed w =
+    copy_with_slots w (Array.make (Array.length w.w_by_iface) None)
 
   let seal w : proj =
     {
@@ -296,7 +308,22 @@ module Working = struct
                  w.w_placements [])
           in
           w.w_by_iface.(iface_id) <- Some s;
+          w.w_slot_builds <- w.w_slot_builds + 1;
           s
+
+  let retain_slots w ~keep =
+    Array.iteri
+      (fun iface_id _ ->
+        if keep iface_id then ignore (ordered w iface_id)
+        else w.w_by_iface.(iface_id) <- None)
+      w.w_by_iface
+
+  let indexed w =
+    List.filter
+      (fun iface_id -> Option.is_some w.w_by_iface.(iface_id))
+      (List.init (Array.length w.w_by_iface) Fun.id)
+
+  let slot_builds w = w.w_slot_builds
 
   let placements_on w ~iface_id = PSet.elements (ordered w iface_id)
   let placements_seq w ~iface_id = PSet.to_seq (ordered w iface_id)
@@ -453,6 +480,10 @@ module Working = struct
 
   let remove_iface w ~snapshot ?overrides ~iface_id () =
     ensure_width w (Snapshot.max_iface_id snapshot + 1);
+    (* every placement on the interface leaves it: drop its slot whole
+       rather than draining it one [PSet.remove] at a time *)
+    if iface_id >= 0 && iface_id < Array.length w.w_by_iface then
+      w.w_by_iface.(iface_id) <- None;
     let dirty =
       Bgp.Ptrie.fold
         (fun _ pl acc ->

@@ -107,11 +107,18 @@ val iface_loads : t -> (Ef_netsim.Iface.t * float) list
     the whole placement trie per [placements_on] — fine for auditing,
     quadratic for the relief loop. A working view is opened from a sealed
     projection, mutated in place (O(1) load updates, and a per-interface
-    placement index in {!compare_placement} order, built for an interface
-    the first time it is read in that order and kept current at O(log n)
-    per mutation after that), and sealed back into an ordinary immutable {!t} when the cycle's
-    decisions are final, so every downstream consumer ([before]/[final],
-    trace, guard, hysteresis) still sees the unchanged persistent type.
+    placement index in {!compare_placement} order — one {e slot} per
+    interface, built the first time that interface is read in that order
+    and kept current at O(log n) per mutation after that), and sealed back
+    into an ordinary immutable {!t} when the cycle's decisions are final,
+    so every downstream consumer ([before]/[final], trace, guard,
+    hysteresis) still sees the unchanged persistent type.
+
+    A slot is a cache of an order {!compare_placement} already defines:
+    whether it is built never changes what a read returns, only what the
+    read costs. Built slots survive {!copy}, so a retained image carries
+    them into the next cycle, where {!apply_dirty} and
+    {!apply_iface_delta} keep them current at O(churn · log n).
 
     A working view aliases nothing mutable in its source projection:
     sealing and the source are both safe to keep using. *)
@@ -128,9 +135,26 @@ module Working : sig
   (** O(interfaces) snapshot of a working view: load and index arrays are
       duplicated, everything persistent (including already-built index
       slots) is shared. The copy and the original can then be mutated
-      independently — this is how a cycle's pre-relief image is retained
-      as the next cycle's warm-start base. A slot built later on one side
-      is not built on the other. *)
+      independently — this is how a cycle's pre-relief image is retained,
+      slots and all, as the next cycle's warm-start base. A slot built
+      later on one side is not built on the other. *)
+
+  val copy_unindexed : t -> t
+  (** {!copy} with every slot unbuilt: for a caller that re-places many
+      prefixes and never reads in order, so it pays no slot upkeep. *)
+
+  val retain_slots : t -> keep:(int -> bool) -> unit
+  (** Build the slot of every interface id with [keep id] (a no-op for a
+      slot already built) and drop every other slot. The allocator keeps
+      exactly the slots of the interfaces it will relieve, so an image
+      retained for the next cycle carries those and no others. *)
+
+  val indexed : t -> int list
+  (** Interface ids whose slot is built, ascending. *)
+
+  val slot_builds : t -> int
+  (** Slots built on this view since it was opened or copied — the
+      allocator's [allocator.slot_builds] count. *)
 
   val seal : t -> proj
   (** Freeze into an immutable projection. The working view may continue
@@ -142,10 +166,10 @@ module Working : sig
   val placements_on : t -> iface_id:int -> placement list
   (** In {!compare_placement} order, materialized from the per-interface
       index. The first ordered read of an interface ([placements_on],
-      [placements_seq] or [placements_rev_seq]) builds its slot: one
-      O(n) scan of the placement trie plus an O(k log k) sort of that
-      interface's k placements. Later reads are O(k), and mutations keep
-      the built slot current at O(log k) each. *)
+      [placements_seq] or [placements_rev_seq]) with no built slot builds
+      one: an O(n) scan of the placement trie plus an O(k log k) sort of
+      that interface's k placements. Later reads are O(k), and mutations
+      keep the built slot current at O(log k) each. *)
 
   val placements_seq : t -> iface_id:int -> placement Seq.t
   (** {!placements_on} without materializing the list — the relief loop
@@ -219,7 +243,8 @@ module Working : sig
       affected set is exact because placement follows only the head
       candidate (or a still-valid override) and an unresolvable route
       leaves a prefix unplaced: no other prefix's decision can change
-      when an interface disappears. *)
+      when an interface disappears. The interface's slot is dropped whole,
+      not drained one placement at a time. *)
 
   val add_iface :
     t ->
@@ -247,7 +272,7 @@ module Working : sig
       unplaced pool once, capacity-only entries do nothing (placement
       ignores capacity; thresholds re-derive each run). Grows the
       internal per-interface arrays when an addition extends the id
-      universe. Sealing afterwards is byte-identical to a cold
+      universe, keeping every built slot. Sealing afterwards is byte-identical to a cold
       {!Projection.project} of [snapshot] — same decision rule, integer
       load and aggregate moves. *)
 

@@ -295,6 +295,206 @@ let test_lockstep_cold_reentry () =
     (fun seed -> run_lockstep ~flap:true ~break_at:6 ~seed ~cycles:12 ())
     [ 0; 1; 2; 3 ]
 
+
+(* --- ordered slots carried in the allocator's warm image ---------------- *)
+
+module W = Ef.Projection.Working
+
+let counter reg name =
+  match Ef_obs.Registry.find reg name with
+  | Some (Ef_obs.Registry.Counter_m c) ->
+      int_of_float (Ef_obs.Counter.value c)
+  | Some _ | None -> 0
+
+(* A seeded world under sustained pressure: rates scaled until the
+   BGP-preferred placement overloads at least one interface that relief
+   can bring back under threshold, so every cycle of a gently churned
+   sequence relieves the same interfaces. *)
+type pressure = {
+  p_base : (Bgp.Prefix.t * float) array;
+  p_snap : C.Snapshot.t;
+  p_hot : int list; (* ids overloaded in the preferred placement *)
+}
+
+let pressured seed =
+  let w = Gen.world (4000 + seed) in
+  let try_factor f =
+    let base = Array.of_list (Gen.rates_of_world ~rate_factor:f w) in
+    let snap =
+      C.Snapshot.of_pop w.N.Topo_gen.pop ~prefix_rates:(Array.to_list base)
+        ~time_s:0
+    in
+    let r =
+      Ef.Allocator.run ~obs:(Ef_obs.Registry.create ())
+        ~config:Ef.Config.default snap
+    in
+    let hot =
+      List.map
+        (fun (i, _) -> N.Iface.id i)
+        (Ef.Projection.overloaded r.Ef.Allocator.before
+           ~threshold:Ef.Config.default.Ef.Config.overload_threshold)
+    in
+    if hot <> [] && r.Ef.Allocator.residual = [] then
+      Some { p_base = base; p_snap = snap; p_hot = List.sort compare hot }
+    else None
+  in
+  match List.find_map try_factor [ 1.0; 1.1; 1.2; 1.3; 1.5; 1.8 ] with
+  | Some p -> p
+  | None -> Alcotest.failf "world %d: no rate factor gives feasible relief" seed
+
+(* one gentle churn step: a few prefixes' rates move by at most 2% *)
+let churned p ~rng ~prev ?ifaces time_s =
+  let n = Array.length p.p_base in
+  let rate_updates =
+    List.init (1 + Rng.int rng 8) (fun _ ->
+        let pfx, r = p.p_base.(Rng.int rng n) in
+        (pfx, r *. (0.98 +. Rng.float rng 0.04)))
+  in
+  C.Snapshot.patch ~obs:(Ef_obs.Registry.create ()) ~prev ?ifaces
+    ~rate_updates ~time_s ()
+
+let check_equals_cold ctx ~config snap (r : Ef.Allocator.result) =
+  let cold = Ef.Allocator.run ~obs:(Ef_obs.Registry.create ()) ~config snap in
+  Alcotest.check override_list (ctx ^ ": overrides = cold")
+    cold.Ef.Allocator.overrides r.Ef.Allocator.overrides;
+  Alcotest.(check int)
+    (ctx ^ ": moves = cold")
+    cold.Ef.Allocator.moves_considered r.Ef.Allocator.moves_considered
+
+(* Sustained relief: the controller relieves the same interfaces on
+   every one of 24 warm cycles, and builds their slots on the first
+   cycle only — each later cycle reads the slot its warm image carried
+   in, kept current by the warm patch. *)
+let test_slots_built_once_under_sustained_relief () =
+  let p = pressured 0 in
+  let reg = Ef_obs.Registry.create () in
+  let ctl = Ef.Controller.create ~obs:reg ~name:"slots" () in
+  let rng = Rng.create 11 in
+  let snap = ref p.p_snap in
+  let first = ref 0 in
+  let cycles = 24 in
+  for cycle = 0 to cycles - 1 do
+    if cycle > 0 then snap := churned p ~rng ~prev:!snap (cycle * 30);
+    let stats = Ef.Controller.cycle ctl !snap in
+    let ctx = Printf.sprintf "cycle %d" cycle in
+    Alcotest.(check bool)
+      (ctx ^ ": relief ran") true
+      ((Ef.Controller.allocator_result stats).Ef.Allocator.overrides <> []);
+    if cycle = 0 then first := counter reg "allocator.slot_builds"
+  done;
+  Alcotest.(check int) "one slot per overloaded interface on cycle 0"
+    (List.length p.p_hot) !first;
+  Alcotest.(check int) "warm cycles" (cycles - 1)
+    (Ef.Controller.incremental_hits ctl);
+  Alcotest.(check int) "no slot built after cycle 0" !first
+    (counter reg "allocator.slot_builds")
+
+(* An interface that appears past the id universe grows the image's
+   per-interface arrays; the overloaded interface's carried slot must
+   survive the growth (no rebuild on the next cycle). *)
+let test_slot_kept_across_universe_growth () =
+  let p = pressured 1 in
+  let config = Ef.Config.default in
+  let reg = Ef_obs.Registry.create () in
+  let _, w0 = Ef.Allocator.run_warm ~obs:reg ~config p.p_snap in
+  let built = counter reg "allocator.slot_builds" in
+  Alcotest.(check (list int)) "carried slots = overloaded" p.p_hot
+    (W.indexed (Ef.Allocator.warm_image w0));
+  let ifaces = C.Snapshot.ifaces p.p_snap in
+  let fresh_id = C.Snapshot.max_iface_id p.p_snap + 3 in
+  let fresh =
+    N.Iface.make ~id:fresh_id ~name:"fresh" ~capacity_bps:1e10 ~shared:false
+  in
+  let snap =
+    churned p ~rng:(Rng.create 5) ~prev:p.p_snap ~ifaces:(ifaces @ [ fresh ]) 30
+  in
+  let r1, w1 = Ef.Allocator.run_warm ~obs:reg ~config ~warm:w0 snap in
+  Alcotest.(check bool) "warm across the add" true
+    (Ef.Allocator.warm_valid ~warm:w0 snap);
+  Alcotest.(check int) "no slot rebuilt after the add" built
+    (counter reg "allocator.slot_builds");
+  Alcotest.(check (list int)) "slots still carried" p.p_hot
+    (W.indexed (Ef.Allocator.warm_image w1));
+  check_equals_cold "after the add" ~config snap r1
+
+(* Removing an overloaded interface drops its slot: the interface-delta
+   pass discards it whole, and the retained image carries no slot for an
+   id the snapshot no longer has. *)
+let test_slot_dropped_with_removed_iface () =
+  let p = pressured 2 in
+  let config = Ef.Config.default in
+  let reg = Ef_obs.Registry.create () in
+  let _, w0 = Ef.Allocator.run_warm ~obs:reg ~config p.p_snap in
+  let gone = List.hd p.p_hot in
+  let ifaces =
+    List.filter (fun i -> N.Iface.id i <> gone) (C.Snapshot.ifaces p.p_snap)
+  in
+  let snap = churned p ~rng:(Rng.create 6) ~prev:p.p_snap ~ifaces 30 in
+  let d = C.Snapshot.diff (Ef.Allocator.warm_snapshot w0) snap in
+  let img = Ef.Allocator.warm_image w0 in
+  Alcotest.(check bool) "slot carried before the removal" true
+    (List.mem gone (W.indexed img));
+  W.apply_iface_delta img ~snapshot:snap ~delta:d.C.Snapshot.iface_changes ();
+  Alcotest.(check bool) "iface delta drops the slot" false
+    (List.mem gone (W.indexed img));
+  let r1, w1 = Ef.Allocator.run_warm ~obs:reg ~config ~warm:w0 snap in
+  Alcotest.(check bool) "warm image carries no slot for it" false
+    (List.mem gone (W.indexed (Ef.Allocator.warm_image w1)));
+  check_equals_cold "after the removal" ~config snap r1
+
+(* The slots to carry are picked under the run's per-interface
+   thresholds: an interface under the global threshold but over its own
+   is relieved, so its slot rides the warm image. *)
+let test_slot_kept_under_iface_threshold () =
+  let p = pressured 3 in
+  let before = Ef.Projection.project p.p_snap in
+  let cool =
+    List.filter_map
+      (fun i ->
+        let u = Ef.Projection.utilization before i in
+        if u > 0.3 && u <= Ef.Config.default.Ef.Config.overload_threshold then
+          Some (N.Iface.id i, u)
+        else None)
+      (C.Snapshot.ifaces p.p_snap)
+  in
+  let id, u =
+    match cool with
+    | c :: _ -> c
+    | [] -> Alcotest.fail "no interface between 30% and the global threshold"
+  in
+  let config =
+    Ef.Config.(default |> with_iface_thresholds [ (id, u -. 0.05) ])
+  in
+  let carried config =
+    let _, w =
+      Ef.Allocator.run_warm ~obs:(Ef_obs.Registry.create ()) ~config p.p_snap
+    in
+    W.indexed (Ef.Allocator.warm_image w)
+  in
+  Alcotest.(check (list int)) "global threshold: the globally hot only"
+    p.p_hot (carried Ef.Config.default);
+  Alcotest.(check (list int)) "per-interface threshold: the locally hot too"
+    (List.sort_uniq compare (id :: p.p_hot))
+    (carried config)
+
+(* Thresholds are resolved once per run: a bad [iface_thresholds] entry
+   is reported once per cycle, not once per use. *)
+let test_bad_threshold_counted_once_per_cycle () =
+  let p = pressured 0 in
+  let config = Ef.Config.(default |> with_iface_thresholds [ (9999, 0.5) ]) in
+  let reg = Ef_obs.Registry.create () in
+  let rng = Rng.create 3 in
+  let warm = ref None and snap = ref p.p_snap in
+  for cycle = 1 to 4 do
+    if cycle > 1 then snap := churned p ~rng ~prev:!snap (cycle * 30);
+    let _, w = Ef.Allocator.run_warm ~obs:reg ~config ?warm:!warm !snap in
+    warm := Some w;
+    Alcotest.(check int)
+      (Printf.sprintf "cycle %d" cycle)
+      cycle
+      (counter reg "allocator.iface_thresholds.dropped")
+  done
+
 let suite =
   [
     Alcotest.test_case "incremental = cold on 100 seeded churn sequences"
@@ -305,4 +505,14 @@ let suite =
       test_lockstep_flap_sequence;
     Alcotest.test_case "cold re-entry on an unlinked snapshot" `Quick
       test_lockstep_cold_reentry;
+    Alcotest.test_case "slots built once under sustained relief" `Quick
+      test_slots_built_once_under_sustained_relief;
+    Alcotest.test_case "carried slot survives id-universe growth" `Quick
+      test_slot_kept_across_universe_growth;
+    Alcotest.test_case "removed interface drops its slot" `Quick
+      test_slot_dropped_with_removed_iface;
+    Alcotest.test_case "slot kept under a per-interface threshold" `Quick
+      test_slot_kept_under_iface_threshold;
+    Alcotest.test_case "bad iface threshold counted once per cycle" `Quick
+      test_bad_threshold_counted_once_per_cycle;
   ]

@@ -1028,6 +1028,170 @@ let prop_working_index_lazy =
       Array.iter (fun v -> List.iter (read "final" v) read_ids) !views;
       true)
 
+(* --- Allocator: ordered slots carried in the warm image ------------------ *)
+
+(* Rng-seeded sequences of rate churn, route changes and interface add,
+   remove and derate, under a threshold low enough that relief runs, so
+   slots ride the warm image from step to step through every kind of
+   warm patch. After each step the carried image's ordered reads must
+   equal those of a slot-free copy (which builds each slot fresh from the
+   placement trie), it must carry exactly the slots of the interfaces
+   overloaded before relief, and the warm run must equal a cold
+   [Allocator.run] of the same snapshot. *)
+let prop_warm_slots_equal_fresh =
+  QCheck.Test.make ~name:"carried slots = fresh build, warm run = cold"
+    ~count:25 QCheck.small_nat (fun seed ->
+      let module W = Ef.Projection.Working in
+      let rng = Ef_util.Rng.create (seed + 29) in
+      let pick l = List.nth l (Ef_util.Rng.int rng (List.length l)) in
+      let config =
+        let c = Ef.Config.(default |> with_overload_threshold 0.7) in
+        match seed mod 3 with
+        | 0 -> c
+        | 1 -> Ef.Config.(c |> with_order Smallest_first)
+        | _ -> Ef.Config.(c |> with_granularity Split_24)
+      in
+      let w = Gen.world (5000 + seed) in
+      let pop = w.N.Topo_gen.pop in
+      let base = Array.of_list (Gen.rates_of_world w) in
+      let n = Array.length base in
+      let all_ifaces = N.Pop.interfaces pop in
+      let fresh_id = 1 + List.fold_left (fun m i -> max m (N.Iface.id i)) (-1) all_ifaces in
+      let best_gone = Hashtbl.create 8 in
+      let routes p =
+        let rs = Bgp.Rib.ranked (N.Pop.rib pop) p in
+        if Hashtbl.mem best_gone p then match rs with [] -> [] | _ :: tl -> tl
+        else rs
+      in
+      let iface_of_peer ifaces peer_id =
+        match N.Pop.peer pop peer_id with
+        | None -> None
+        | Some _ ->
+            let id = N.Iface.id (N.Pop.iface_of_peer pop ~peer_id) in
+            List.find_opt (fun i -> N.Iface.id i = id) ifaces
+      in
+      let key (pl : Ef.Projection.placement) =
+        Printf.sprintf "%s %h %d %b %d"
+          (Bgp.Prefix.to_string pl.Ef.Projection.placed_prefix)
+          pl.Ef.Projection.rate_bps pl.Ef.Projection.iface_id
+          pl.Ef.Projection.overridden
+          (Bgp.Route.peer_id pl.Ef.Projection.route)
+      in
+      let ifaces = ref all_ifaces in
+      let snap =
+        ref
+          (C.Snapshot.assemble ~obs:(Ef_obs.Registry.create ()) ~routes
+             ~iface_of_peer:(iface_of_peer !ifaces) ~ifaces:!ifaces
+             ~prefix_rates:(Array.to_list base) ~time_s:0 ())
+      in
+      let warm = ref None and carried = ref 0 in
+      for step = 0 to 15 do
+        let what = Printf.sprintf "seed %d step %d" seed step in
+        if step > 0 then begin
+          let rate_updates =
+            List.init (1 + Ef_util.Rng.int rng 12) (fun _ ->
+                let p, r = base.(Ef_util.Rng.int rng n) in
+                if Ef_util.Rng.int rng 6 = 0 then (p, 0.0)
+                else (p, r *. (0.5 +. Ef_util.Rng.float rng 1.0)))
+          in
+          let routes_changed =
+            List.sort_uniq Bgp.Prefix.compare
+              (List.init (Ef_util.Rng.int rng 3) (fun _ ->
+                   fst base.(Ef_util.Rng.int rng n)))
+          in
+          List.iter
+            (fun p ->
+              if Hashtbl.mem best_gone p then Hashtbl.remove best_gone p
+              else Hashtbl.replace best_gone p ())
+            routes_changed;
+          (match Ef_util.Rng.int rng 5 with
+          | 0 when List.length !ifaces > 1 ->
+              let gone = N.Iface.id (pick !ifaces) in
+              ifaces := List.filter (fun i -> N.Iface.id i <> gone) !ifaces
+          | 1 -> (
+              let live = List.map N.Iface.id !ifaces in
+              match
+                List.filter
+                  (fun i -> not (List.mem (N.Iface.id i) live))
+                  all_ifaces
+              with
+              | [] -> ()
+              | missing -> ifaces := pick missing :: !ifaces)
+          | 2 ->
+              let id = N.Iface.id (pick !ifaces) in
+              let f = 0.5 +. Ef_util.Rng.float rng 0.5 in
+              ifaces :=
+                Gen.derate_ifaces
+                  ~factor_of:(fun i -> if i = id then f else 1.0)
+                  !ifaces
+          | 3 when not (List.exists (fun i -> N.Iface.id i = fresh_id) !ifaces)
+            ->
+              (* past the id universe: the image's arrays grow *)
+              ifaces :=
+                N.Iface.make ~id:fresh_id ~name:"fresh" ~capacity_bps:1e10
+                  ~shared:false
+                :: !ifaces
+          | _ -> ());
+          ifaces :=
+            List.sort (fun a b -> compare (N.Iface.id a) (N.Iface.id b)) !ifaces;
+          snap :=
+            C.Snapshot.patch ~obs:(Ef_obs.Registry.create ()) ~prev:!snap
+              ~routes ~ifaces:!ifaces ~routes_changed ~rate_updates
+              ~time_s:(step * 30) ()
+        end;
+        if step > 0 && not (Ef.Allocator.warm_valid ?warm:!warm !snap) then
+          QCheck.Test.fail_reportf "%s: left the warm path" what;
+        let r, wm =
+          Ef.Allocator.run_warm ~obs:(Ef_obs.Registry.create ()) ~config
+            ?warm:!warm !snap
+        in
+        warm := Some wm;
+        let cold =
+          Ef.Allocator.run ~obs:(Ef_obs.Registry.create ()) ~config !snap
+        in
+        let residual (r : Ef.Allocator.result) =
+          List.map (fun (i, u) -> (N.Iface.id i, u)) r.Ef.Allocator.residual
+        in
+        let universe = C.Snapshot.max_iface_id !snap + 1 in
+        let loads proj =
+          List.init universe (fun iface_id ->
+              Ef.Projection.load_millibps proj ~iface_id)
+        in
+        if
+          not
+            (List.equal Ef.Override.equal cold.Ef.Allocator.overrides
+               r.Ef.Allocator.overrides
+            && residual cold = residual r
+            && cold.Ef.Allocator.moves_considered
+               = r.Ef.Allocator.moves_considered
+            && cold.Ef.Allocator.splits = r.Ef.Allocator.splits
+            && loads cold.Ef.Allocator.final = loads r.Ef.Allocator.final)
+        then QCheck.Test.fail_reportf "%s: warm run differs from cold" what;
+        let img = Ef.Allocator.warm_image wm in
+        let hot =
+          Ef.Projection.overloaded_by r.Ef.Allocator.before
+            ~threshold_of:(fun iface_id ->
+              Ef.Config.threshold_for config ~iface_id)
+          |> List.map (fun (i, _) -> N.Iface.id i)
+          |> List.sort compare
+        in
+        if W.indexed img <> hot then
+          QCheck.Test.fail_reportf "%s: carried slots are not the overloaded set"
+            what;
+        carried := !carried + List.length hot;
+        let fresh = W.copy_unindexed img in
+        for iface_id = -1 to universe do
+          if
+            List.map key (W.placements_on img ~iface_id)
+            <> List.map key (W.placements_on fresh ~iface_id)
+          then
+            QCheck.Test.fail_reportf "%s: iface %d carried slot differs" what
+              iface_id
+        done
+      done;
+      (* the sequence must actually have carried slots *)
+      !carried > 0)
+
 let suite =
   [ fuzz_bgp_codec; fuzz_sflow_codec; fuzz_mrt_codec; fuzz_bmp_codec ]
   @ List.map QCheck_alcotest.to_alcotest
@@ -1049,4 +1213,5 @@ let suite =
       prop_diff_iface_roundtrip;
       prop_patch_chain_equals_assemble;
       prop_working_index_lazy;
+      prop_warm_slots_equal_fresh;
     ]

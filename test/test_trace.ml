@@ -117,16 +117,16 @@ let test_save_load () =
             (C.Snapshot.prefix_count replayed)
       | Ok l -> Alcotest.failf "expected 1 snapshot, got %d" (List.length l))
 
+let check_error text fragment =
+  match C.Trace.parse_many text with
+  | Ok _ -> Alcotest.failf "accepted %S" text
+  | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S mentions %S" msg fragment)
+        true
+        (Helpers.string_contains ~needle:fragment msg)
+
 let test_parse_errors_are_located () =
-  let check_error text fragment =
-    match C.Trace.parse_many text with
-    | Ok _ -> Alcotest.failf "accepted %S" text
-    | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%S mentions %S" msg fragment)
-          true
-          (Helpers.string_contains ~needle:fragment msg)
-  in
   check_error "END\n" "END without SNAPSHOT";
   check_error "SNAPSHOT time=1\nSNAPSHOT time=2\n" "nested";
   check_error "SNAPSHOT time=1\n" "unterminated";
@@ -135,6 +135,17 @@ let test_parse_errors_are_located () =
   check_error
     "SNAPSHOT time=1\nROUTE 10.0.0.0/8 peer=9 origin=IGP path=1 nh=1.2.3.4 med=- lp=- comms=-\nEND\n"
     "unknown peer"
+
+(* IFACE value errors name their line and field, like every other field *)
+let test_bad_iface_capacity_located () =
+  check_error
+    "SNAPSHOT time=1\nIFACE id=0 name=a capacity=fast shared=false\nEND\n"
+    "line 2: bad capacity \"fast\""
+
+let test_bad_iface_shared_located () =
+  check_error
+    "SNAPSHOT time=1\nIFACE id=0 name=a capacity=1e9 shared=maybe\nEND\n"
+    "line 2: bad shared \"maybe\""
 
 let test_comments_and_blank_lines_ok () =
   let text =
@@ -154,5 +165,9 @@ let suite =
     Alcotest.test_case "record/parse many" `Quick test_record_many_parse_many;
     Alcotest.test_case "save/load" `Quick test_save_load;
     Alcotest.test_case "parse errors located" `Quick test_parse_errors_are_located;
+    Alcotest.test_case "bad IFACE capacity located" `Quick
+      test_bad_iface_capacity_located;
+    Alcotest.test_case "bad IFACE shared located" `Quick
+      test_bad_iface_shared_located;
     Alcotest.test_case "comments ok" `Quick test_comments_and_blank_lines_ok;
   ]
