@@ -16,6 +16,7 @@ type result = {
   residual : (Iface.t * float) list;
   moves_considered : int;
   splits : int;
+  split_keys : Bgp.Prefix.t list;
 }
 
 (* /24 children inherit the parent's candidate routes; this table lets a
@@ -284,7 +285,6 @@ let warm_valid ?warm snapshot =
 
 let warm_snapshot w = w.warm_snapshot
 let warm_image w = Projection.Working.copy w.warm_image
-let preferred_image w = Projection.Working.copy_unindexed w.warm_image
 
 (* Per-iface thresholds, resolved once per run into an array so the hot
    path stays a single load (and is untouched when the list is empty). An
@@ -360,61 +360,67 @@ let run_core ~config ~trace ~thr ~initially_over ~before ~work snapshot =
      re-aggregate them into covering CIDR blocks so enforcement announces
      the minimum number of routes (aggregation only ever merges complete
      sibling pairs, so children left behind block the merge — safe) *)
-  let aggregate_children overrides =
-    if Hashtbl.length st.split_parent = 0 then overrides
-    else begin
+  let aggregate_children children =
+    let groups = Hashtbl.create 8 in
+    List.iter
+      (fun o ->
+        let key =
+          ( Override.target_peer_id o,
+            o.Override.from_iface,
+            o.Override.to_iface,
+            o.Override.preference_level )
+        in
+        Hashtbl.replace groups key
+          (o :: Option.value (Hashtbl.find_opt groups key) ~default:[]))
+      children;
+    Hashtbl.fold
+      (fun _ group acc ->
+        let blocks =
+          Bgp.Prefix_set.aggregate (List.map (fun o -> o.Override.prefix) group)
+        in
+        let sample = List.hd group in
+        List.map
+          (fun block ->
+            let rate =
+              List.fold_left
+                (fun r o ->
+                  if Bgp.Prefix.subsumes block o.Override.prefix then
+                    r +. o.Override.rate_bps
+                  else r)
+                0.0 group
+            in
+            Override.make ~prefix:block ~target:sample.Override.target
+              ~from_iface:sample.Override.from_iface
+              ~to_iface:sample.Override.to_iface
+              ~preference_level:sample.Override.preference_level
+              ~rate_bps:rate)
+          blocks
+        @ acc)
+      groups []
+  in
+  let overrides = List.rev st.overrides in
+  let overrides, split_keys =
+    if Hashtbl.length st.split_parent = 0 then (overrides, [])
+    else
       let is_child o = Hashtbl.mem st.split_parent o.Override.prefix in
       let children, whole = List.partition is_child overrides in
-      let groups = Hashtbl.create 8 in
-      List.iter
-        (fun o ->
-          let key =
-            ( Override.target_peer_id o,
-              o.Override.from_iface,
-              o.Override.to_iface,
-              o.Override.preference_level )
-          in
-          Hashtbl.replace groups key
-            (o :: Option.value (Hashtbl.find_opt groups key) ~default:[]))
-        children;
-      let merged =
-        Hashtbl.fold
-          (fun _ group acc ->
-            let blocks =
-              Bgp.Prefix_set.aggregate
-                (List.map (fun o -> o.Override.prefix) group)
-            in
-            let sample = List.hd group in
-            List.map
-              (fun block ->
-                let rate =
-                  List.fold_left
-                    (fun r o ->
-                      if Bgp.Prefix.subsumes block o.Override.prefix then
-                        r +. o.Override.rate_bps
-                      else r)
-                    0.0 group
-                in
-                Override.make ~prefix:block ~target:sample.Override.target
-                  ~from_iface:sample.Override.from_iface
-                  ~to_iface:sample.Override.to_iface
-                  ~preference_level:sample.Override.preference_level
-                  ~rate_bps:rate)
-              blocks
-            @ acc)
-          groups []
-      in
-      whole @ merged
-    end
+      let merged = aggregate_children children in
+      ( whole @ merged,
+        List.sort_uniq Bgp.Prefix.compare
+          (Hashtbl.fold
+             (fun child parent acc -> child :: parent :: acc)
+             st.split_parent
+             (List.map (fun o -> o.Override.prefix) merged)) )
   in
   {
-    overrides = aggregate_children (List.rev st.overrides);
+    overrides;
     before;
     final;
     residual =
       Projection.overloaded_by final ~threshold_of:(fun id -> thr.(id));
     moves_considered = st.moves;
     splits = st.splits;
+    split_keys;
   }
 
 let validate_config config =

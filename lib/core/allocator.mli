@@ -23,6 +23,13 @@ type result = {
           (or the override budget hit) *)
   moves_considered : int;      (** candidate (prefix, target) pairs examined *)
   splits : int;                (** /24 splits performed (Split_24 only) *)
+  split_keys : Ef_bgp.Prefix.t list;
+      (** Sorted; empty when [splits = 0]. The prefixes where [final] can
+          differ from a projection of [overrides] because of splitting:
+          every split parent (gone from [final]), every /24 child (placed
+          in [final] at its share of the parent's rate, but unrated in the
+          snapshot) and every block the child overrides were aggregated
+          into. *)
 }
 
 val run :
@@ -92,18 +99,11 @@ val warm_valid : ?warm:warm -> Ef_collector.Snapshot.t -> bool
 val warm_snapshot : warm -> Ef_collector.Snapshot.t
 (** The snapshot the warm image projects. *)
 
-val preferred_image : warm -> Projection.Working.t
+val warm_image : warm -> Projection.Working.t
 (** A private copy of the warm state's pre-relief image — the
     BGP-preferred placement of {!warm_snapshot} with no allocator move
-    applied — with no slot built. Because {!run_warm} hands back the warm
-    state for the very snapshot it just ran, the controller derives the
-    cycle's {e enforced} projection from this copy by re-placing only the
-    override prefixes — O(overrides), never O(table), and with no slot to
-    keep current per re-placement. *)
-
-val warm_image : warm -> Projection.Working.t
-(** {!preferred_image} with the carried slots: a private copy of the
-    image the next {!run_warm} advances. For tests and diagnostics. *)
+    applied — with its carried slots: the image the next {!run_warm}
+    advances. For tests and diagnostics. *)
 
 val relief_bps : result -> float
 (** Total traffic detoured by the produced overrides. *)

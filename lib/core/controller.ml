@@ -47,6 +47,8 @@ type obs_handles = {
   sp_reconcile : Obs.Histogram.t;
   sp_project : Obs.Histogram.t;
   sp_guard_audit : Obs.Histogram.t;
+  h_redecided : Obs.Histogram.t;
+  h_moves : Obs.Histogram.t;
   c_cycles : Obs.Counter.t;
   c_added : Obs.Counter.t;
   c_removed : Obs.Counter.t;
@@ -77,6 +79,8 @@ let obs_handles reg =
     sp_reconcile = Obs.Registry.span reg "controller.reconcile";
     sp_project = Obs.Registry.span reg "controller.project";
     sp_guard_audit = Obs.Registry.span reg "controller.guard.audit";
+    h_redecided = Obs.Registry.histogram reg "controller.project.redecided";
+    h_moves = Obs.Registry.histogram reg "allocator.moves_considered";
     c_cycles = Obs.Registry.counter reg "controller.cycles";
     c_added = Obs.Registry.counter reg "controller.overrides.added";
     c_removed = Obs.Registry.counter reg "controller.overrides.removed";
@@ -145,14 +149,6 @@ let obs t = t.obs.reg
 let trace t = t.trace
 
 let override_ages t ~now_s = Hysteresis.ages t.hysteresis ~now_s
-
-let overrides_lookup overrides =
-  let trie =
-    List.fold_left
-      (fun m (o : Override.t) -> Bgp.Ptrie.add o.Override.prefix o.Override.target m)
-      Bgp.Ptrie.empty overrides
-  in
-  fun prefix -> Bgp.Ptrie.find prefix trie
 
 (* why the controller refuses to recompute this cycle, if it does *)
 let detect_degradation t ~now_s snapshot =
@@ -235,7 +231,7 @@ let degraded_cycle t snapshot ~reason =
   let active = Hysteresis.active t.hysteresis in
   let preferred = Projection.project snapshot in
   let enforced =
-    Projection.project ~overrides:(overrides_lookup active) snapshot
+    Projection.project ~overrides:(Override.lookup active) snapshot
   in
   let threshold = t.config.Config.overload_threshold in
   Obs.Counter.inc ob.c_degraded;
@@ -269,6 +265,7 @@ let degraded_cycle t snapshot ~reason =
         residual = [];
         moves_considered = 0;
         splits = 0;
+        split_keys = [];
       };
     reconcile =
       {
@@ -277,6 +274,7 @@ let degraded_cycle t snapshot ~reason =
         removed = [];
         retargeted = [];
         kept = active;
+        held = [];
         deferred_releases = 0;
       };
     guard_dropped = [];
@@ -366,32 +364,37 @@ let cycle ?now_s t snapshot =
           ~time_s:(Snapshot.time_s snapshot) ~desired
           ~preferred:alloc.Allocator.before)
   in
-  let enforced =
+  let enforced, redecided =
     Obs.Span.time_h ob.reg ob.sp_project (fun () ->
-        (* the allocator just handed back the pre-relief preferred image
-           of this very snapshot; the enforced projection is that image
-           with only the active override prefixes re-decided —
-           O(overrides), never O(table). Byte-identical to a cold
-           [project ~overrides]: clean prefixes place the same either
-           way, and the integer load accounting makes the aggregates
-           order-independent. *)
-        let img = Allocator.preferred_image warm in
+        (* The enforced projection is the allocator's final image with
+           only the prefixes where the two can differ re-decided under the
+           active set: the overrides hysteresis holds against [desired],
+           the guard's drops, and the /24 split keys. Every other active
+           override equals (prefix, target peer) a move the final image
+           already carries, and every other moved prefix is active — so
+           the result is byte-identical to a cold [project ~overrides] in
+           O(changes), never O(overrides) or O(table) (DESIGN.md §13). *)
+        let img = Projection.Working.of_projection alloc.Allocator.final in
+        let redecide prefix =
+          let r = Snapshot.rate_of snapshot prefix in
+          let r = if r > 0.0 then Some r else None in
+          { Snapshot.ch_prefix = prefix; ch_old_rate = r; ch_new_rate = r;
+            ch_routes = false }
+        in
+        let of_override (o : Override.t) = redecide o.Override.prefix in
         let dirty =
-          List.map
-            (fun (o : Override.t) ->
-              let p = o.Override.prefix in
-              let r = Snapshot.rate_of snapshot p in
-              let r = if r > 0.0 then Some r else None in
-              { Snapshot.ch_prefix = p; ch_old_rate = r; ch_new_rate = r;
-                ch_routes = false })
-            reconcile.Hysteresis.active
+          List.map of_override reconcile.Hysteresis.held
+          @ List.map of_override guard_dropped
+          @ List.map redecide alloc.Allocator.split_keys
         in
         Projection.Working.apply_dirty img ~snapshot
-          ~overrides:(overrides_lookup reconcile.Hysteresis.active)
-          ~dirty ();
+          ~overrides:(Hysteresis.lookup t.hysteresis) ~dirty ();
         ignore (Projection.Working.drain_touched img);
-        Projection.Working.seal img)
+        (Projection.Working.seal img, List.length dirty))
   in
+  Obs.Histogram.observe ob.h_redecided (float_of_int redecided);
+  Obs.Histogram.observe ob.h_moves
+    (float_of_int alloc.Allocator.moves_considered);
   let threshold = t.config.Config.overload_threshold in
   let guard_violations =
     Obs.Span.time_h ob.reg ob.sp_guard_audit (fun () ->
@@ -482,6 +485,7 @@ let overrides_enforced stats = stats.reconcile.Hysteresis.active
 let overrides_added stats = stats.reconcile.Hysteresis.added
 let overrides_removed stats = stats.reconcile.Hysteresis.removed
 let overrides_retargeted stats = stats.reconcile.Hysteresis.retargeted
+let overrides_held stats = stats.reconcile.Hysteresis.held
 let residual_overloads stats = stats.allocator.Allocator.residual
 let degraded stats = stats.degraded
 

@@ -17,7 +17,10 @@
     [controller.guard.clamp], [controller.reconcile], [controller.project],
     [controller.guard.audit]), bumps the override/guard counters, and —
     when a journal sink is attached — emits one [controller.cycle] event
-    summarizing the round.
+    summarizing the round. Each healthy cycle also observes two
+    histograms: [allocator.moves_considered] (the allocator's candidate
+    evaluations) and [controller.project.redecided] (the prefixes the
+    enforced projection re-decided: see {!enforced}).
 
     {b Graceful degradation.} The controller fails static: when its
     inputs cannot be trusted it refuses to recompute and holds the
@@ -117,6 +120,14 @@ val total_bps : cycle_stats -> float
 val detoured_bps : cycle_stats -> float
 val preferred : cycle_stats -> Projection.t
 val enforced : cycle_stats -> Projection.t
+(** The placement with the active override set enforced — equal, field
+    for field, to {!Projection.project} [~overrides:(Override.lookup
+    (overrides_enforced stats))] on the cycle's snapshot. A healthy cycle
+    derives it from the allocator's final image by re-deciding only the
+    {!overrides_held} prefixes, the {!guard_dropped} ones and the
+    allocator's [split_keys]: every other active override is a move that
+    image already carries. *)
+
 val allocator_result : cycle_stats -> Allocator.result
 val guard_dropped : cycle_stats -> Override.t list
 val guard_violations : cycle_stats -> Guard.violation list
@@ -134,6 +145,12 @@ val overrides_removed : cycle_stats -> (Override.t * int) list
 (** With lifetime in seconds. *)
 
 val overrides_retargeted : cycle_stats -> Override.t list
+
+val overrides_held : cycle_stats -> Override.t list
+(** Active overrides that differ from what the allocator asked for this
+    cycle: retargets held back by [min_hold_s] and deferred releases
+    ([reconcile.held]; empty on a degraded cycle). *)
+
 val residual_overloads : cycle_stats -> (Ef_netsim.Iface.t * float) list
 (** Interfaces the allocator could not relieve ([allocator.residual]). *)
 

@@ -6,6 +6,7 @@ type step_result = {
   removed : (Override.t * int) list;
   retargeted : Override.t list;
   kept : Override.t list;
+  held : Override.t list;
   deferred_releases : int;
 }
 
@@ -23,6 +24,11 @@ let create config = { config; entries = Bgp.Ptrie.empty }
 
 let active t =
   Bgp.Ptrie.fold (fun _ e acc -> e.override :: acc) t.entries []
+
+let lookup t prefix =
+  Option.map
+    (fun e -> e.override.Override.target)
+    (Bgp.Ptrie.find prefix t.entries)
 
 let installed_at t prefix =
   Option.map (fun e -> e.installed_at) (Bgp.Ptrie.find prefix t.entries)
@@ -58,6 +64,7 @@ let step ?(trace = Ef_trace.Recorder.noop) t ~time_s ~desired ~preferred =
   let removed = ref [] in
   let retargeted = ref [] in
   let kept = ref [] in
+  let held = ref [] in
   let deferred = ref 0 in
   let next = ref Bgp.Ptrie.empty in
 
@@ -84,6 +91,7 @@ let step ?(trace = Ef_trace.Recorder.noop) t ~time_s ~desired ~preferred =
               (R.Hold_retarget
                  { age_s = age; min_hold_s = t.config.Config.min_hold_s });
             kept := e.override :: !kept;
+            held := e.override :: !held;
             next := Bgp.Ptrie.add prefix e !next
           end
       | None ->
@@ -108,6 +116,7 @@ let step ?(trace = Ef_trace.Recorder.noop) t ~time_s ~desired ~preferred =
               (R.Release_deferred { age_s = age; matured; preferred_util });
             incr deferred;
             kept := e.override :: !kept;
+            held := e.override :: !held;
             next := Bgp.Ptrie.add prefix e !next
           end)
     t.entries;
@@ -131,5 +140,6 @@ let step ?(trace = Ef_trace.Recorder.noop) t ~time_s ~desired ~preferred =
     removed = List.rev !removed;
     retargeted = List.rev !retargeted;
     kept = List.rev !kept;
+    held = List.rev !held;
     deferred_releases = !deferred;
   }

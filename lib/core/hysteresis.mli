@@ -21,6 +21,13 @@ type step_result = {
   removed : (Override.t * int) list; (** with lifetime in seconds *)
   retargeted : Override.t list; (** replaced in place (withdraw+announce) *)
   kept : Override.t list;       (** carried over unchanged *)
+  held : Override.t list;
+      (** the part of [kept] that differs from [desired]: retargets held
+          back by [min_hold_s] and deferred releases. Every other active
+          override equals (same prefix, same target peer) one the
+          allocator just placed, which is what lets the controller derive
+          the enforced projection from the allocator's final image by
+          re-deciding only these prefixes (and the guard's drops). *)
   deferred_releases : int;      (** wanted out, but damping kept them in *)
 }
 
@@ -42,6 +49,13 @@ val step :
     (default noop). *)
 
 val active : t -> Override.t list
+
+val lookup : t -> Ef_bgp.Prefix.t -> Ef_bgp.Route.t option
+(** The active override's target route for a prefix, read from the
+    installed set as it stands (after the last {!step}) — the same
+    answer {!Override.lookup} [(active t)] gives, without building a
+    trie of the active set. *)
+
 val installed_at : t -> Ef_bgp.Prefix.t -> int option
 val active_count : t -> int
 

@@ -247,25 +247,14 @@ module Working = struct
       w_touched = [];
     }
 
-  let copy_with_slots w w_by_iface =
+  let copy w =
     {
-      w_ifaces = w.w_ifaces;
+      w with
       w_loads = Array.copy w.w_loads;
-      w_placements = w.w_placements;
-      w_by_iface;
+      w_by_iface = Array.copy w.w_by_iface;
       w_slot_builds = 0;
-      w_total = w.w_total;
-      w_overridden = w.w_overridden;
-      w_unroutable = w.w_unroutable;
-      w_unplaced = w.w_unplaced;
-      w_stale = w.w_stale;
       w_touched = [];
     }
-
-  let copy w = copy_with_slots w (Array.copy w.w_by_iface)
-
-  let copy_unindexed w =
-    copy_with_slots w (Array.make (Array.length w.w_by_iface) None)
 
   let seal w : proj =
     {

@@ -139,10 +139,6 @@ module Working : sig
       slots and all, as the next cycle's warm-start base. A slot built
       later on one side is not built on the other. *)
 
-  val copy_unindexed : t -> t
-  (** {!copy} with every slot unbuilt: for a caller that re-places many
-      prefixes and never reads in order, so it pays no slot upkeep. *)
-
   val retain_slots : t -> keep:(int -> bool) -> unit
   (** Build the slot of every interface id with [keep id] (a no-op for a
       slot already built) and drop every other slot. The allocator keeps

@@ -440,6 +440,54 @@ let test_allocator_split24_nested_rated () =
        (fun acc pl -> acc +. pl.Ef.Projection.rate_bps)
        0.0 (Ef.Projection.placements final))
 
+(* Split children moved together are re-aggregated, and the block can
+   be a rated prefix of its own: here the /22 parent splits, its two low
+   /24 children move to the public port and merge into 10.20.0.0/23 —
+   the nested rated prefix, which the allocator itself could not move.
+   The enforced projection honours that block override on the /23 the
+   way a cold projection of the active set does, because the block is a
+   split key re-decided from the final image. *)
+let test_split_block_on_rated_prefix () =
+  let fx = fixture () in
+  let parent = prefix "10.20.0.0/22" and block = prefix "10.20.0.0/23" in
+  let background = prefix "10.21.0.0/16" in
+  let announce peer_id path p =
+    ignore
+      (N.Pop.announce fx.pop ~peer_id p
+         (attrs ~path ~next_hop:(Printf.sprintf "172.16.0.%d" peer_id) ()))
+  in
+  announce 0 [ 100 ] parent;
+  announce 1 [ 200; 100 ] parent;
+  announce 0 [ 100 ] block;
+  announce 1 [ 200; 100 ] block;
+  announce 1 [ 200 ] background;
+  (* private carries 13G + 8G; the public port has 7.5G of room: neither
+     the parent nor the /23 fits whole, two 3.25G children do *)
+  let snap = snapshot fx [ (parent, 13e9); (block, 8e9); (background, 2e9) ] in
+  let config = { config with Ef.Config.granularity = Ef.Config.Split_24 } in
+  let ctl =
+    Ef.Controller.create ~config ~obs:(Ef_obs.Registry.create ()) ~name:"block"
+      ()
+  in
+  let stats = Ef.Controller.cycle ctl snap in
+  let alloc = Ef.Controller.allocator_result stats in
+  Alcotest.(check (list prefix_t))
+    "the children merged into the rated /23" [ block ]
+    (List.map (fun o -> o.Ef.Override.prefix) alloc.Ef.Allocator.overrides);
+  Alcotest.(check bool) "the block is a split key" true
+    (List.exists (Bgp.Prefix.equal block) alloc.Ef.Allocator.split_keys);
+  let cold =
+    Ef.Projection.project
+      ~overrides:(Ef.Override.lookup (Ef.Controller.overrides_enforced stats))
+      snap
+  in
+  Alcotest.(check bool) "the /23 is detoured when enforced" true
+    (match Ef.Projection.placement_of (Ef.Controller.enforced stats) block with
+    | Some pl -> pl.Ef.Projection.overridden
+    | None -> false);
+  Alcotest.(check bool) "enforced = cold projection of the active set" true
+    (Ef.Controller.enforced stats = cold)
+
 let test_allocator_override_targets_are_candidates () =
   let fx = fixture () in
   let snap = snapshot fx [ (pfx_a, 8e9); (pfx_b, 4e9); (pfx_c, 1e9) ] in
@@ -664,6 +712,8 @@ let suite =
     Alcotest.test_case "allocator split-24" `Quick test_allocator_split24;
     Alcotest.test_case "allocator split-24 nested rated" `Quick
       test_allocator_split24_nested_rated;
+    Alcotest.test_case "split block on a rated prefix is enforced" `Quick
+      test_split_block_on_rated_prefix;
     Alcotest.test_case "allocator targets are candidates" `Quick
       test_allocator_override_targets_are_candidates;
     Alcotest.test_case "working seal roundtrip" `Quick test_working_seal_roundtrip;

@@ -495,6 +495,102 @@ let test_bad_threshold_counted_once_per_cycle () =
       (counter reg "allocator.iface_thresholds.dropped")
   done
 
+(* The enforced-projection stage costs O(changes): on a dfz world under
+   sustained relief — the busiest interface short by its [moves] largest
+   prefixes, every other one roomy — the active set grows to hundreds of
+   overrides, yet each cycle re-decides only the overrides hysteresis
+   holds against the allocator's wish plus the guard's drops (no split
+   keys at [Bgp_prefix] granularity), and the result still equals a cold
+   projection of the active set. *)
+let test_project_redecides_only_changes () =
+  let moves = 150 in
+  let gen = N.Dfz.create (N.Dfz.config ~seed:5 ~n_prefixes:3_000 ()) in
+  let with_capacity i cap =
+    N.Iface.make ~id:(N.Iface.id i) ~name:(N.Iface.name i) ~capacity_bps:cap
+      ~shared:(N.Iface.shared i)
+  in
+  let assemble ifaces =
+    C.Snapshot.assemble ~obs:(Ef_obs.Registry.create ())
+      ~routes:(N.Dfz.routes gen) ~iface_of_peer:(N.Dfz.iface_of_peer gen)
+      ~ifaces ~prefix_rates:(N.Dfz.current_rates gen) ~time_s:0 ()
+  in
+  let roomy =
+    List.map
+      (fun i -> with_capacity i (N.Dfz.total_rate gen))
+      (N.Dfz.ifaces gen)
+  in
+  let preferred = Ef.Projection.project (assemble roomy) in
+  let load i = Ef.Projection.load_bps preferred ~iface_id:(N.Iface.id i) in
+  let hot =
+    List.fold_left (fun h i -> if load i > load h then i else h)
+      (List.hd roomy) roomy
+  in
+  let rates =
+    List.filteri (fun k _ -> k < moves)
+      (Ef.Projection.placements_on preferred ~iface_id:(N.Iface.id hot))
+    |> List.map (fun (pl : Ef.Projection.placement) ->
+           pl.Ef.Projection.rate_bps)
+  in
+  let excess = List.fold_left ( +. ) 0.0 rates in
+  let last = List.fold_left Float.min infinity rates in
+  let thr = Ef.Config.default.Ef.Config.overload_threshold in
+  let ifaces =
+    List.map
+      (fun i ->
+        if N.Iface.id i = N.Iface.id hot then
+          with_capacity i ((load hot -. excess +. (0.5 *. last)) /. thr)
+        else i)
+      roomy
+  in
+  let reg = Ef_obs.Registry.create () in
+  let ctl = Ef.Controller.create ~obs:reg ~name:"relief" () in
+  let redecided () =
+    match Ef_obs.Registry.find reg "controller.project.redecided" with
+    | Some (Ef_obs.Registry.Histogram_m h) ->
+        int_of_float (Ef_obs.Histogram.sum h)
+    | Some _ | None -> Alcotest.fail "no controller.project.redecided histogram"
+  in
+  let snap = ref (assemble ifaces) in
+  let held_cycles = ref 0 in
+  for cycle = 0 to 29 do
+    if cycle > 0 then begin
+      let ev = N.Dfz.churn gen ~cycle in
+      snap :=
+        C.Snapshot.patch ~obs:(Ef_obs.Registry.create ()) ~prev:!snap
+          ~routes_changed:ev.N.Dfz.routes_changed
+          ~rate_updates:ev.N.Dfz.rate_updates ~time_s:(cycle * 30) ()
+    end;
+    let before = redecided () in
+    let stats = Ef.Controller.cycle ctl !snap in
+    let ctx = Printf.sprintf "cycle %d" cycle in
+    let held = List.length (Ef.Controller.overrides_held stats) in
+    let dropped = List.length (Ef.Controller.guard_dropped stats) in
+    let active = List.length (Ef.Controller.overrides_enforced stats) in
+    if held > 0 then incr held_cycles;
+    Alcotest.(check (list Helpers.prefix_t))
+      (ctx ^ ": no split keys") []
+      (Ef.Controller.allocator_result stats).Ef.Allocator.split_keys;
+    Alcotest.(check int)
+      (ctx ^ ": re-decided = held + dropped")
+      (held + dropped)
+      (redecided () - before);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d re-decided, well below %d active" ctx
+         (held + dropped) active)
+      true
+      (active >= moves && 5 * (held + dropped) < active);
+    let cold =
+      Ef.Projection.project
+        ~overrides:(Ef.Override.lookup (Ef.Controller.overrides_enforced stats))
+        !snap
+    in
+    Alcotest.(check bool) (ctx ^ ": enforced = cold projection") true
+      (Ef.Controller.enforced stats = cold)
+  done;
+  Alcotest.(check int) "warm cycles" 29 (Ef.Controller.incremental_hits ctl);
+  Alcotest.(check bool) "hysteresis held overrides on some cycles" true
+    (!held_cycles > 0)
+
 let suite =
   [
     Alcotest.test_case "incremental = cold on 100 seeded churn sequences"
@@ -515,4 +611,6 @@ let suite =
       test_slot_kept_under_iface_threshold;
     Alcotest.test_case "bad iface threshold counted once per cycle" `Quick
       test_bad_threshold_counted_once_per_cycle;
+    Alcotest.test_case "enforced stage re-decides only what changed" `Quick
+      test_project_redecides_only_changes;
   ]

@@ -1044,13 +1044,6 @@ let prop_warm_slots_equal_fresh =
       let module W = Ef.Projection.Working in
       let rng = Ef_util.Rng.create (seed + 29) in
       let pick l = List.nth l (Ef_util.Rng.int rng (List.length l)) in
-      let config =
-        let c = Ef.Config.(default |> with_overload_threshold 0.7) in
-        match seed mod 3 with
-        | 0 -> c
-        | 1 -> Ef.Config.(c |> with_order Smallest_first)
-        | _ -> Ef.Config.(c |> with_granularity Split_24)
-      in
       let w = Gen.world (5000 + seed) in
       let pop = w.N.Topo_gen.pop in
       let base = Array.of_list (Gen.rates_of_world w) in
@@ -1083,6 +1076,23 @@ let prop_warm_slots_equal_fresh =
           (C.Snapshot.assemble ~obs:(Ef_obs.Registry.create ()) ~routes
              ~iface_of_peer:(iface_of_peer !ifaces) ~ifaces:!ifaces
              ~prefix_rates:(Array.to_list base) ~time_s:0 ())
+      in
+      let config =
+        (* 0.7, or below the busiest interface of a world that never
+           reaches it (seed 48 peaks at 0.66), so the sequence carries
+           slots from its first step *)
+        let peak =
+          let proj = Ef.Projection.project !snap in
+          List.fold_left
+            (fun m i -> Float.max m (Ef.Projection.utilization proj i))
+            0.0 !ifaces
+        in
+        let threshold = if peak > 0.7 then 0.7 else 0.9 *. peak in
+        let c = Ef.Config.(default |> with_overload_threshold threshold) in
+        match seed mod 3 with
+        | 0 -> c
+        | 1 -> Ef.Config.(c |> with_order Smallest_first)
+        | _ -> Ef.Config.(c |> with_granularity Split_24)
       in
       let warm = ref None and carried = ref 0 in
       for step = 0 to 15 do
@@ -1179,7 +1189,7 @@ let prop_warm_slots_equal_fresh =
           QCheck.Test.fail_reportf "%s: carried slots are not the overloaded set"
             what;
         carried := !carried + List.length hot;
-        let fresh = W.copy_unindexed img in
+        let fresh = W.of_projection (W.seal img) in
         for iface_id = -1 to universe do
           if
             List.map key (W.placements_on img ~iface_id)
@@ -1191,6 +1201,175 @@ let prop_warm_slots_equal_fresh =
       done;
       (* the sequence must actually have carried slots *)
       !carried > 0)
+
+(* --- Controller: the enforced projection ---------------------------------- *)
+
+(* A healthy cycle derives its enforced projection from the allocator's
+   final image, re-deciding only the prefixes where the two can differ:
+   the overrides hysteresis holds against the allocator's wish (held
+   retargets, deferred releases), the guard's drops and the /24 split
+   keys. Seeded multi-cycle sequences produce each of those — rate churn,
+   withdraw and re-announce, candidate cuts under active overrides (stale
+   targets), a hold time, shedding guard budgets, Split_24 — on warm
+   cycles and on the odd unlinked (cold) one. After every cycle the
+   enforced projection must equal a cold [Projection.project] of the
+   active set: placements, loads, the unroutable sum, the stale list, the
+   overridden aggregate, and then the whole record (the unplaced pool
+   included — the tries are canonical, so equal content is equal shape). *)
+let prop_enforced_equals_cold =
+  QCheck.Test.make
+    ~name:"enforced projection = cold projection of the active set"
+    ~count:40 QCheck.small_nat (fun seed ->
+      let rng = Ef_util.Rng.create (seed + 101) in
+      let w = Gen.world (6000 + seed) in
+      let pop = w.N.Topo_gen.pop in
+      let base = Array.of_list (Gen.rates_of_world w) in
+      let n = Array.length base in
+      (* candidate cuts, toggled by route churn: [`Best] withdraws the
+         preferred route, [`Alts] every alternate — which strands an
+         override that targets one of them *)
+      let cut = Hashtbl.create 8 in
+      let routes p =
+        let rs = Bgp.Rib.ranked (N.Pop.rib pop) p in
+        match (Hashtbl.find_opt cut p, rs) with
+        | Some `Best, _ :: tl -> tl
+        | Some `Alts, r :: _ -> [ r ]
+        | _ -> rs
+      in
+      let ifaces = N.Pop.interfaces pop in
+      let iface_of_peer peer_id =
+        match N.Pop.peer pop peer_id with
+        | None -> None
+        | Some _ -> Some (N.Pop.iface_of_peer pop ~peer_id)
+      in
+      let model = Hashtbl.create 64 in
+      Array.iter (fun (p, r) -> Hashtbl.replace model p r) base;
+      let assemble time_s =
+        C.Snapshot.assemble ~obs:(Ef_obs.Registry.create ()) ~routes
+          ~iface_of_peer ~ifaces
+          ~prefix_rates:(Hashtbl.fold (fun p r acc -> (p, r) :: acc) model [])
+          ~time_s ()
+      in
+      let snap = ref (assemble 0) in
+      let threshold = 0.7 in
+      let config =
+        let c =
+          Ef.Config.(
+            default |> with_overload_threshold threshold |> with_min_hold_s 60)
+        in
+        let c =
+          if seed mod 2 = 0 then c
+          else
+            (* a /24 split happens only once no whole placement fits
+               anywhere: leave every interface that is not overloaded one
+               percent of headroom, which fits children but few parents
+               (and a release margin below every such threshold) *)
+            let preferred = Ef.Projection.project !snap in
+            Ef.Config.(
+              c
+              |> with_granularity Split_24
+              |> with_release_margin 0.005
+              |> with_iface_thresholds
+                   (List.filter_map
+                      (fun i ->
+                        let u = Ef.Projection.utilization preferred i in
+                        if u <= threshold then Some (N.Iface.id i, u +. 0.01)
+                        else None)
+                      ifaces))
+        in
+        if seed mod 3 = 2 then c
+        else
+          Ef.Config.(
+            c
+            |> with_guard
+                 {
+                   Ef.Guard.default with
+                   Ef.Guard.max_overrides = Some (2 + (seed mod 5));
+                   max_detour_fraction = Some 0.1;
+                 })
+      in
+      let ctl =
+        Ef.Controller.create ~config ~obs:(Ef_obs.Registry.create ())
+          ~name:"prop" ()
+      in
+      for step = 0 to 11 do
+        let what = Printf.sprintf "seed %d step %d" seed step in
+        let time_s = step * 30 in
+        if step > 0 then begin
+          let rate_updates =
+            List.init (1 + Ef_util.Rng.int rng 10) (fun _ ->
+                let p, r = base.(Ef_util.Rng.int rng n) in
+                if Ef_util.Rng.int rng 6 = 0 then (p, 0.0)
+                else (p, r *. (0.5 +. Ef_util.Rng.float rng 1.0)))
+          in
+          List.iter
+            (fun (p, r) ->
+              if r <= 0.0 then Hashtbl.remove model p
+              else Hashtbl.replace model p r)
+            rate_updates;
+          (* cut or restore candidates, half the time under an active
+             override *)
+          let active =
+            Array.of_list
+              (List.map
+                 (fun (o : Ef.Override.t) -> o.Ef.Override.prefix)
+                 (Ef.Controller.active_overrides ctl))
+          in
+          let routes_changed =
+            List.sort_uniq Bgp.Prefix.compare
+              (List.init (Ef_util.Rng.int rng 3) (fun _ ->
+                   if Array.length active > 0 && Ef_util.Rng.int rng 2 = 0
+                   then active.(Ef_util.Rng.int rng (Array.length active))
+                   else fst base.(Ef_util.Rng.int rng n)))
+          in
+          List.iter
+            (fun p ->
+              if Hashtbl.mem cut p then Hashtbl.remove cut p
+              else
+                Hashtbl.replace cut p
+                  (if Ef_util.Rng.int rng 2 = 0 then `Best else `Alts))
+            routes_changed;
+          snap :=
+            if Ef_util.Rng.int rng 8 = 0 then assemble time_s
+            else
+              C.Snapshot.patch ~obs:(Ef_obs.Registry.create ()) ~prev:!snap
+                ~routes ~routes_changed ~rate_updates ~time_s ()
+        end;
+        let stats = Ef.Controller.cycle ctl !snap in
+        let enforced = Ef.Controller.enforced stats in
+        let cold =
+          Ef.Projection.project
+            ~overrides:
+              (Ef.Override.lookup (Ef.Controller.overrides_enforced stats))
+            !snap
+        in
+        let universe = C.Snapshot.max_iface_id !snap + 1 in
+        let loads p =
+          List.init universe (fun iface_id ->
+              Ef.Projection.load_millibps p ~iface_id)
+        in
+        let differs field =
+          QCheck.Test.fail_reportf "%s: enforced %s differ from cold" what
+            field
+        in
+        if Ef.Projection.placements enforced <> Ef.Projection.placements cold
+        then differs "placements";
+        if loads enforced <> loads cold then differs "loads";
+        if
+          Ef.Projection.unroutable_millibps enforced
+          <> Ef.Projection.unroutable_millibps cold
+        then differs "unplaced sums";
+        if
+          Ef.Projection.stale_overrides enforced
+          <> Ef.Projection.stale_overrides cold
+        then differs "stale lists";
+        if
+          Ef.Projection.overridden_bps enforced
+          <> Ef.Projection.overridden_bps cold
+        then differs "overridden aggregates";
+        if enforced <> cold then differs "records"
+      done;
+      true)
 
 let suite =
   [ fuzz_bgp_codec; fuzz_sflow_codec; fuzz_mrt_codec; fuzz_bmp_codec ]
@@ -1214,4 +1393,5 @@ let suite =
       prop_patch_chain_equals_assemble;
       prop_working_index_lazy;
       prop_warm_slots_equal_fresh;
+      prop_enforced_equals_cold;
     ]
