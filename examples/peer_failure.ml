@@ -34,10 +34,21 @@ let () =
 
   let start = 20 * 3600 in
   let down_at = start + 600 and up_at = start + 1800 in
+  (* the victim is a PNI carrying only its peer, so the session outage is
+     a link outage: one flap window, no onset jitter at period 4 *)
+  let outage =
+    Ef_fault.Plan.Link_flap
+      {
+        iface_id = N.Iface.id victim_iface;
+        from_s = down_at;
+        until_s = up_at;
+        period_s = 4;
+        down_s = up_at - down_at;
+      }
+  in
   let config =
     S.Engine.make_config ~cycle_s:60 ~duration_s:3600 ~start_s:start ~seed:21
-      ~peer_events:
-        [ { S.Engine.event_peer_id = Bgp.Peer.id victim; down_at_s = down_at; up_at_s = up_at } ]
+      ~faults:(Ef_fault.Plan.make [ outage ])
       ()
   in
   let engine = S.Engine.create ~config scenario in

@@ -28,7 +28,6 @@ type state = {
   work : Projection.Working.t; (* mutated in place through the relief loop *)
   decide_proj : Projection.t; (* stale view used when iterative = false *)
   mutable overrides : Override.t list;
-  mutable n_overrides : int; (* running List.length st.overrides *)
   mutable moves : int;
   mutable splits : int;
   split_parent : (Bgp.Prefix.t, Bgp.Prefix.t) Hashtbl.t;
@@ -150,11 +149,6 @@ let find_target st (pl : Projection.placement) =
   let target = go 0 ranked in
   (target, List.rev !verdicts)
 
-let budget_left st =
-  match st.config.Config.max_overrides_per_cycle with
-  | None -> true
-  | Some n -> st.n_overrides < n
-
 (* Lazy, in the config's visiting order: the relief loop usually stops at
    the first movable placement, so on a dfz-scale interface (hundreds of
    thousands of placements) materializing the ordered list per attempt
@@ -237,7 +231,6 @@ let relieve_once st iface_id =
             ~from_iface:iface_id ~to_iface ~preference_level:level
             ~rate_bps:pl.Projection.rate_bps
           :: st.overrides;
-        st.n_overrides <- st.n_overrides + 1;
         true
   in
   let rec first_movable seq =
@@ -327,7 +320,6 @@ let run_core ~config ~trace ~thr ~initially_over ~before ~work snapshot =
       work;
       decide_proj = before;
       overrides = [];
-      n_overrides = 0;
       moves = 0;
       splits = 0;
       split_parent = Hashtbl.create 64;
@@ -344,7 +336,7 @@ let run_core ~config ~trace ~thr ~initially_over ~before ~work snapshot =
      re-projection adds *)
   Bitset.iter (Bitset.add st.over) initially_over;
   let progress = ref true in
-  while !progress && budget_left st do
+  while !progress do
     progress := false;
     match pick_overloaded st with
     | None -> ()
@@ -509,11 +501,6 @@ let check_invariants ~config result =
         err "override %a detours to its own interface" Override.pp o;
       if o.Override.rate_bps < 0.0 then err "negative rate in %a" Override.pp o)
     result.overrides;
-  (* 4. budget *)
-  (match config.Config.max_overrides_per_cycle with
-  | Some n when List.length result.overrides > n ->
-      err "override budget exceeded: %d > %d" (List.length result.overrides) n
-  | Some _ | None -> ());
   match !errors with
   | [] -> Ok ()
   | es -> Error (String.concat "; " es)

@@ -19,8 +19,7 @@ type result = {
   before : Projection.t;       (** BGP-preferred placement *)
   final : Projection.t;        (** placement after all moves *)
   residual : (Ef_netsim.Iface.t * float) list;
-      (** interfaces still over threshold — capacity genuinely exhausted
-          (or the override budget hit) *)
+      (** interfaces still over threshold — capacity genuinely exhausted *)
   moves_considered : int;      (** candidate (prefix, target) pairs examined *)
   splits : int;                (** /24 splits performed (Split_24 only) *)
   split_keys : Ef_bgp.Prefix.t list;
@@ -113,7 +112,6 @@ val check_invariants : config:Config.t -> result -> (unit, string) Stdlib.result
     - with [iterative = true], no interface that was under threshold
       before is over threshold after;
     - no override detours to the interface it is relieving;
-    - override rates are non-negative;
-    - override count respects [max_overrides_per_cycle].
+    - override rates are non-negative.
     (That every target route is a genuine candidate of its prefix is
     checked separately in the test-suite against the snapshot.) *)

@@ -14,7 +14,6 @@ type t = {
   order : order;
   iterative : bool;
   granularity : granularity;
-  max_overrides_per_cycle : int option;
   override_local_pref : int;
   guard : Guard.config;
   max_snapshot_age_s : int;
@@ -30,7 +29,6 @@ let default =
     order = Largest_first;
     iterative = true;
     granularity = Bgp_prefix;
-    max_overrides_per_cycle = None;
     override_local_pref = 1000;
     guard = Guard.default;
     max_snapshot_age_s = 90;
@@ -41,7 +39,7 @@ let make ?(overload_threshold = default.overload_threshold)
     ?(iface_thresholds = default.iface_thresholds)
     ?(release_margin = default.release_margin) ?(min_hold_s = default.min_hold_s)
     ?(order = default.order) ?(iterative = default.iterative)
-    ?(granularity = default.granularity) ?max_overrides_per_cycle
+    ?(granularity = default.granularity)
     ?(override_local_pref = default.override_local_pref)
     ?(guard = default.guard) ?(max_snapshot_age_s = default.max_snapshot_age_s)
     ?(min_rate_confidence = default.min_rate_confidence) () =
@@ -53,7 +51,6 @@ let make ?(overload_threshold = default.overload_threshold)
     order;
     iterative;
     granularity;
-    max_overrides_per_cycle;
     override_local_pref;
     guard;
     max_snapshot_age_s;
@@ -67,9 +64,6 @@ let with_min_hold_s min_hold_s t = { t with min_hold_s }
 let with_order order t = { t with order }
 let with_iterative iterative t = { t with iterative }
 let with_granularity granularity t = { t with granularity }
-
-let with_max_overrides_per_cycle max_overrides_per_cycle t =
-  { t with max_overrides_per_cycle }
 
 let with_override_local_pref override_local_pref t = { t with override_local_pref }
 let with_guard guard t = { t with guard }
@@ -115,10 +109,7 @@ let validate t =
   else if t.max_snapshot_age_s <= 0 then Error "max_snapshot_age_s must be positive"
   else if t.min_rate_confidence < 0.0 || t.min_rate_confidence >= 1.0 then
     Error "min_rate_confidence must be in [0, 1)"
-  else
-    match t.max_overrides_per_cycle with
-    | Some n when n < 0 -> Error "max_overrides_per_cycle must be non-negative"
-    | Some _ | None -> Ok ()
+  else Ok ()
 
 let order_to_string = function
   | Largest_first -> "largest-first"

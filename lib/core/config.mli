@@ -35,11 +35,12 @@ type t = {
                                    design); [false] reproduces the naive
                                    single-pass baseline for ablation A1 *)
   granularity : granularity;
-  max_overrides_per_cycle : int option; (** safety valve; [None] = unbounded *)
   override_local_pref : int;   (** LOCAL_PREF of injected routes; must beat
                                    every policy tier *)
   guard : Guard.config;        (** blast-radius budgets applied to the
-                                   allocator's output before enforcement *)
+                                   allocator's output before enforcement —
+                                   the one override budget (the allocator
+                                   has none of its own) *)
   max_snapshot_age_s : int;    (** degrade (hold last-good overrides) when the
                                    snapshot is older than this vs the
                                    controller's clock; see {!Controller.cycle} *)
@@ -59,15 +60,13 @@ val make :
   ?order:order ->
   ?iterative:bool ->
   ?granularity:granularity ->
-  ?max_overrides_per_cycle:int ->
   ?override_local_pref:int ->
   ?guard:Guard.config ->
   ?max_snapshot_age_s:int ->
   ?min_rate_confidence:float ->
   unit ->
   t
-(** Every omitted field takes its {!default} value
-    ([max_overrides_per_cycle] defaults to unbounded). [make] does not
+(** Every omitted field takes its {!default} value. [make] does not
     validate — {!Controller.create} runs {!validate} on whatever it is
     given, and callers can call it directly. *)
 
@@ -81,7 +80,6 @@ val with_min_hold_s : int -> t -> t
 val with_order : order -> t -> t
 val with_iterative : bool -> t -> t
 val with_granularity : granularity -> t -> t
-val with_max_overrides_per_cycle : int option -> t -> t
 val with_override_local_pref : int -> t -> t
 val with_guard : Guard.config -> t -> t
 val with_max_snapshot_age_s : int -> t -> t

@@ -4,25 +4,10 @@ module Snapshot = Ef_collector.Snapshot
 type config = {
   max_detour_fraction : float option;
   max_overrides : int option;
-  check_targets : bool;
-  target_threshold : float;
 }
 
-let default =
-  {
-    max_detour_fraction = None;
-    max_overrides = None;
-    check_targets = true;
-    target_threshold = 1.0;
-  }
-
-let conservative =
-  {
-    max_detour_fraction = Some 0.25;
-    max_overrides = Some 500;
-    check_targets = true;
-    target_threshold = 1.0;
-  }
+let default = { max_detour_fraction = None; max_overrides = None }
+let conservative = { max_detour_fraction = Some 0.25; max_overrides = Some 500 }
 
 type violation =
   | Detour_fraction_exceeded of { limit : float; actual : float }
@@ -70,7 +55,7 @@ let detour_fraction snapshot overrides =
     List.fold_left (fun acc o -> acc +. detoured_rate snapshot o) 0.0 overrides
     /. total
 
-let audit ?enforced config snapshot overrides =
+let audit ~enforced config snapshot overrides =
   let violations = ref [] in
   let add v = violations := v :: !violations in
   (match config.max_detour_fraction with
@@ -87,29 +72,19 @@ let audit ?enforced config snapshot overrides =
     (fun o ->
       if not (target_is_live snapshot o) then add (Stale_target o.Override.prefix))
     overrides;
-  if config.check_targets then begin
-    (* callers that already hold the enforced projection of exactly this
-       override set pass it in; recomputing it here is O(table) *)
-    let enforced =
-      match enforced with
-      | Some p -> p
-      | None ->
-          Projection.project ~overrides:(Override.lookup overrides) snapshot
-    in
-    (* only blame interfaces that actually receive detours *)
-    let targets =
-      List.sort_uniq compare (List.map (fun o -> o.Override.to_iface) overrides)
-    in
-    List.iter
-      (fun iface ->
-        let id = Ef_netsim.Iface.id iface in
-        if List.mem id targets then begin
-          let utilization = Projection.utilization enforced iface in
-          if utilization > config.target_threshold then
-            add (Target_overloaded { iface_id = id; utilization })
-        end)
-      (Snapshot.ifaces snapshot)
-  end;
+  (* only blame interfaces that actually receive detours *)
+  let targets =
+    List.sort_uniq compare (List.map (fun o -> o.Override.to_iface) overrides)
+  in
+  List.iter
+    (fun iface ->
+      let id = Ef_netsim.Iface.id iface in
+      if List.mem id targets then begin
+        let utilization = Projection.utilization enforced iface in
+        if utilization > 1.0 then
+          add (Target_overloaded { iface_id = id; utilization })
+      end)
+    (Snapshot.ifaces snapshot);
   List.rev !violations
 
 let clamp ?(trace = Ef_trace.Recorder.noop) config snapshot overrides =

@@ -8,7 +8,7 @@
     - at most a bounded fraction of PoP traffic detoured at once;
     - at most a bounded number of concurrently-installed overrides;
     - no override whose target is not currently a candidate route;
-    - (audit) no detour target projected above the overload threshold.
+    - (audit) no detour target projected above its capacity.
 
     [clamp] enforces the budgets by dropping the least-valuable overrides
     (smallest detoured rate first — they buy the least relief per unit of
@@ -18,17 +18,15 @@
 type config = {
   max_detour_fraction : float option;  (** of snapshot total traffic *)
   max_overrides : int option;
-  check_targets : bool;  (** audit detour-target utilization *)
-  target_threshold : float;  (** utilization bound used by that audit *)
 }
 
 val default : config
-(** No budgets (None/None), target audit on at 1.0 — production trusts
-    the allocator's own threshold; budgets are opt-in belts. *)
+(** No budgets (None/None) — production trusts the allocator's own
+    threshold; budgets are opt-in belts. *)
 
 val conservative : config
-(** 25 % detour budget, 500 overrides, audit at 1.0 — a sane belt for
-    untrusted inputs. *)
+(** 25 % detour budget, 500 overrides — a sane belt for untrusted
+    inputs. *)
 
 type violation =
   | Detour_fraction_exceeded of { limit : float; actual : float }
@@ -36,19 +34,20 @@ type violation =
   | Stale_target of Ef_bgp.Prefix.t
       (** the override's target peer no longer announces the prefix *)
   | Target_overloaded of { iface_id : int; utilization : float }
+      (** a detour target projected above 100 % of its capacity *)
 
 val pp_violation : Format.formatter -> violation -> unit
 
 val audit :
-  ?enforced:Projection.t ->
+  enforced:Projection.t ->
   config ->
   Ef_collector.Snapshot.t ->
   Override.t list ->
   violation list
 (** All violations of the proposed override set, empty when clean.
     [enforced] must be the projection of the snapshot under exactly
-    [overrides]; when given, the target-load check reads it instead of
-    reprojecting the whole table. *)
+    [overrides] (the controller's enforced projection); the target-load
+    check reads every interface that receives a detour from it. *)
 
 val clamp :
   ?trace:Ef_trace.Recorder.t ->

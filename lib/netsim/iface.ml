@@ -13,6 +13,10 @@ let id t = t.id
 let name t = t.name
 let capacity_bps t = t.capacity_bps
 let shared t = t.shared
+let derate t ~factor =
+  if factor >= 1.0 then t
+  else { t with capacity_bps = Float.max 1.0 (t.capacity_bps *. factor) }
+
 let compare a b = Int.compare a.id b.id
 let equal a b = a.id = b.id
 

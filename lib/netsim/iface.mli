@@ -17,6 +17,12 @@ val id : t -> int
 val name : t -> string
 val capacity_bps : t -> float
 val shared : t -> bool
+
+val derate : t -> factor:float -> t
+(** The interface as SNMP reports it under a fault: a copy carrying
+    [factor] of its capacity, floored at 1 bps so utilization stays
+    well-defined on a fully-down link; [t] itself when [factor >= 1]. *)
+
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -30,8 +30,9 @@ module Histogram = struct
     mutable len : int;
     mutable h_sum : float;
     mutable h_seen : int;
-        (* total observations ever, including samples the merge reservoir
+        (* total observations ever, including samples the reservoir
            discarded; [count]/[sum]/[mean] stay exact even after drops *)
+    mutable h_max : float; (* running max over every observation *)
   }
 
   let merge_cap = 65_536
@@ -43,18 +44,49 @@ module Histogram = struct
       len = 0;
       h_sum = 0.0;
       h_seen = 0;
+      h_max = Float.neg_infinity;
     }
 
+  (* splitmix64 finalizer: the mix that turns the observation counter into
+     the reservoir draw must be stateless so replaying the same
+     observation sequence replaces the same slots *)
+  let mix64 z =
+    let open Int64 in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
+    logxor z (shift_right_logical z 31)
+
+  (* A long-running controller observes every per-cycle histogram once a
+     cycle, and fleet joins merge one histogram per engine per metric, so
+     an unbounded sample array grows with cycles x engines. Up to
+     [merge_cap] samples are appended; beyond it each observation runs a
+     deterministic reservoir step (algorithm R with the hash of the
+     observation counter as the draw): it survives with probability
+     cap/seen, displacing the slot the draw names, so retained samples
+     stay a uniform sample of everything observed. count/sum/mean/max
+     remain exact; quantiles become estimates over the reservoir. *)
   let observe t x =
-    if t.len = Array.length t.samples then begin
-      let bigger = Array.make (2 * t.len) 0.0 in
-      Array.blit t.samples 0 bigger 0 t.len;
-      t.samples <- bigger
-    end;
-    t.samples.(t.len) <- x;
-    t.len <- t.len + 1;
+    t.h_seen <- t.h_seen + 1;
     t.h_sum <- t.h_sum +. x;
-    t.h_seen <- t.h_seen + 1
+    if x > t.h_max then t.h_max <- x;
+    if t.len < merge_cap then begin
+      if t.len = Array.length t.samples then begin
+        let bigger = Array.make (2 * t.len) 0.0 in
+        Array.blit t.samples 0 bigger 0 t.len;
+        t.samples <- bigger
+      end;
+      t.samples.(t.len) <- x;
+      t.len <- t.len + 1
+    end
+    else begin
+      let draw =
+        Int64.rem
+          (Int64.logand (mix64 (Int64.of_int t.h_seen)) Int64.max_int)
+          (Int64.of_int t.h_seen)
+      in
+      let slot = Int64.to_int draw in
+      if slot < merge_cap then t.samples.(slot) <- x
+    end
 
   let count t = t.h_seen
   let retained t = t.len
@@ -71,57 +103,22 @@ module Histogram = struct
     | None -> 0.0 (* empty histogram: clamp, so exports never emit NaN *)
     | Some c -> Ef_stats.Cdf.quantile c q
 
-  let max_value t =
-    if t.len = 0 then Float.nan
-    else begin
-      let m = ref t.samples.(0) in
-      for i = 1 to t.len - 1 do
-        if t.samples.(i) > !m then m := t.samples.(i)
-      done;
-      !m
-    end
+  let max_value t = if t.h_seen = 0 then Float.nan else t.h_max
 
-  (* splitmix64 finalizer: the mix that turns the observation counter into
-     the reservoir draw must be stateless so replaying the same merge
-     sequence replaces the same slots *)
-  let mix64 z =
-    let open Int64 in
-    let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-    let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
-    logxor z (shift_right_logical z 31)
-
-  (* Fleet joins merge one histogram per engine per metric; unbounded
-     appending made the merged sample arrays grow with cycles x engines.
-     Beyond [merge_cap] retained samples, each incoming sample runs a
-     deterministic reservoir step (algorithm R with the hash of the
-     observation counter as the draw): it survives with probability
-     cap/seen, displacing the slot the draw names, so retained samples
-     stay a uniform sample of everything observed. count/sum/mean remain
-     exact; quantiles become estimates over the reservoir. *)
   let merge_into ~into src =
     let retained_sum = ref 0.0 in
     for i = 0 to src.len - 1 do
       let x = src.samples.(i) in
       retained_sum := !retained_sum +. x;
-      if into.len < merge_cap then observe into x
-      else begin
-        into.h_seen <- into.h_seen + 1;
-        into.h_sum <- into.h_sum +. x;
-        let draw =
-          Int64.rem
-            (Int64.logand (mix64 (Int64.of_int into.h_seen)) Int64.max_int)
-            (Int64.of_int into.h_seen)
-        in
-        let slot = Int64.to_int draw in
-        if slot < merge_cap then into.samples.(slot) <- x
-      end
+      observe into x
     done;
     (* samples the source itself had already dropped stay dropped, but the
-       totals must carry over so count/sum stay additive across joins
+       totals must carry over so count/sum/max stay exact across joins
        (the sum residue is exactly 0.0 when the source never dropped:
        [retained_sum] replays the same left-to-right additions) *)
     into.h_seen <- into.h_seen + (src.h_seen - src.len);
-    into.h_sum <- into.h_sum +. (src.h_sum -. !retained_sum)
+    into.h_sum <- into.h_sum +. (src.h_sum -. !retained_sum);
+    if src.h_max > into.h_max then into.h_max <- src.h_max
 
   let name t = t.h_name
 end

@@ -37,17 +37,25 @@ module Histogram : sig
   type t
 
   val observe : t -> float -> unit
+  (** Record one sample. The first {!merge_cap} samples are appended;
+      beyond the cap each one runs a deterministic reservoir step
+      (algorithm R keyed on a hash of the observation counter): it
+      survives with probability cap/count, displacing the slot the draw
+      names, so the retained set stays a uniform sample of everything
+      observed and memory stays bounded however long the run.
+      Deterministic: the same observation sequence yields the same
+      retained samples. *)
 
   val count : t -> int
-  (** Total observations ever, including samples discarded by the merge
-      reservoir (see {!merge_into}) — exact even after drops. *)
+  (** Total observations ever, including samples discarded by the
+      reservoir — exact even after drops. *)
 
   val retained : t -> int
   (** Samples currently held (what {!cdf}/{!quantile} are computed over).
-      Equal to {!count} until a merge crosses {!merge_cap}. *)
+      Equal to {!count} until it crosses {!merge_cap}. *)
 
   val dropped : t -> int
-  (** [count - retained]: samples the merge reservoir discarded. *)
+  (** [count - retained]: samples the reservoir discarded. *)
 
   val sum : t -> float
   val mean : t -> float
@@ -60,26 +68,24 @@ module Histogram : sig
   val quantile : t -> float -> float
   (** Via {!cdf}; clamped to [0.] when empty (a [nan] here would leak
       [null]s into JSON export and unparsable values into OpenMetrics).
-      Once a merge has dropped samples this is an estimate over a uniform
-      reservoir of the full stream. *)
+      Once the reservoir has dropped samples this is an estimate over a
+      uniform sample of the full stream. *)
 
   val max_value : t -> float
-  (** Largest retained sample; [nan] when empty. *)
+  (** Largest sample ever observed, dropped ones included (a running
+      max); [nan] when empty. *)
 
   val merge_cap : int
-  (** Retained-sample bound applied by {!merge_into} (65536). Direct
-      {!observe} is never capped — only cross-registry merges are, since
-      fleet joins are where sample arrays grew without bound. *)
+  (** Retained-sample bound (65536) of every histogram: {!observe} runs
+      the reservoir step beyond it, and {!merge_into} inherits it by
+      replaying samples through {!observe}. *)
 
   val merge_into : into:t -> t -> unit
-  (** Append the second histogram's retained samples to [into], in
-      observation order, up to {!merge_cap} retained samples; beyond the
-      cap each incoming sample runs a deterministic reservoir step
-      (algorithm R keyed on a hash of the observation counter), keeping
-      the retained set a uniform sample of everything observed.
-      {!count}/{!sum}/{!mean} stay exact; {!dropped} reports the
-      discard total. Deterministic: the same merge sequence yields the
-      same retained samples. *)
+  (** Replay the second histogram's retained samples through {!observe}
+      on [into], in observation order, then carry over what the source
+      had already dropped, so {!count}/{!sum}/{!mean}/{!max_value} stay
+      exact and {!dropped} reports the discard total. Deterministic: the
+      same merge sequence yields the same retained samples. *)
 
   val name : t -> string
 end

@@ -131,15 +131,9 @@ let faulted_ifaces inj ifaces ~time_s =
       let id = Ef_netsim.Iface.id ifc in
       if Ef_fault.Injector.link_down inj ~iface_id:id ~time_s then None
       else
-        let f = Ef_fault.Injector.capacity_factor inj ~iface_id:id ~time_s in
-        if f >= 1.0 then Some ifc
-        else
-          Some
-            (Ef_netsim.Iface.make ~id
-               ~name:(Ef_netsim.Iface.name ifc)
-               ~capacity_bps:
-                 (Float.max 1.0 (f *. Ef_netsim.Iface.capacity_bps ifc))
-               ~shared:(Ef_netsim.Iface.shared ifc)))
+        Some
+          (Ef_netsim.Iface.derate ifc
+             ~factor:(Ef_fault.Injector.capacity_factor inj ~iface_id:id ~time_s)))
     ifaces
 
 (* --- the cycle loop ------------------------------------------------------

@@ -4,12 +4,6 @@ module Obs = Ef_obs
 module Snapshot = Ef_collector.Snapshot
 open Ef_util
 
-type peer_event = {
-  event_peer_id : int;
-  down_at_s : int;
-  up_at_s : int;
-}
-
 type config = {
   cycle_s : int;
   duration_s : int;
@@ -25,7 +19,6 @@ type config = {
   policy : Ef_policy.program option;
   seed : int;
   events : Ef_traffic.Demand.event list;
-  peer_events : peer_event list;
   faults : Ef_fault.Plan.t option;
 }
 
@@ -45,7 +38,6 @@ let default_config =
     policy = None;
     seed = 1;
     events = [];
-    peer_events = [];
     faults = None;
   }
 
@@ -59,8 +51,7 @@ let make_config ?(cycle_s = default_config.cycle_s)
     ?(measurer_config = default_config.measurer_config)
     ?(perf_aware = default_config.perf_aware)
     ?(perf_config = default_config.perf_config) ?policy
-    ?(seed = default_config.seed) ?(events = default_config.events)
-    ?(peer_events = default_config.peer_events) ?faults () =
+    ?(seed = default_config.seed) ?(events = default_config.events) ?faults () =
   {
     cycle_s;
     duration_s;
@@ -76,7 +67,6 @@ let make_config ?(cycle_s = default_config.cycle_s)
     policy;
     seed;
     events;
-    peer_events;
     faults;
   }
 
@@ -147,12 +137,8 @@ type t = {
   rng : Rng.t;
   mutable now : int;
   mutable last_state : placement_state option;
-  (* failure injection: the full pre-outage table per peer, and which
-     peers are currently down *)
-  saved_routes : (int, (Bgp.Prefix.t * Bgp.Attrs.t) list) Hashtbl.t;
-  mutable peers_down : int list;
-  (* fault-plan injection (Ef_fault): link flaps keep their own saved
-     tables so they compose with scheduled peer_events *)
+  (* fault-plan injection (Ef_fault): the full pre-outage table of each
+     peer on a downed link, and which peers are currently down *)
   injector : Ef_fault.Injector.t option;
   flap_saved : (int, (Bgp.Prefix.t * Bgp.Attrs.t) list) Hashtbl.t;
   mutable flapped_down : int list;
@@ -262,8 +248,6 @@ let create ?(config = default_config) ?obs ?(trace = Ef_trace.Recorder.noop)
     rng = Rng.create (config.seed * 131);
     now = config.start_s;
     last_state = None;
-    saved_routes = Hashtbl.create 8;
-    peers_down = [];
     injector = Option.map Ef_fault.Injector.create config.faults;
     flap_saved = Hashtbl.create 8;
     flapped_down = [];
@@ -304,33 +288,9 @@ let observe_health health ~time_s ~duration_s ~stale stats =
            residual = count Ef.Controller.residual_overloads stats;
          })
 
-(* apply scheduled session outages/recoveries for the window ending now *)
-let apply_peer_events t ~time_s =
-  let pop = t.world.Ef_netsim.Topo_gen.pop in
-  List.iter
-    (fun ev ->
-      let pid = ev.event_peer_id in
-      let is_down = List.mem pid t.peers_down in
-      if (not is_down) && time_s >= ev.down_at_s && time_s < ev.up_at_s then begin
-        (* capture the table once, then flush like a session loss *)
-        if not (Hashtbl.mem t.saved_routes pid) then
-          Hashtbl.replace t.saved_routes pid
-            (Bgp.Rib.adj_rib_in (Ef_netsim.Pop.rib pop) ~peer_id:pid);
-        ignore (Ef_netsim.Pop.drop_peer pop ~peer_id:pid);
-        t.peers_down <- pid :: t.peers_down
-      end
-      else if is_down && time_s >= ev.up_at_s then begin
-        List.iter
-          (fun (prefix, attrs) ->
-            ignore (Ef_netsim.Pop.announce pop ~peer_id:pid prefix attrs))
-          (Option.value (Hashtbl.find_opt t.saved_routes pid) ~default:[]);
-        t.peers_down <- List.filter (fun id -> id <> pid) t.peers_down
-      end)
-    t.config.peer_events
-
 (* take flapping links up and down: a downed link drops every session on
-   it (routes flushed, exactly like apply_peer_events); when the outage
-   window ends the sessions return and re-announce their saved tables *)
+   it (routes flushed, as a session loss does); when the outage window
+   ends the sessions return and re-announce their saved tables *)
 let apply_link_faults t ~time_s =
   match t.injector with
   | None -> ()
@@ -362,9 +322,9 @@ let apply_link_faults t ~time_s =
             (Ef_netsim.Pop.peers_on_iface pop ~iface_id))
         (Ef_netsim.Pop.interfaces pop)
 
-(* interface list as SNMP would report it under the active faults:
-   capacity-derated copies for degraded links, floored at 1 bps so
-   utilization stays well-defined on a fully-down link *)
+(* interface list as SNMP would report it under the active faults: a
+   downed link stays listed, derated to 1 bps (its sessions are flushed
+   by apply_link_faults) *)
 let eff_ifaces t ~time_s =
   let ifaces = Ef_netsim.Pop.interfaces t.world.Ef_netsim.Topo_gen.pop in
   match t.injector with
@@ -372,18 +332,10 @@ let eff_ifaces t ~time_s =
   | Some inj ->
       List.map
         (fun iface ->
-          let factor =
-            Ef_fault.Injector.capacity_factor inj
-              ~iface_id:(Ef_netsim.Iface.id iface) ~time_s
-          in
-          if factor >= 1.0 then iface
-          else
-            Ef_netsim.Iface.make
-              ~id:(Ef_netsim.Iface.id iface)
-              ~name:(Ef_netsim.Iface.name iface)
-              ~capacity_bps:
-                (Float.max 1.0 (Ef_netsim.Iface.capacity_bps iface *. factor))
-              ~shared:(Ef_netsim.Iface.shared iface))
+          Ef_netsim.Iface.derate iface
+            ~factor:
+              (Ef_fault.Injector.capacity_factor inj
+                 ~iface_id:(Ef_netsim.Iface.id iface) ~time_s))
         ifaces
 
 let rate_floor = 1_000.0 (* ignore demand under 1 kbps *)
@@ -500,7 +452,6 @@ let step t =
   let ob = t.obs in
   Obs.Span.time_h ob.reg ob.sp_step @@ fun () ->
   let time_s = t.now in
-  apply_peer_events t ~time_s;
   apply_link_faults t ~time_s;
   let fault_ifaces = eff_ifaces t ~time_s in
   let truth =

@@ -10,18 +10,6 @@
     exclusively for the recorded outcomes — the same separation the real
     deployment has between its feeds and reality. *)
 
-type peer_event = {
-  event_peer_id : int;
-  down_at_s : int;
-  up_at_s : int;   (** must be > [down_at_s]; the session re-announces its
-                       full table when it returns *)
-}
-(** A scheduled neighbor-session outage (failure injection): at
-    [down_at_s] the peer's routes are flushed exactly as a session loss
-    does; at [up_at_s] the session returns and re-announces. Overrides
-    targeting the dead peer become stale and fall back safely — the
-    machinery this exists to exercise. *)
-
 (** The engine configuration: plain immutable data, so one value can be
     shared by engines running on different domains (see {!Fleet}). The
     run's instrumentation handles — registry, decision-trace recorder,
@@ -57,11 +45,15 @@ type config = {
           declares (whose knob side is still applied). *)
   seed : int;
   events : Ef_traffic.Demand.event list;
-  peer_events : peer_event list;
   faults : Ef_fault.Plan.t option;
       (** deterministic fault plan injected into this run: link flaps,
           capacity degradations, feed stalls, cycle skips/delays (see
-          {!Ef_fault.Plan}); [None] = healthy run *)
+          {!Ef_fault.Plan}); [None] = healthy run. The one failure model:
+          a downed link flushes every session on it and re-announces
+          their tables when it returns. A session outage on a
+          single-peer PNI is a one-window
+          [Link_flap { period_s = 4; down_s = until_s - from_s; _ }]
+          (a period under 8 s draws no onset jitter). *)
 }
 
 val default_config : config
@@ -83,7 +75,6 @@ val make_config :
   ?policy:Ef_policy.program ->
   ?seed:int ->
   ?events:Ef_traffic.Demand.event list ->
-  ?peer_events:peer_event list ->
   ?faults:Ef_fault.Plan.t ->
   unit ->
   config

@@ -58,61 +58,44 @@ let run_key ~controller ~controller_config ~params scenario =
   Printf.sprintf "%s/ctrl=%b/%d/%d/%d/%s" scenario.Scenario.scenario_name
     controller params.cycle_s params.duration_s params.seed cfg_tag
 
-let daily_run ?(controller = true) ?controller_config ~params scenario =
-  let key = run_key ~controller ~controller_config ~params scenario in
-  match Hashtbl.find_opt run_cache key with
-  | Some m -> m
-  | None ->
+(* One way to fill the run cache, whatever [params.jobs]: each missing
+   spec runs on a private registry (the shared one is unsafe across
+   domains), [params.jobs] at a time, and results and telemetry are
+   folded back on the calling domain in spec order — so cache contents
+   and the default registry are independent of [jobs]. *)
+let prewarm ~params specs =
+  let seen = Hashtbl.create 8 in
+  let missing =
+    List.filter
+      (fun (controller, controller_config, scenario) ->
+        let key = run_key ~controller ~controller_config ~params scenario in
+        if Hashtbl.mem run_cache key || Hashtbl.mem seen key then false
+        else begin
+          Hashtbl.replace seen key ();
+          true
+        end)
+      specs
+  in
+  Ef_util.Pool.map ~jobs:params.jobs
+    (fun (controller, controller_config, scenario) ->
+      let reg = Ef_obs.Registry.create () in
       let engine =
-        Engine.create
+        Engine.create ~obs:reg
           ~config:(engine_config ~params ~controller ?controller_config ())
           scenario
       in
       let m = Engine.run engine in
-      Hashtbl.replace run_cache key m;
-      m
+      (run_key ~controller ~controller_config ~params scenario, m, reg))
+    missing
+  |> List.iter (fun (key, m, reg) ->
+         Hashtbl.replace run_cache key m;
+         Ef_obs.Registry.merge ~into:(Ef_obs.Registry.default ()) reg)
 
-(* Fill the run cache for a set of (controller, config, scenario) specs,
-   [params.jobs] at a time. A no-op at jobs <= 1: the sequential path is
-   exactly the lazy daily_run of old. Parallel runs give each engine a
-   private registry (the shared one is unsafe across domains) and fold
-   results and telemetry back on the calling domain in spec order, so
-   cache contents and the default registry are independent of [jobs]. *)
-let prewarm ~params specs =
-  if params.jobs > 1 then begin
-    let seen = Hashtbl.create 8 in
-    let missing =
-      List.filter
-        (fun (controller, controller_config, scenario) ->
-          let key = run_key ~controller ~controller_config ~params scenario in
-          if Hashtbl.mem run_cache key || Hashtbl.mem seen key then false
-          else begin
-            Hashtbl.replace seen key ();
-            true
-          end)
-        specs
-    in
-    if missing <> [] then begin
-      let computed =
-        Ef_util.Pool.map ~jobs:params.jobs
-          (fun (controller, controller_config, scenario) ->
-            let reg = Ef_obs.Registry.create () in
-            let engine =
-              Engine.create ~obs:reg
-                ~config:(engine_config ~params ~controller ?controller_config ())
-                scenario
-            in
-            let m = Engine.run engine in
-            (run_key ~controller ~controller_config ~params scenario, m, reg))
-          missing
-      in
-      List.iter
-        (fun (key, m, reg) ->
-          Hashtbl.replace run_cache key m;
-          Ef_obs.Registry.merge ~into:(Ef_obs.Registry.default ()) reg)
-        computed
-    end
-  end
+let daily_run ?(controller = true) ?controller_config ~params scenario =
+  let key = run_key ~controller ~controller_config ~params scenario in
+  if not (Hashtbl.mem run_cache key) then
+    prewarm ~params [ (controller, controller_config, scenario) ];
+  Hashtbl.find run_cache key
 
 (* ------------------------------------------------------------------ *)
 (* E1: peering characterization (Table 1)                              *)

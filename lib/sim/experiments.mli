@@ -16,7 +16,8 @@ type run_params = {
   seed : int;
   jobs : int;
       (** Domains used by {!prewarm} to fill the run cache in parallel.
-          Results are identical for every value; 1 = fully sequential. *)
+          Results and telemetry are identical for every value; 1 = on
+          the calling domain. *)
 }
 
 val default_params : run_params
@@ -31,10 +32,11 @@ val prewarm :
     at a time on separate domains, forked and joined by
     {!Ef_util.Pool.map}. Pass the {e same} [controller_config]
     option the later driver will use — [None] and [Some Ef.Config.default]
-    are distinct cache keys. A no-op when [params.jobs <= 1], so the
-    sequential path is untouched. Parallel runs use private telemetry
-    registries, folded into the default registry in spec order after the
-    barrier; cache contents and telemetry are independent of [jobs]. *)
+    are distinct cache keys. Every daily run takes this path, at any
+    [jobs] (a driver's cache miss prewarms its one spec): each run gets a
+    private telemetry registry, folded into the default registry in spec
+    order after the barrier, so cache contents and telemetry (counters,
+    gauges summed over runs) are independent of [jobs]. *)
 
 (* -- static characterization ---------------------------------------- *)
 

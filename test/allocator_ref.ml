@@ -91,11 +91,6 @@ let find_target st (pl : Projection.placement) =
   let target = go 0 ranked in
   (target, List.rev !verdicts)
 
-let budget_left st =
-  match st.config.Config.max_overrides_per_cycle with
-  | None -> true
-  | Some n -> List.length st.overrides < n
-
 let order_placements st pls =
   match st.config.Config.order with
   | Config.Largest_first -> pls
@@ -213,7 +208,7 @@ let run ~config ?(trace = Trace.noop) snapshot =
       (Projection.overloaded before ~threshold:config.Config.overload_threshold)
   in
   let progress = ref true in
-  while !progress && budget_left st do
+  while !progress do
     progress := false;
     let over =
       Projection.overloaded st.proj ~threshold:config.Config.overload_threshold

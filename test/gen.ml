@@ -29,15 +29,9 @@ let snapshot_of_scenario ?rate_factor ?time_s (s : N.Scenario.t) =
   snapshot_of_world ?rate_factor ?time_s
     (N.Topo_gen.generate s.N.Scenario.topo)
 
-(* capacity-derated interface copies, the way the engine's fault path
-   builds them (floored at 1 bps so utilization stays well-defined) *)
+(* capacity-derated interface copies, the way the fault drivers build
+   them *)
 let derate_ifaces ~factor_of ifaces =
   List.map
-    (fun iface ->
-      let f = factor_of (N.Iface.id iface) in
-      if f >= 1.0 then iface
-      else
-        N.Iface.make ~id:(N.Iface.id iface) ~name:(N.Iface.name iface)
-          ~capacity_bps:(Float.max 1.0 (N.Iface.capacity_bps iface *. f))
-          ~shared:(N.Iface.shared iface))
+    (fun iface -> N.Iface.derate iface ~factor:(factor_of (N.Iface.id iface)))
     ifaces

@@ -28,8 +28,6 @@ let configs =
     ( "split-24",
       Ef.Config.(
         default |> with_granularity Split_24 |> with_overload_threshold 0.85) );
-    ( "budget-2",
-      Ef.Config.(default |> with_max_overrides_per_cycle (Some 2)) );
   |]
 
 let trace_bytes tr = Ef_obs.Json.to_string (Trace.to_json tr)

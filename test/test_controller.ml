@@ -220,6 +220,69 @@ let test_controller_bad_config_rejected () =
            ~config:(Ef.Config.make ~override_local_pref:100 ())
            ~name:"bad" ()))
 
+(* The low-confidence rung: once 3 healthy cycles have seeded the rate
+   EWMA, a snapshot whose total falls below [min_rate_confidence] x the
+   EWMA fails static — the previous active set is held exactly and the
+   degradation is counted — and the warm image is dropped, so the next
+   healthy cycle runs cold (even on a snapshot linked to the last healthy
+   one) and the one after it warm again. *)
+let test_controller_low_confidence_holds () =
+  let fx = fixture () in
+  let reg = Ef_obs.Registry.create () in
+  let config = Ef.Config.make ~min_rate_confidence:0.5 () in
+  let ctrl = Ef.Controller.create ~config ~obs:reg ~name:"lowconf" () in
+  let healthy = [ (pfx_a, 8e9); (pfx_b, 4e9); (pfx_c, 1e9) ] in
+  let prev = ref (snapshot fx healthy) in
+  let cycle_on ?(from = !prev) ~time_s rates =
+    let snap =
+      if time_s = 0 then from
+      else C.Snapshot.patch ~prev:from ~rate_updates:rates ~time_s ()
+    in
+    prev := snap;
+    Ef.Controller.cycle ctrl snap
+  in
+  List.iter
+    (fun time_s ->
+      let stats = cycle_on ~time_s healthy in
+      Alcotest.(check bool) "healthy cycle" true
+        (Ef.Controller.degraded stats = None))
+    [ 0; 30; 60 ];
+  Alcotest.(check int) "warm after the first cycle" 2
+    (Ef.Controller.incremental_hits ctrl);
+  let held = Ef.Controller.active_overrides ctrl in
+  Alcotest.(check bool) "overrides to hold" true (held <> []);
+  let same_set a b =
+    List.equal
+      (fun x y ->
+        Ef.Override.equal x y && x.Ef.Override.rate_bps = y.Ef.Override.rate_bps)
+      a b
+  in
+  let last_healthy = !prev in
+  (* a feed blackout: 10% of the healthy total, under half the EWMA *)
+  let stats =
+    cycle_on ~time_s:90 (List.map (fun (p, bps) -> (p, bps /. 10.0)) healthy)
+  in
+  (match Ef.Controller.degraded stats with
+  | Some (Ef.Controller.Low_confidence { observed_bps; expected_bps }) ->
+      Alcotest.(check bool) "below the confidence floor" true
+        (observed_bps < 0.5 *. expected_bps)
+  | _ -> Alcotest.fail "expected a low-confidence degradation");
+  Alcotest.(check bool) "enforces the held set" true
+    (same_set held (Ef.Controller.overrides_enforced stats));
+  Alcotest.(check bool) "active set unchanged" true
+    (same_set held (Ef.Controller.active_overrides ctrl));
+  Alcotest.(check (float 0.0)) "degradation counted" 1.0
+    (Ef_obs.Counter.value
+       (Ef_obs.Registry.counter reg "controller.degraded.low_confidence"));
+  let hits = Ef.Controller.incremental_hits ctrl in
+  let stats = cycle_on ~from:last_healthy ~time_s:120 healthy in
+  Alcotest.(check bool) "recovered" true (Ef.Controller.degraded stats = None);
+  Alcotest.(check int) "recovery cycle runs cold" hits
+    (Ef.Controller.incremental_hits ctrl);
+  ignore (cycle_on ~time_s:150 healthy);
+  Alcotest.(check int) "next cycle runs warm" (hits + 1)
+    (Ef.Controller.incremental_hits ctrl)
+
 (* --- invariants under fault injection ----------------------------------- *)
 
 (* Drive a controller through the canned chaos plan over the generated
@@ -280,16 +343,10 @@ let test_controller_fault_invariants () =
     let ifaces =
       List.map
         (fun iface ->
-          let factor =
-            Ef_fault.Injector.capacity_factor inj
-              ~iface_id:(N.Iface.id iface) ~time_s
-          in
-          if factor >= 1.0 then iface
-          else
-            N.Iface.make ~id:(N.Iface.id iface) ~name:(N.Iface.name iface)
-              ~capacity_bps:
-                (Float.max 1.0 (N.Iface.capacity_bps iface *. factor))
-              ~shared:(N.Iface.shared iface))
+          N.Iface.derate iface
+            ~factor:
+              (Ef_fault.Injector.capacity_factor inj
+                 ~iface_id:(N.Iface.id iface) ~time_s))
         (N.Pop.interfaces pop)
     in
     let rates =
@@ -369,6 +426,8 @@ let suite =
     Alcotest.test_case "controller stateless restart" `Quick
       test_controller_stateless_across_restart;
     Alcotest.test_case "controller bad config" `Quick test_controller_bad_config_rejected;
+    Alcotest.test_case "controller low confidence holds" `Quick
+      test_controller_low_confidence_holds;
     Alcotest.test_case "controller fault invariants" `Quick
       test_controller_fault_invariants;
   ]

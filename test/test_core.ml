@@ -73,9 +73,7 @@ let test_config_rejects_bad () =
   Alcotest.(check bool) "margin >= threshold" false
     (bad (Ef.Config.make ~release_margin:0.95 ()));
   Alcotest.(check bool) "low local pref" false
-    (bad (Ef.Config.make ~override_local_pref:300 ()));
-  Alcotest.(check bool) "negative budget" false
-    (bad (Ef.Config.make ~max_overrides_per_cycle:(-1) ()))
+    (bad (Ef.Config.make ~override_local_pref:300 ()))
 
 (* --- Projection -------------------------------------------------------- *)
 
@@ -333,14 +331,6 @@ let test_allocator_residual_when_no_room () =
   Alcotest.(check int) "no overrides possible" 0
     (List.length result.Ef.Allocator.overrides);
   Alcotest.(check int) "one residual" 1 (List.length result.Ef.Allocator.residual)
-
-let test_allocator_budget_respected () =
-  let fx = fixture () in
-  let snap = snapshot fx [ (pfx_a, 8e9); (pfx_b, 4e9) ] in
-  let config = { config with Ef.Config.max_overrides_per_cycle = Some 0 } in
-  let result = Ef.Allocator.run ~config snap in
-  Alcotest.(check int) "no overrides" 0 (List.length result.Ef.Allocator.overrides);
-  Alcotest.(check bool) "overload remains" true (result.Ef.Allocator.residual <> [])
 
 let test_allocator_single_pass_can_overshoot () =
   let fx = fixture () in
@@ -706,7 +696,6 @@ let suite =
       test_allocator_skips_full_alternate;
     Alcotest.test_case "allocator residual" `Quick
       test_allocator_residual_when_no_room;
-    Alcotest.test_case "allocator budget" `Quick test_allocator_budget_respected;
     Alcotest.test_case "allocator single-pass overshoot" `Quick
       test_allocator_single_pass_can_overshoot;
     Alcotest.test_case "allocator split-24" `Quick test_allocator_split24;

@@ -262,25 +262,32 @@ let test_engine_peer_failure_recovery () =
       (N.Pop.peers world.N.Topo_gen.pop)
   in
   let start = 18 * 3600 in
+  let victim_iface =
+    N.Iface.id (N.Pop.iface_of_peer world.N.Topo_gen.pop ~peer_id:(Bgp.Peer.id victim))
+  in
+  Alcotest.(check int) "victim is alone on its PNI" 1
+    (List.length (N.Pop.peers_on_iface world.N.Topo_gen.pop ~iface_id:victim_iface));
+  (* on a single-peer PNI the session outage is a link outage: one flap
+     window, no onset jitter at period 4 *)
+  let outage =
+    Ef_fault.Plan.Link_flap
+      {
+        iface_id = victim_iface;
+        from_s = start + 600;
+        until_s = start + 1800;
+        period_s = 4;
+        down_s = 1200;
+      }
+  in
   let config =
     {
       (engine_config ~use_sampling:false ~duration_s:3600 ()) with
-      S.Engine.peer_events =
-        [
-          {
-            S.Engine.event_peer_id = Bgp.Peer.id victim;
-            down_at_s = start + 600;
-            up_at_s = start + 1800;
-          };
-        ];
+      S.Engine.faults = Some (Ef_fault.Plan.make [ outage ]);
     }
   in
   let e = S.Engine.create ~config tiny in
   let carried_before = ref 0.0 and carried_during = ref 0.0 in
   let carried_after = ref 0.0 in
-  let victim_iface =
-    N.Iface.id (N.Pop.iface_of_peer world.N.Topo_gen.pop ~peer_id:(Bgp.Peer.id victim))
-  in
   for _ = 1 to 60 do
     let row = S.Engine.step e in
     let t = row.S.Metrics.row_time_s in

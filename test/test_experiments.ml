@@ -34,16 +34,36 @@ let test_cache_stability () =
   Alcotest.(check string) "deterministic" a b
 
 let test_jobs_invariance () =
-  (* the parallel prewarm path must produce the exact table the
-     sequential path does; short day to keep the test quick *)
+  (* jobs=1 and jobs=4 must produce the exact same table and the same
+     default-registry counters and gauges; short day to keep the test
+     quick *)
   let params cycle_s jobs =
     { E.default_params with E.cycle_s; duration_s = 2 * 3600; jobs }
   in
-  E.clear_cache ();
-  let seq = Table.render (E.e4_bgp_only_overload ~params:(params 600 1) ()) in
-  E.clear_cache ();
-  let par = Table.render (E.e4_bgp_only_overload ~params:(params 600 4) ()) in
-  Alcotest.(check string) "e4 identical at jobs=1 and jobs=4" seq par
+  let run jobs =
+    E.clear_cache ();
+    let reg = Ef_obs.Registry.default () in
+    Ef_obs.Registry.reset reg;
+    let table =
+      Table.render (E.e4_bgp_only_overload ~params:(params 600 jobs) ())
+    in
+    let values =
+      List.filter_map
+        (fun (name, m) ->
+          match m with
+          | Ef_obs.Registry.Counter_m c -> Some (name, Ef_obs.Counter.value c)
+          | Ef_obs.Registry.Gauge_m g -> Some (name, Ef_obs.Gauge.value g)
+          | Ef_obs.Registry.Histogram_m _ | Ef_obs.Registry.Span_m _ -> None)
+        (Ef_obs.Registry.metrics reg)
+    in
+    (table, values)
+  in
+  let seq, seq_values = run 1 in
+  let par, par_values = run 4 in
+  Alcotest.(check string) "e4 identical at jobs=1 and jobs=4" seq par;
+  Alcotest.(check bool) "counters and gauges recorded" true (seq_values <> []);
+  Alcotest.(check (list (pair string (float 0.0))))
+    "default-registry counters and gauges identical" seq_values par_values
 
 let suite =
   [

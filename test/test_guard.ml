@@ -24,12 +24,19 @@ let override_to fx snap ?(rate = 1e9) p kind =
     ~from_iface:(N.Iface.id fx.Test_core.iface_private)
     ~to_iface ~preference_level:1 ~rate_bps:rate
 
+(* the enforced projection the audit reads, computed cold *)
+let audit config snap os =
+  let enforced =
+    Ef.Projection.project ~overrides:(Ef.Override.lookup os) snap
+  in
+  Ef.Guard.audit ~enforced config snap os
+
 let test_audit_clean () =
   let fx = fixture () in
   let snap = snapshot fx [ (pfx_a, 2e9); (pfx_b, 1e9) ] in
   let o = override_to fx snap pfx_a Bgp.Peer.Transit in
   Alcotest.(check int) "no violations" 0
-    (List.length (Ef.Guard.audit Ef.Guard.default snap [ o ]))
+    (List.length (audit Ef.Guard.default snap [ o ]))
 
 let test_audit_fraction () =
   let fx = fixture () in
@@ -39,7 +46,7 @@ let test_audit_fraction () =
     { Ef.Guard.default with Ef.Guard.max_detour_fraction = Some 0.5 }
   in
   (* pfx_a is 80% of traffic: over the 50% budget *)
-  match Ef.Guard.audit config snap [ o ] with
+  match audit config snap [ o ] with
   | [ Ef.Guard.Detour_fraction_exceeded { limit; actual } ] ->
       Helpers.check_float "limit" 0.5 limit;
       Helpers.check_float "actual" 0.8 actual
@@ -58,7 +65,7 @@ let test_audit_count () =
   Alcotest.(check bool) "count violation" true
     (List.exists
        (function Ef.Guard.Override_count_exceeded _ -> true | _ -> false)
-       (Ef.Guard.audit config snap os))
+       (audit config snap os))
 
 let test_audit_stale_target () =
   let fx = fixture () in
@@ -70,7 +77,7 @@ let test_audit_stale_target () =
     Ef.Override.make ~prefix:pfx_c ~target:bogus_target ~from_iface:2 ~to_iface:0
       ~preference_level:1 ~rate_bps:1e9
   in
-  match Ef.Guard.audit Ef.Guard.default snap [ o ] with
+  match audit Ef.Guard.default snap [ o ] with
   | [ Ef.Guard.Stale_target p ] -> Alcotest.check prefix_t "prefix" pfx_c p
   | l -> Alcotest.failf "expected stale target, got %d violations" (List.length l)
 
@@ -84,7 +91,7 @@ let test_audit_target_overloaded () =
        (function
          | Ef.Guard.Target_overloaded { utilization; _ } -> utilization > 1.0
          | _ -> false)
-       (Ef.Guard.audit Ef.Guard.default snap [ o ]))
+       (audit Ef.Guard.default snap [ o ]))
 
 (* A /24 split child has no routes of its own; its override's target is
    live when any rated prefix covering it still offers the target's peer. *)
@@ -95,7 +102,7 @@ let child_override snap ~child ~via kind =
 let stale_targets snap os =
   List.filter_map
     (function Ef.Guard.Stale_target p -> Some (Bgp.Prefix.to_string p) | _ -> None)
-    (Ef.Guard.audit Ef.Guard.default snap os)
+    (audit Ef.Guard.default snap os)
 
 let test_audit_split_child_resolves_through_cover () =
   let fx = fixture () in

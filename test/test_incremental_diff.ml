@@ -33,7 +33,8 @@ let iface_floats l = List.map (fun (i, u) -> (N.Iface.id i, u)) l
 (* the config axes the incremental machinery interacts with: the
    allocator visiting order shapes the pre-relief image's consumption,
    split-24 adds synthetic placements the enforced derivation must not
-   trip on, and a tight budget keeps overrides churning cycle to cycle *)
+   trip on, and a tight guard budget keeps overrides churning cycle to
+   cycle *)
 let configs =
   [|
     ("default", Ef.Config.default);
@@ -42,7 +43,11 @@ let configs =
       Ef.Config.(
         default |> with_granularity Split_24 |> with_overload_threshold 0.85)
     );
-    ("budget-2", Ef.Config.(default |> with_max_overrides_per_cycle (Some 2)));
+    ( "guard-2",
+      Ef.Config.(
+        default
+        |> with_guard { Ef.Guard.default with Ef.Guard.max_overrides = Some 2 })
+    );
   |]
 
 (* One seeded world driven [cycles] controller cycles in lockstep: the

@@ -344,6 +344,50 @@ let test_registry_merge_no_spurious_drops () =
   Alcotest.(check bool) "no dropped-samples counter registered" true
     (O.Registry.find into "obs.merge.dropped_samples" = None)
 
+(* direct observation is bounded by the same reservoir as a merge: beyond
+   merge_cap each sample runs the reservoir step, count/sum/mean/max stay
+   exact, and replaying the same observations — directly or through a
+   merge — retains the same samples *)
+let test_histogram_observe_bounded () =
+  let cap = O.Histogram.merge_cap in
+  let n = 2 * cap in
+  let fill () =
+    let h = O.Registry.histogram (O.Registry.create ()) "h" in
+    (* the largest sample comes first, where the reservoir may displace it *)
+    for i = n downto 1 do
+      O.Histogram.observe h (float_of_int i)
+    done;
+    h
+  in
+  let h = fill () in
+  Alcotest.(check int) "retention capped" cap (O.Histogram.retained h);
+  Alcotest.(check int) "count is exact" n (O.Histogram.count h);
+  Alcotest.(check int) "drops accounted" (n - cap) (O.Histogram.dropped h);
+  let exact_sum = float_of_int (n * (n + 1) / 2) in
+  Alcotest.(check (float 0.0)) "sum stays exact" exact_sum (O.Histogram.sum h);
+  Alcotest.(check (float 0.0)) "mean stays exact"
+    (exact_sum /. float_of_int n)
+    (O.Histogram.mean h);
+  Alcotest.(check (float 0.0)) "max stays exact" (float_of_int n)
+    (O.Histogram.max_value h);
+  let quantiles h =
+    match O.Histogram.cdf h with
+    | None -> []
+    | Some c ->
+        List.init 257 (fun i -> Ef_stats.Cdf.quantile c (float_of_int i /. 256.0))
+  in
+  Alcotest.(check (list (float 0.0))) "replay retains the same samples"
+    (quantiles h) (quantiles (fill ()));
+  let merged = O.Registry.histogram (O.Registry.create ()) "h" in
+  O.Histogram.merge_into ~into:merged h;
+  Alcotest.(check (list (float 0.0))) "merge retains the same samples"
+    (quantiles h) (quantiles merged);
+  Alcotest.(check int) "merge carries the count" n (O.Histogram.count merged);
+  Alcotest.(check (float 0.0)) "merge carries the sum" exact_sum
+    (O.Histogram.sum merged);
+  Alcotest.(check (float 0.0)) "merge carries the max" (float_of_int n)
+    (O.Histogram.max_value merged)
+
 let test_registry_dispatch_replays () =
   let reg = O.Registry.create () in
   let seen = ref [] in
@@ -537,6 +581,8 @@ let suite =
       test_registry_merge_histogram_cap;
     Alcotest.test_case "registry merge below cap unchanged" `Quick
       test_registry_merge_no_spurious_drops;
+    Alcotest.test_case "histogram observe bounded (reservoir)" `Quick
+      test_histogram_observe_bounded;
     Alcotest.test_case "registry dispatch replays" `Quick
       test_registry_dispatch_replays;
     Alcotest.test_case "prom label escaping" `Quick test_prom_label_escaping;

@@ -91,7 +91,6 @@ let prop_guard_clamp_respects_budgets =
       let result = Ef.Allocator.run ~config:Ef.Config.default snap in
       let config =
         {
-          Ef.Guard.default with
           Ef.Guard.max_overrides = Some max_n;
           max_detour_fraction = Some (float_of_int frac_pct /. 100.0);
         }
@@ -1283,7 +1282,6 @@ let prop_enforced_equals_cold =
             c
             |> with_guard
                  {
-                   Ef.Guard.default with
                    Ef.Guard.max_overrides = Some (2 + (seed mod 5));
                    max_detour_fraction = Some 0.1;
                  })

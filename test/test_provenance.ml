@@ -190,8 +190,6 @@ let test_guard_budget_drops () =
     {
       Ef.Guard.max_detour_fraction = None;
       max_overrides = Some 0;
-      check_targets = false;
-      target_threshold = 1.0;
     }
   in
   let kept, dropped =
