@@ -44,7 +44,7 @@ let seed_t =
 
 (* --hours / --cycle for every command that simulates a window: a
    negative window or a zero period is a usage error (exit 124), not a
-   Division_by_zero deep inside the run *)
+   Division_by_zero deep inside the run; explain's --ring likewise *)
 let int_at_least lo =
   let parse s =
     match int_of_string_opt s with
@@ -53,6 +53,18 @@ let int_at_least lo =
         Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+(* --slo-deadline for run and health: a budget of zero or less would count
+   every cycle as an overrun, and NaN none at all *)
+let slo_deadline_t ~doc =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f && f > 0.0 -> Ok f
+    | Some _ | None ->
+        Error (`Msg (Printf.sprintf "expected a positive finite number, got %S" s))
+  in
+  let positive = Arg.conv (parse, Arg.conv_printer Arg.float) in
+  Arg.(value & opt positive 1.0 & info [ "slo-deadline" ] ~docv:"SEC" ~doc)
 
 let hours_t ?(doc = "Simulated duration.") default =
   Arg.(value & opt (int_at_least 0) default & info [ "hours" ] ~docv:"H" ~doc)
@@ -303,7 +315,7 @@ let cycle_cmd =
       print_endline "BGP updates:";
       List.iter
         (fun u -> Format.printf "  %a@." Bgp.Msg.pp (Bgp.Msg.Update u))
-        (Ef.Controller.bgp_updates ctrl stats)
+        (Ef.Controller.bgp_updates stats)
     end;
     print_metrics metrics
   in
@@ -659,13 +671,11 @@ let run_cmd =
              seeded runs produce byte-identical files.")
   in
   let slo_deadline_t =
-    Arg.(
-      value & opt float 1.0
-      & info [ "slo-deadline" ] ~docv:"SEC"
-          ~doc:
-            "Cycle wall-time budget for the SLO tracker (default 1.0, the \
-             paper-scale acceptance bar); cycles over budget count as \
-             overruns and feed the burn rate.")
+    slo_deadline_t
+      ~doc:
+        "Cycle wall-time budget for the SLO tracker (default 1.0, the \
+         paper-scale acceptance bar); cycles over budget count as \
+         overruns and feed the burn rate."
   in
   let mrt_t =
     Arg.(
@@ -740,10 +750,7 @@ let health_cmd =
     exit (Ef_health.Slo.state_rank (Ef_health.Tracker.state health))
   in
   let slo_deadline_t =
-    Arg.(
-      value & opt float 1.0
-      & info [ "slo-deadline" ] ~docv:"SEC"
-          ~doc:"Cycle wall-time budget for the SLO tracker.")
+    slo_deadline_t ~doc:"Cycle wall-time budget for the SLO tracker."
   in
   let json_t =
     Arg.(
@@ -820,7 +827,7 @@ let explain_cmd =
   in
   let ring_t =
     Arg.(
-      value & opt int 64
+      value & opt (int_at_least 1) 64
       & info [ "ring" ] ~docv:"N" ~doc:"Trace ring capacity (retained cycles).")
   in
   let json_t =

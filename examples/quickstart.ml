@@ -76,10 +76,10 @@ let () =
   Format.printf "@.The BGP message that enforces it:@.";
   List.iter
     (fun u -> Format.printf "  %a@." Bgp.Msg.pp (Bgp.Msg.Update u))
-    (Ef.Controller.bgp_updates controller stats);
+    (Ef.Controller.bgp_updates stats);
 
   (* 4. And the wire bytes are real: encode and decode them. *)
-  match Ef.Controller.bgp_updates controller stats with
+  match Ef.Controller.bgp_updates stats with
   | [] -> ()
   | u :: _ ->
       let wire = Bgp.Codec.encode (Bgp.Msg.Update u) in

@@ -29,16 +29,17 @@ let default_policy =
       Ef_policy.Set_perf_guard default_config.capacity_guard;
     ]
 
-let config_of_policy ?(base = default_config) env policy =
+let config_of_policy env policy =
   let ap = Ef_policy.alloc_params env policy in
+  let d = default_config in
   {
     min_improvement_ms =
       Option.value ap.Ef_policy.ap_min_improvement_ms
-        ~default:base.min_improvement_ms;
+        ~default:d.min_improvement_ms;
     max_suggestions =
-      Option.value ap.Ef_policy.ap_max_suggestions ~default:base.max_suggestions;
+      Option.value ap.Ef_policy.ap_max_suggestions ~default:d.max_suggestions;
     capacity_guard =
-      Option.value ap.Ef_policy.ap_perf_guard ~default:base.capacity_guard;
+      Option.value ap.Ef_policy.ap_perf_guard ~default:d.capacity_guard;
   }
 
 let take n l = List.filteri (fun i _ -> i < n) l

@@ -27,11 +27,11 @@ val default_policy : Ef_policy.t
 (** {!default_config} expressed as a DSL [params] rule — compose it into
     an [Ef_policy] program to restate or tune the perf knobs there. *)
 
-val config_of_policy : ?base:config -> Ef_policy.env -> Ef_policy.t -> config
-(** The perf-side denotation of a policy: [base] (default
-    {!default_config}) with any [Set_min_improvement_ms] /
-    [Set_max_suggestions] / [Set_perf_guard] knobs the policy's
-    matching rules set (see {!Ef_policy.alloc_params}). *)
+val config_of_policy : Ef_policy.env -> Ef_policy.t -> config
+(** The perf-side denotation of a policy: {!default_config} with any
+    [Set_min_improvement_ms] / [Set_max_suggestions] / [Set_perf_guard]
+    knobs the policy's matching rules set (see
+    {!Ef_policy.alloc_params}). *)
 
 val suggest :
   ?config:config ->

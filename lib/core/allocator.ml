@@ -149,18 +149,6 @@ let find_target st (pl : Projection.placement) =
   let target = go 0 ranked in
   (target, List.rev !verdicts)
 
-(* Lazy, in the config's visiting order: the relief loop usually stops at
-   the first movable placement, so on a dfz-scale interface (hundreds of
-   thousands of placements) materializing the ordered list per attempt
-   would dominate the cycle. The sequence walks the persistent set as of
-   the call, so a successful move (which replaces the set) never
-   invalidates it. *)
-let ordered_placements st iface_id =
-  match st.config.Config.order with
-  | Config.Largest_first -> Projection.Working.placements_seq st.work ~iface_id
-  | Config.Smallest_first ->
-      Projection.Working.placements_rev_seq st.work ~iface_id
-
 (* Split one placement into /24 children carrying equal shares. A /24
    that already holds its own placement (a rated more-specific) is its
    own flow: it keeps its placement and takes no share. *)
@@ -199,10 +187,16 @@ let split_placement st (pl : Projection.placement) =
       true
 
 (* One relief attempt on [iface_id]: move one placement (possibly after a
-   split) or declare the interface stuck. Returns true if progress. *)
+   split) or declare the interface stuck. Returns true if progress.
+   Placements are visited biggest first, lazily: the loop usually stops at
+   the first movable one, so on a dfz-scale interface (hundreds of
+   thousands of placements) materializing the ordered list per attempt
+   would dominate the cycle. The sequence walks the persistent set as of
+   the call, so a successful move (which replaces the set) never
+   invalidates it. *)
 let relieve_once st iface_id =
   let placements =
-    ordered_placements st iface_id
+    Projection.Working.placements_seq st.work ~iface_id
     |> Seq.filter (fun pl -> not pl.Projection.overridden)
   in
   let record_attempt pl candidates outcome =

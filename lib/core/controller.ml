@@ -192,7 +192,6 @@ let record_trace_tail t snapshot ~preferred ~enforced ~active =
     in
     Trace.record_ifaces t.trace rows;
     let now = Snapshot.time_s snapshot in
-    let lp = t.config.Config.override_local_pref in
     List.iter
       (fun (o : Override.t) ->
         let installed =
@@ -210,7 +209,7 @@ let record_trace_tail t snapshot ~preferred ~enforced ~active =
             en_level = o.Override.preference_level;
             en_rate_bps = o.Override.rate_bps;
             en_age_s = now - installed;
-            en_local_pref = lp;
+            en_local_pref = Config.override_local_pref;
             en_communities =
               List.map Bgp.Community.to_string
                 (Override.override_community
@@ -452,8 +451,7 @@ let cycle ?now_s t snapshot =
   record_gc ob gc0;
   stats
 
-let bgp_updates t stats =
-  let lp = t.config.Config.override_local_pref in
+let bgp_updates stats =
   let withdrawals =
     List.map
       (fun (o, _age) -> Override.to_withdrawal o)
@@ -461,7 +459,8 @@ let bgp_updates t stats =
   in
   let announcements =
     List.map
-      (fun o -> Override.to_announcement o ~local_pref:lp)
+      (fun o ->
+        Override.to_announcement o ~local_pref:Config.override_local_pref)
       (stats.reconcile.Hysteresis.added @ stats.reconcile.Hysteresis.retargeted)
   in
   withdrawals @ announcements

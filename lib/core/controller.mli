@@ -102,7 +102,7 @@ val cycle : ?now_s:int -> t -> Ef_collector.Snapshot.t -> cycle_stats
     snapshot's own time (age 0 — never stale), which preserves the
     behaviour of callers that always hand the controller a fresh view. *)
 
-val bgp_updates : t -> cycle_stats -> Ef_bgp.Msg.update list
+val bgp_updates : cycle_stats -> Ef_bgp.Msg.update list
 (** The wire-level enforcement of one cycle: withdrawals for removed
     overrides, announcements for added and retargeted ones (a retarget
     is a plain re-announcement — BGP implicit withdraw). *)

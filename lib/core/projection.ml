@@ -316,7 +316,6 @@ module Working = struct
 
   let placements_on w ~iface_id = PSet.elements (ordered w iface_id)
   let placements_seq w ~iface_id = PSet.to_seq (ordered w iface_id)
-  let placements_rev_seq w ~iface_id = PSet.to_rev_seq (ordered w iface_id)
 
   (* built slots follow every mutation; unbuilt ones cost nothing *)
   let index_add w pl =

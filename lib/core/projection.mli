@@ -161,8 +161,8 @@ module Working : sig
 
   val placements_on : t -> iface_id:int -> placement list
   (** In {!compare_placement} order, materialized from the per-interface
-      index. The first ordered read of an interface ([placements_on],
-      [placements_seq] or [placements_rev_seq]) with no built slot builds
+      index. The first ordered read of an interface ([placements_on] or
+      [placements_seq]) with no built slot builds
       one: an O(n) scan of the placement trie plus an O(k log k) sort of
       that interface's k placements. Later reads are O(k), and mutations
       keep the built slot current at O(log k) each. *)
@@ -175,11 +175,6 @@ module Working : sig
       build of the first read). The sequence is immutable
       (it walks the set as of the call); mutating the working view does
       not invalidate an already-obtained sequence. *)
-
-  val placements_rev_seq : t -> iface_id:int -> placement Seq.t
-  (** {!placements_seq} in reverse {!compare_placement} order (smallest
-      rate first) — the lazy form of the allocator's smallest-first
-      visiting order. *)
 
   val move : t -> Ef_bgp.Prefix.t -> to_route:Ef_bgp.Route.t -> to_iface:int -> unit
   (** In-place re-placement; marks the placement overridden. Raises

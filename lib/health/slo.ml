@@ -55,6 +55,8 @@ type t = {
 }
 
 let create ?(config = default_config) () =
+  if not (Float.is_finite config.deadline_s && config.deadline_s > 0.0) then
+    invalid_arg "Ef_health.Slo: deadline_s must be positive and finite";
   if config.window <= 0 then invalid_arg "Ef_health.Slo: window must be > 0";
   if config.target >= 1.0 || config.target <= 0.0 then
     invalid_arg "Ef_health.Slo: target must be in (0, 1)";

@@ -49,8 +49,8 @@ type input = {
 type t
 
 val create : ?config:config -> unit -> t
-(** Raises [Invalid_argument] if [window <= 0] or [target] outside
-    (0, 1). *)
+(** Raises [Invalid_argument] if [deadline_s] is not positive and
+    finite, [window <= 0] or [target] outside (0, 1). *)
 
 val observe : t -> input -> state
 (** Feed one cycle; returns the possibly-updated state. Escalation is

@@ -1,6 +1,5 @@
 module Snapshot = Ef_collector.Snapshot
 module Controller = Edge_fabric.Controller
-module Config = Edge_fabric.Config
 module Projection = Edge_fabric.Projection
 module Override = Edge_fabric.Override
 module Dfz = Ef_netsim.Dfz
@@ -12,14 +11,12 @@ type config = {
   cycle_s : int;
   verify : bool;
   faults : Ef_fault.Plan.t option;
-  controller : Config.t;
 }
 
-let config ?(cycles = 30) ?(cycle_s = 30) ?(verify = false) ?faults
-    ?(controller = Config.default) () =
+let config ?(cycles = 30) ?(cycle_s = 30) ?(verify = false) ?faults () =
   if cycles < 1 then invalid_arg "Dfz_run.config: cycles must be positive";
   if cycle_s < 1 then invalid_arg "Dfz_run.config: cycle_s must be positive";
-  { cycles; cycle_s; verify; faults; controller }
+  { cycles; cycle_s; verify; faults }
 
 type report = {
   prefix_count : int;
@@ -165,7 +162,7 @@ let drive ?obs ?(trace = Ef_trace.Recorder.noop)
     ?(health = Ef_health.Tracker.noop) ~config ~name new_world =
   let obs = match obs with Some r -> r | None -> Ef_obs.Registry.default () in
   let world = new_world () in
-  let ctl = Controller.create ~config:config.controller ~obs ~trace ~name () in
+  let ctl = Controller.create ~obs ~trace ~name () in
   (* the cold twin: own world, own controller, own throwaway registry, no
      shared state; its snapshots are assembled afresh every cycle, so it
      never runs warm, and its telemetry lands nowhere *)
@@ -175,8 +172,7 @@ let drive ?obs ?(trace = Ef_trace.Recorder.noop)
       Some
         ( new_world (),
           ref_obs,
-          Controller.create ~config:config.controller ~obs:ref_obs
-            ~name:(name ^ "-ref") () )
+          Controller.create ~obs:ref_obs ~name:(name ^ "-ref") () )
     else None
   in
   let injector = Option.map Ef_fault.Injector.create config.faults in

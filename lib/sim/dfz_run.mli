@@ -34,7 +34,6 @@ type config = {
           back when the outage window ends), a degraded one keeps its id
           at scaled capacity. Threaded through {!Ef_collector.Snapshot.patch}'s
           [ifaces] so flap cycles stay on the warm path. *)
-  controller : Edge_fabric.Config.t;
 }
 
 val config :
@@ -42,15 +41,15 @@ val config :
   ?cycle_s:int ->
   ?verify:bool ->
   ?faults:Ef_fault.Plan.t ->
-  ?controller:Edge_fabric.Config.t ->
   unit ->
   config
-(** Defaults: 30 cycles of 30 s, no verification, no faults, default
-    controller config. Verification re-assembles every
-    snapshot from scratch on the reference side — meant for smoke scale,
-    not for the million-prefix run. Under [faults], both sides query one
-    injector (pure in simulated time), so the differential check also
-    pins the interface-churn warm path byte-for-byte. *)
+(** Defaults: 30 cycles of 30 s, no verification, no faults. Both
+    controllers run {!Edge_fabric.Config.default}. Verification
+    re-assembles every snapshot from scratch on the reference side —
+    meant for smoke scale, not for the million-prefix run. Under
+    [faults], both sides query one injector (pure in simulated time), so
+    the differential check also pins the interface-churn warm path
+    byte-for-byte. *)
 
 type report = {
   prefix_count : int;  (** rated prefixes in the final snapshot *)

@@ -11,11 +11,8 @@ type config = {
   controller_enabled : bool;
   controller_config : Ef.Config.t;
   use_sampling : bool;
-  sflow : Ef_traffic.Sflow.config;
   measure_altpaths : bool;
-  measurer_config : Ef_altpath.Measurer.config;
   perf_aware : bool;
-  perf_config : Ef_altpath.Perf_policy.config;
   policy : Ef_policy.program option;
   seed : int;
   events : Ef_traffic.Demand.event list;
@@ -30,11 +27,8 @@ let default_config =
     controller_enabled = true;
     controller_config = Ef.Config.default;
     use_sampling = true;
-    sflow = Ef_traffic.Sflow.default_config;
     measure_altpaths = false;
-    measurer_config = Ef_altpath.Measurer.default_config;
     perf_aware = false;
-    perf_config = Ef_altpath.Perf_policy.default_config;
     policy = None;
     seed = 1;
     events = [];
@@ -46,11 +40,8 @@ let make_config ?(cycle_s = default_config.cycle_s)
     ?(controller_enabled = default_config.controller_enabled)
     ?(controller_config = default_config.controller_config)
     ?(use_sampling = default_config.use_sampling)
-    ?(sflow = default_config.sflow)
     ?(measure_altpaths = default_config.measure_altpaths)
-    ?(measurer_config = default_config.measurer_config)
-    ?(perf_aware = default_config.perf_aware)
-    ?(perf_config = default_config.perf_config) ?policy
+    ?(perf_aware = default_config.perf_aware) ?policy
     ?(seed = default_config.seed) ?(events = default_config.events) ?faults () =
   {
     cycle_s;
@@ -59,23 +50,13 @@ let make_config ?(cycle_s = default_config.cycle_s)
     controller_enabled;
     controller_config;
     use_sampling;
-    sflow;
     measure_altpaths;
-    measurer_config;
     perf_aware;
-    perf_config;
     policy;
     seed;
     events;
     faults;
   }
-
-let with_cycle_s cycle_s c = { c with cycle_s }
-let with_duration_s duration_s c = { c with duration_s }
-let with_start_s start_s c = { c with start_s }
-let with_policy policy c = { c with policy = Some policy }
-let with_seed seed c = { c with seed }
-let with_faults faults c = { c with faults = Some faults }
 
 type placement_state = {
   actual : Ef.Projection.t;
@@ -123,6 +104,7 @@ let obs_handles reg =
 
 type t = {
   config : config;
+  perf_config : Ef_altpath.Perf_policy.config;
   world : Ef_netsim.Topo_gen.world;
   demand : Ef_traffic.Demand.t;
   latency : Ef_netsim.Latency.t;
@@ -147,21 +129,21 @@ type t = {
   mutable cycles_skipped : int;
 }
 
-(* merge a policy's allocator-side denotation into the run's controller
-   and perf configuration — the knob half of the compiled program (the
-   route-map half was applied at world generation) *)
+(* the knob half of a compiled program (the route-map half was applied at
+   world generation): its allocator-side denotation merged into the run's
+   controller configuration, and its perf-side denotation *)
 let apply_policy_params env policy config =
   let ap = Ef_policy.alloc_params env policy in
   let ctl = config.controller_config in
   let ctl =
     match ap.Ef_policy.ap_overload_threshold with
     | None -> ctl
-    | Some v -> Ef.Config.with_overload_threshold v ctl
+    | Some overload_threshold -> { ctl with Ef.Config.overload_threshold }
   in
   let ctl =
     match ap.Ef_policy.ap_iface_thresholds with
     | [] -> ctl
-    | l -> Ef.Config.with_iface_thresholds l ctl
+    | iface_thresholds -> { ctl with Ef.Config.iface_thresholds }
   in
   let guard = ctl.Ef.Config.guard in
   let guard =
@@ -174,11 +156,8 @@ let apply_policy_params env policy config =
     | None -> guard
     | Some v -> { guard with Ef.Guard.max_overrides = Some v }
   in
-  let ctl = Ef.Config.with_guard guard ctl in
-  let perf =
-    Ef_altpath.Perf_policy.config_of_policy ~base:config.perf_config env policy
-  in
-  { config with controller_config = ctl; perf_config = perf }
+  ( { config with controller_config = { ctl with Ef.Config.guard } },
+    Ef_altpath.Perf_policy.config_of_policy env policy )
 
 let create ?(config = default_config) ?obs ?(trace = Ef_trace.Recorder.noop)
     ?(health = Ef_health.Tracker.noop) scenario =
@@ -199,9 +178,9 @@ let create ?(config = default_config) ?obs ?(trace = Ef_trace.Recorder.noop)
         }
   in
   let world = Ef_netsim.Topo_gen.generate topo in
-  let config =
+  let config, perf_config =
     match topo.Ef_netsim.Topo_gen.import_policy with
-    | None -> config
+    | None -> (config, Ef_altpath.Perf_policy.default_config)
     | Some pol ->
         apply_policy_params (Ef_netsim.Topo_gen.policy_env world) pol config
   in
@@ -220,6 +199,7 @@ let create ?(config = default_config) ?obs ?(trace = Ef_trace.Recorder.noop)
   in
   {
     config;
+    perf_config;
     world;
     demand;
     latency;
@@ -231,15 +211,14 @@ let create ?(config = default_config) ?obs ?(trace = Ef_trace.Recorder.noop)
               ~name:(Ef_netsim.Pop.name world.Ef_netsim.Topo_gen.pop)
               ())
        else None);
-    estimator = Ef_traffic.Rate_est.create config.sflow;
+    estimator = Ef_traffic.Rate_est.create Ef_traffic.Sflow.default_config;
     snmp =
       Ef_collector.Snmp.create
         (Ef_netsim.Pop.interfaces world.Ef_netsim.Topo_gen.pop);
     measurer =
       (if config.measure_altpaths then
          Some
-           (Ef_altpath.Measurer.create ~config:config.measurer_config
-              ~seed:(config.seed * 31) ())
+           (Ef_altpath.Measurer.create ~seed:(config.seed * 31) ())
        else None);
     metrics = Metrics.create ();
     obs = obs_handles reg;
@@ -360,7 +339,8 @@ let estimated_rates t ~truth ~time_s =
     let samples =
       List.map
         (fun (prefix, rate) ->
-          Ef_traffic.Sflow.sample_rate t.config.sflow t.rng ~prefix
+          Ef_traffic.Sflow.sample_rate Ef_traffic.Sflow.default_config t.rng
+            ~prefix
             ~rate_bps:(rate *. burst))
         truth
     in
@@ -540,7 +520,7 @@ let step t =
               Bgp.Ptrie.add o.Ef.Override.prefix () acc)
             Bgp.Ptrie.empty active
         in
-        Ef_altpath.Perf_policy.suggest ~config:t.config.perf_config
+        Ef_altpath.Perf_policy.suggest ~config:t.perf_config
           (Ef_altpath.Measurer.store m) ctl_snapshot
           ~projection:capacity_placement
         |> List.filter (fun (s : Ef_altpath.Perf_policy.suggestion) ->

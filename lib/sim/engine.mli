@@ -14,12 +14,9 @@
     shared by engines running on different domains (see {!Fleet}). The
     run's instrumentation handles — registry, decision-trace recorder,
     health tracker — are not configuration; they are {!create}'s
-    arguments.
-
-    {b Deprecated for construction:} build configurations with
-    {!make_config} and the [with_*] updaters rather than record literals
-    or record update — fields keep being added as the simulation grows.
-    The record stays exposed (reading fields is fine). *)
+    arguments. Build one with {!make_config}; derive one from another
+    with record update ([{ c with seed = 7 }]). sFlow sampling and
+    alternate-path measurement run at their modules' [default_config]. *)
 type config = {
   cycle_s : int;               (** controller period (paper: 30 s) *)
   duration_s : int;
@@ -27,22 +24,22 @@ type config = {
   controller_enabled : bool;
   controller_config : Edge_fabric.Config.t;
   use_sampling : bool;         (** false = controller sees true rates *)
-  sflow : Ef_traffic.Sflow.config;
   measure_altpaths : bool;
-  measurer_config : Ef_altpath.Measurer.config;
   perf_aware : bool;
       (** use alternate-path measurements to steer prefixes to faster
           routes (the paper's §7 extension); requires
           [measure_altpaths]. Capacity overrides always win conflicts. *)
-  perf_config : Ef_altpath.Perf_policy.config;
   policy : Ef_policy.program option;
       (** DSL policy program for this run (e.g. loaded by
           [efctl run --policy]). Wins over the scenario's own
           [import_policy]: the program's rule tree replaces the import
-          route-map at world generation, and its parameter actions are
-          merged into [controller_config] / [perf_config] by
-          {!apply_policy_params}. [None] keeps whatever the scenario
-          declares (whose knob side is still applied). *)
+          route-map at world generation, and {!create} merges its
+          parameter actions ({!Ef_policy.alloc_params}) into
+          [controller_config] (overload thresholds, per-iface
+          thresholds, guard budgets) and into the run's perf-aware
+          steering (improvement floor, suggestion cap, capacity guard).
+          [None] keeps whatever the scenario declares (whose knob side
+          is still applied). *)
   seed : int;
   events : Ef_traffic.Demand.event list;
   faults : Ef_fault.Plan.t option;
@@ -67,11 +64,8 @@ val make_config :
   ?controller_enabled:bool ->
   ?controller_config:Edge_fabric.Config.t ->
   ?use_sampling:bool ->
-  ?sflow:Ef_traffic.Sflow.config ->
   ?measure_altpaths:bool ->
-  ?measurer_config:Ef_altpath.Measurer.config ->
   ?perf_aware:bool ->
-  ?perf_config:Ef_altpath.Perf_policy.config ->
   ?policy:Ef_policy.program ->
   ?seed:int ->
   ?events:Ef_traffic.Demand.event list ->
@@ -79,30 +73,6 @@ val make_config :
   unit ->
   config
 (** Every omitted field takes its {!default_config} value. *)
-
-(** Functional updaters, argument-last so they chain:
-    [Engine.default_config |> Engine.with_duration_s 3600 |> Engine.with_seed 7] *)
-
-val with_cycle_s : int -> config -> config
-val with_duration_s : int -> config -> config
-val with_start_s : int -> config -> config
-
-val with_policy : Ef_policy.program -> config -> config
-(** Attach a DSL policy program (wraps it in [Some] for you). *)
-
-val with_seed : int -> config -> config
-
-val with_faults : Ef_fault.Plan.t -> config -> config
-(** Inject a fault plan (wraps it in [Some] for you). *)
-
-val apply_policy_params : Ef_policy.env -> Ef_policy.t -> config -> config
-(** Merge a policy's allocator-side denotation
-    ({!Ef_policy.alloc_params}) into [controller_config] (overload
-    thresholds, per-iface thresholds, guard budgets) and [perf_config]
-    (improvement floor, suggestion cap, capacity guard). {!create} does
-    this automatically for the effective policy of the run; exposed so
-    tests and drivers can pin the equivalence against hand-written
-    configs. *)
 
 type t
 

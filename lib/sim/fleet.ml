@@ -10,7 +10,7 @@ type t = {
   mutable buffers : (unit -> Obs.Event.t list) list option;
 }
 
-let create ?(config = Engine.default_config) ?trace_of ?obs
+let create ?(config = Engine.default_config) ?obs
     ?(profiler = Ef_health.Profiler.noop) scenarios =
   let fleet_obs =
     match obs with Some r -> r | None -> Obs.Registry.default ()
@@ -26,8 +26,7 @@ let create ?(config = Engine.default_config) ?trace_of ?obs
       (fun s ->
         let reg = Obs.Registry.create () in
         Ef_health.Profiler.attach profiler reg;
-        let trace = Option.map (fun f -> f s) trace_of in
-        (s.Scenario.scenario_name, Engine.create ~config ~obs:reg ?trace s, reg))
+        (s.Scenario.scenario_name, Engine.create ~config ~obs:reg s, reg))
       scenarios
   in
   Ef_health.Profiler.attach profiler fleet_obs;

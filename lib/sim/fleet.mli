@@ -20,19 +20,15 @@ type t
 
 val create :
   ?config:Engine.config ->
-  ?trace_of:(Ef_netsim.Scenario.t -> Ef_trace.Recorder.t) ->
   ?obs:Ef_obs.Registry.t ->
   ?profiler:Ef_health.Profiler.t ->
   Ef_netsim.Scenario.t list ->
   t
 (** One engine per scenario, sharing the engine configuration — plain
     data, safe to share across domains (each world still derives from its
-    own scenario seed). [trace_of], when given, supplies each engine's
-    decision-trace recorder ({!Engine.create}'s [trace]); a recorder is
-    mutable and must not be shared across domains, so give each scenario
-    its own. Every engine
-    reports into a private registry; {!run} merges them into [obs] (the
-    process-wide default when omitted) and additionally records a
+    own scenario seed). Every engine reports into a private registry;
+    {!run} merges them into [obs] (the process-wide default when
+    omitted) and additionally records a
     [fleet.pop_run] span and bumps [fleet.pops_run] per completed PoP.
     An enabled [profiler] (default {!Ef_health.Profiler.noop}) is
     attached to every per-engine registry and the fleet registry, so a

@@ -91,11 +91,6 @@ let find_target st (pl : Projection.placement) =
   let target = go 0 ranked in
   (target, List.rev !verdicts)
 
-let order_placements st pls =
-  match st.config.Config.order with
-  | Config.Largest_first -> pls
-  | Config.Smallest_first -> List.rev pls
-
 let split_placement st (pl : Projection.placement) =
   let prefix = pl.Projection.placed_prefix in
   let parent_key =
@@ -131,7 +126,6 @@ let relieve_once st iface_id =
   let placements =
     Projection.placements_on st.proj ~iface_id
     |> List.filter (fun pl -> not pl.Projection.overridden)
-    |> order_placements st
   in
   let record_attempt pl candidates outcome =
     if Trace.enabled st.trace then

@@ -23,11 +23,13 @@ let snapshot_of_world ?rate_factor world =
 let configs =
   [|
     ("default", Ef.Config.default);
-    ("smallest-first", Ef.Config.(default |> with_order Smallest_first));
-    ("single-pass", Ef.Config.(default |> with_iterative false));
+    ("single-pass", { Ef.Config.default with iterative = false });
     ( "split-24",
-      Ef.Config.(
-        default |> with_granularity Split_24 |> with_overload_threshold 0.85) );
+      {
+        Ef.Config.default with
+        granularity = Split_24;
+        overload_threshold = 0.85;
+      } );
   |]
 
 let trace_bytes tr = Ef_obs.Json.to_string (Trace.to_json tr)

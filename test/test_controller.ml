@@ -158,7 +158,7 @@ let test_controller_emits_bgp_updates () =
   let ctrl = Ef.Controller.create ~name:"test" () in
   let snap = snapshot fx [ (pfx_a, 8e9); (pfx_b, 4e9) ] in
   let stats = Ef.Controller.cycle ctrl snap in
-  let updates = Ef.Controller.bgp_updates ctrl stats in
+  let updates = Ef.Controller.bgp_updates stats in
   Alcotest.(check int) "one announcement" 1 (List.length updates);
   (match updates with
   | [ u ] -> (
@@ -172,7 +172,7 @@ let test_controller_emits_bgp_updates () =
   (* steady state: same snapshot, no churn, no messages *)
   let stats2 = Ef.Controller.cycle ctrl snap in
   Alcotest.(check int) "no updates second cycle" 0
-    (List.length (Ef.Controller.bgp_updates ctrl stats2))
+    (List.length (Ef.Controller.bgp_updates stats2))
 
 let test_controller_releases_when_demand_drops () =
   let fx = fixture () in
@@ -191,7 +191,7 @@ let test_controller_releases_when_demand_drops () =
   Alcotest.(check bool) "withdrawal emitted" true
     (List.exists
        (fun u -> u.Bgp.Msg.withdrawn <> [])
-       (Ef.Controller.bgp_updates ctrl stats))
+       (Ef.Controller.bgp_updates stats))
 
 let test_controller_stateless_across_restart () =
   let fx = fixture () in
@@ -213,11 +213,11 @@ let test_controller_stateless_across_restart () =
 let test_controller_bad_config_rejected () =
   Alcotest.check_raises "invalid config"
     (Invalid_argument
-       "Controller.create: bad config: override_local_pref must exceed every policy tier")
+       "Controller.create: bad config: overload_threshold must be in (0, 1]")
     (fun () ->
       ignore
         (Ef.Controller.create
-           ~config:(Ef.Config.make ~override_local_pref:100 ())
+           ~config:(Ef.Config.make ~overload_threshold:1.5 ())
            ~name:"bad" ()))
 
 (* The low-confidence rung: once 3 healthy cycles have seeded the rate

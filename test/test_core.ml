@@ -71,9 +71,18 @@ let test_config_rejects_bad () =
   Alcotest.(check bool) "threshold 0" false
     (bad (Ef.Config.make ~overload_threshold:0.0 ()));
   Alcotest.(check bool) "margin >= threshold" false
-    (bad (Ef.Config.make ~release_margin:0.95 ()));
-  Alcotest.(check bool) "low local pref" false
-    (bad (Ef.Config.make ~override_local_pref:300 ()))
+    (bad (Ef.Config.make ~release_margin:0.95 ()))
+
+(* an override must win the BGP decision process on LOCAL_PREF alone,
+   whatever the tier of the route it displaces *)
+let test_override_local_pref_beats_every_tier () =
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool)
+        ("above " ^ Bgp.Peer.kind_to_string kind)
+        true
+        (Ef.Config.override_local_pref > Bgp.Policy.local_pref_for_kind kind))
+    Bgp.Peer.[ Transit; Private_peer; Public_peer; Route_server ]
 
 (* --- Projection -------------------------------------------------------- *)
 
@@ -279,16 +288,6 @@ let test_allocator_largest_first_moves_one () =
   Alcotest.(check int) "one override" 1 (List.length result.Ef.Allocator.overrides);
   let o = List.hd result.Ef.Allocator.overrides in
   Alcotest.check prefix_t "moved the big one" pfx_a o.Ef.Override.prefix
-
-let test_allocator_smallest_first_moves_more () =
-  let fx = fixture () in
-  let snap = snapshot fx [ (pfx_a, 8e9); (pfx_b, 4e9) ] in
-  let config = { config with Ef.Config.order = Ef.Config.Smallest_first } in
-  let result = Ef.Allocator.run ~config snap in
-  Alcotest.(check bool) "first override is the small prefix" true
-    (match result.Ef.Allocator.overrides with
-    | o :: _ -> Bgp.Prefix.equal o.Ef.Override.prefix pfx_b
-    | [] -> false)
 
 let test_allocator_prefers_higher_ranked_target () =
   let fx = fixture () in
@@ -667,6 +666,8 @@ let suite =
   [
     Alcotest.test_case "config default valid" `Quick test_config_default_valid;
     Alcotest.test_case "config rejects bad" `Quick test_config_rejects_bad;
+    Alcotest.test_case "override local pref beats every tier" `Quick
+      test_override_local_pref_beats_every_tier;
     Alcotest.test_case "projection preferred placement" `Quick
       test_projection_preferred_placement;
     Alcotest.test_case "projection override honoured" `Quick
@@ -688,8 +689,6 @@ let suite =
       test_allocator_relieves_overload;
     Alcotest.test_case "allocator largest first" `Quick
       test_allocator_largest_first_moves_one;
-    Alcotest.test_case "allocator smallest first" `Quick
-      test_allocator_smallest_first_moves_more;
     Alcotest.test_case "allocator prefers ranked target" `Quick
       test_allocator_prefers_higher_ranked_target;
     Alcotest.test_case "allocator skips full alternate" `Quick

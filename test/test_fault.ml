@@ -205,8 +205,7 @@ let journal_of_run ~seed plan =
   let sink, drain = Obs.Registry.memory_sink () in
   Obs.Registry.add_sink reg sink;
   let config =
-    S.Engine.make_config ~cycle_s:30 ~duration_s:600 ~seed ()
-    |> S.Engine.with_faults plan
+    S.Engine.make_config ~cycle_s:30 ~duration_s:600 ~seed ~faults:plan ()
   in
   let engine = S.Engine.create ~config ~obs:reg N.Scenario.tiny in
   ignore (S.Engine.run engine);
@@ -239,8 +238,7 @@ let test_bmp_stall_degrades_and_recovers () =
   let config =
     S.Engine.make_config ~cycle_s:30 ~duration_s:600 ~seed:3
       ~controller_config:(Ef.Config.make ~max_snapshot_age_s:60 ())
-      ()
-    |> S.Engine.with_faults plan
+      ~faults:plan ()
   in
   let engine = S.Engine.create ~config ~obs:reg N.Scenario.tiny in
   let overrides_during_stall = ref [] in
@@ -289,8 +287,7 @@ let test_cycle_skip_holds_overrides () =
     F.Plan.make ~seed:2 [ F.Plan.Cycle_skip { from_s = 90; until_s = 240 } ]
   in
   let config =
-    S.Engine.make_config ~cycle_s:30 ~duration_s:300 ~seed:3 ()
-    |> S.Engine.with_faults plan
+    S.Engine.make_config ~cycle_s:30 ~duration_s:300 ~seed:3 ~faults:plan ()
   in
   let engine = S.Engine.create ~config N.Scenario.tiny in
   ignore (S.Engine.run engine);

@@ -4,11 +4,8 @@ module N = Ef_netsim
 module S = Ef_sim
 
 let quick_config =
-  S.Engine.default_config
-  |> S.Engine.with_cycle_s 300
-  |> S.Engine.with_duration_s 3600
-  |> S.Engine.with_start_s (19 * 3600)
-  |> S.Engine.with_seed 5
+  S.Engine.make_config ~cycle_s:300 ~duration_s:3600 ~start_s:(19 * 3600)
+    ~seed:5 ()
 
 let test_fleet_runs_all () =
   let fleet = S.Fleet.create ~config:quick_config [ N.Scenario.tiny; N.Scenario.pop_d ] in
@@ -43,16 +40,10 @@ let det_scenarios =
    Journal events carry wall-clock stamps, so [ev_time_ns] is zeroed
    before comparison (the PR3 golden-test convention). *)
 let fleet_outputs ~jobs () =
-  let traces =
-    List.map
-      (fun s -> (s.N.Scenario.scenario_name, Ef_trace.Recorder.create ()))
-      det_scenarios
-  in
-  let trace_of s = List.assoc s.N.Scenario.scenario_name traces in
   let obs = Ef_obs.Registry.create () in
   let sink, flush = Ef_obs.Registry.memory_sink () in
   Ef_obs.Registry.add_sink obs sink;
-  let fleet = S.Fleet.create ~config:quick_config ~trace_of ~obs det_scenarios in
+  let fleet = S.Fleet.create ~config:quick_config ~obs det_scenarios in
   let results = S.Fleet.run ~jobs fleet in
   let table = Ef_stats.Table.render (S.Fleet.summary_table results) in
   let rows =
@@ -72,24 +63,15 @@ let fleet_outputs ~jobs () =
                 { ev with Ef_obs.Registry.Event.ev_time_ns = 0L }))
          (flush ()))
   in
-  let trace_json =
-    String.concat "\n"
-      (List.map
-         (fun (pop, tr) ->
-           pop ^ ":" ^ Ef_obs.Json.to_string (Ef_trace.Recorder.to_json tr))
-         traces)
-  in
-  (table, rows, journal, trace_json)
+  (table, rows, journal)
 
 let test_fleet_jobs_invariant () =
-  let t1, r1, j1, tr1 = fleet_outputs ~jobs:1 () in
-  let t4, r4, j4, tr4 = fleet_outputs ~jobs:4 () in
+  let t1, r1, j1 = fleet_outputs ~jobs:1 () in
+  let t4, r4, j4 = fleet_outputs ~jobs:4 () in
   Alcotest.(check string) "summary table byte-identical" t1 t4;
   Alcotest.(check string) "metrics rows identical" r1 r4;
   Alcotest.(check bool) "journal non-empty" true (String.length j1 > 0);
-  Alcotest.(check string) "journal byte-identical (t_ns stripped)" j1 j4;
-  Alcotest.(check bool) "traces non-trivial" true (String.length tr1 > 10);
-  Alcotest.(check string) "trace JSON byte-identical" tr1 tr4
+  Alcotest.(check string) "journal byte-identical (t_ns stripped)" j1 j4
 
 let test_fleet_parallel_merges_registries () =
   (* private fleet registry: the default one accumulates across tests *)

@@ -91,7 +91,16 @@ let test_slo_config_validated () =
   Alcotest.(check bool) "window > 0" true
     (bad (fun c -> { c with H.Slo.window = 0 }));
   Alcotest.(check bool) "target in (0,1)" true
-    (bad (fun c -> { c with H.Slo.target = 1.0 }))
+    (bad (fun c -> { c with H.Slo.target = 1.0 }));
+  (* a budget of zero or less counts every cycle as an overrun; NaN
+     compares false, so it would count none *)
+  List.iter
+    (fun d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "deadline %g rejected" d)
+        true
+        (bad (fun c -> { c with H.Slo.deadline_s = d })))
+    [ 0.0; -1.0; Float.nan; Float.infinity ]
 
 (* --- Alert -------------------------------------------------------------- *)
 

@@ -30,24 +30,23 @@ let loads_of proj ifaces =
 
 let iface_floats l = List.map (fun (i, u) -> (N.Iface.id i, u)) l
 
-(* the config axes the incremental machinery interacts with: the
-   allocator visiting order shapes the pre-relief image's consumption,
-   split-24 adds synthetic placements the enforced derivation must not
-   trip on, and a tight guard budget keeps overrides churning cycle to
-   cycle *)
+(* the config axes the incremental machinery interacts with: split-24
+   adds synthetic placements the enforced derivation must not trip on,
+   and a tight guard budget keeps overrides churning cycle to cycle *)
 let configs =
   [|
     ("default", Ef.Config.default);
-    ("smallest-first", Ef.Config.(default |> with_order Smallest_first));
     ( "split-24",
-      Ef.Config.(
-        default |> with_granularity Split_24 |> with_overload_threshold 0.85)
-    );
+      {
+        Ef.Config.default with
+        granularity = Split_24;
+        overload_threshold = 0.85;
+      } );
     ( "guard-2",
-      Ef.Config.(
-        default
-        |> with_guard { Ef.Guard.default with Ef.Guard.max_overrides = Some 2 })
-    );
+      {
+        Ef.Config.default with
+        guard = { Ef.Guard.default with max_overrides = Some 2 };
+      } );
   |]
 
 (* One seeded world driven [cycles] controller cycles in lockstep: the
@@ -468,7 +467,7 @@ let test_slot_kept_under_iface_threshold () =
     | [] -> Alcotest.fail "no interface between 30% and the global threshold"
   in
   let config =
-    Ef.Config.(default |> with_iface_thresholds [ (id, u -. 0.05) ])
+    { Ef.Config.default with iface_thresholds = [ (id, u -. 0.05) ] }
   in
   let carried config =
     let _, w =
@@ -486,7 +485,7 @@ let test_slot_kept_under_iface_threshold () =
    is reported once per cycle, not once per use. *)
 let test_bad_threshold_counted_once_per_cycle () =
   let p = pressured 0 in
-  let config = Ef.Config.(default |> with_iface_thresholds [ (9999, 0.5) ]) in
+  let config = { Ef.Config.default with iface_thresholds = [ (9999, 0.5) ] } in
   let reg = Ef_obs.Registry.create () in
   let rng = Rng.create 3 in
   let warm = ref None and snap = ref p.p_snap in

@@ -532,8 +532,7 @@ let test_golden_policies () =
 
 (* --- engine integration ------------------------------------------------ *)
 
-let short config =
-  config |> Ef_sim.Engine.with_duration_s 600 |> Ef_sim.Engine.with_cycle_s 60
+let short config = { config with Ef_sim.Engine.duration_s = 600; cycle_s = 60 }
 
 let test_engine_applies_policy_knobs () =
   let engine =
@@ -568,7 +567,7 @@ let test_engine_policy_config_equals_scenario_path () =
       (Pol.standard_import ~self_asn:Ef_netsim.Topo_gen.small_config.Ef_netsim.Topo_gen.self_asn)
   in
   let base = short Ef_sim.Engine.default_config in
-  let with_policy = Ef_sim.Engine.with_policy prog base in
+  let with_policy = { base with Ef_sim.Engine.policy = Some prog } in
   let e1 = Ef_sim.Engine.create ~config:base Ef_netsim.Scenario.tiny in
   let e2 = Ef_sim.Engine.create ~config:with_policy Ef_netsim.Scenario.tiny in
   let m1 = Ef_sim.Engine.run e1 and m2 = Ef_sim.Engine.run e2 in

@@ -942,10 +942,8 @@ let prop_working_index_lazy =
           |> List.map key
         in
         let got =
-          match Ef_util.Rng.int rng 3 with
-          | 0 -> W.placements_on v.view ~iface_id
-          | 1 -> List.of_seq (W.placements_seq v.view ~iface_id)
-          | _ -> List.rev (List.of_seq (W.placements_rev_seq v.view ~iface_id))
+          if Ef_util.Rng.bool rng then W.placements_on v.view ~iface_id
+          else List.of_seq (W.placements_seq v.view ~iface_id)
         in
         if List.map key got <> want then
           QCheck.Test.fail_reportf "%s: iface %d index differs from trie" what
@@ -1087,11 +1085,8 @@ let prop_warm_slots_equal_fresh =
             0.0 !ifaces
         in
         let threshold = if peak > 0.7 then 0.7 else 0.9 *. peak in
-        let c = Ef.Config.(default |> with_overload_threshold threshold) in
-        match seed mod 3 with
-        | 0 -> c
-        | 1 -> Ef.Config.(c |> with_order Smallest_first)
-        | _ -> Ef.Config.(c |> with_granularity Split_24)
+        let c = { Ef.Config.default with overload_threshold = threshold } in
+        if seed mod 2 = 0 then c else { c with granularity = Split_24 }
       in
       let warm = ref None and carried = ref 0 in
       for step = 0 to 15 do
@@ -1253,8 +1248,11 @@ let prop_enforced_equals_cold =
       let threshold = 0.7 in
       let config =
         let c =
-          Ef.Config.(
-            default |> with_overload_threshold threshold |> with_min_hold_s 60)
+          {
+            Ef.Config.default with
+            overload_threshold = threshold;
+            min_hold_s = 60;
+          }
         in
         let c =
           if seed mod 2 = 0 then c
@@ -1264,27 +1262,29 @@ let prop_enforced_equals_cold =
                percent of headroom, which fits children but few parents
                (and a release margin below every such threshold) *)
             let preferred = Ef.Projection.project !snap in
-            Ef.Config.(
-              c
-              |> with_granularity Split_24
-              |> with_release_margin 0.005
-              |> with_iface_thresholds
-                   (List.filter_map
-                      (fun i ->
-                        let u = Ef.Projection.utilization preferred i in
-                        if u <= threshold then Some (N.Iface.id i, u +. 0.01)
-                        else None)
-                      ifaces))
+            {
+              c with
+              granularity = Split_24;
+              release_margin = 0.005;
+              iface_thresholds =
+                List.filter_map
+                  (fun i ->
+                    let u = Ef.Projection.utilization preferred i in
+                    if u <= threshold then Some (N.Iface.id i, u +. 0.01)
+                    else None)
+                  ifaces;
+            }
         in
         if seed mod 3 = 2 then c
         else
-          Ef.Config.(
-            c
-            |> with_guard
-                 {
-                   Ef.Guard.max_overrides = Some (2 + (seed mod 5));
-                   max_detour_fraction = Some 0.1;
-                 })
+          {
+            c with
+            guard =
+              {
+                Ef.Guard.max_overrides = Some (2 + (seed mod 5));
+                max_detour_fraction = Some 0.1;
+              };
+          }
       in
       let ctl =
         Ef.Controller.create ~config ~obs:(Ef_obs.Registry.create ())

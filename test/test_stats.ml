@@ -1,34 +1,6 @@
-(* ef_stats: Summary, Cdf, Histogram, Table *)
+(* ef_stats: Cdf, Table *)
 
 open Ef_stats
-
-let test_summary_empty () =
-  let s = Summary.create () in
-  Alcotest.(check int) "count" 0 (Summary.count s);
-  Alcotest.(check bool) "mean is nan" true (Float.is_nan (Summary.mean s))
-
-let test_summary_basic () =
-  let s = Summary.create () in
-  List.iter (Summary.observe s) [ 1.0; 2.0; 3.0; 4.0 ];
-  Helpers.check_float "mean" 2.5 (Summary.mean s);
-  Helpers.check_float "min" 1.0 (Summary.min s);
-  Helpers.check_float "max" 4.0 (Summary.max s);
-  Helpers.check_float "total" 10.0 (Summary.total s);
-  Helpers.check_float_eps 1e-9 "variance" (5.0 /. 3.0) (Summary.variance s)
-
-let test_summary_merge () =
-  let a = Summary.create () and b = Summary.create () and whole = Summary.create () in
-  let xs = [ 5.0; 1.0; 3.0 ] and ys = [ 2.0; 8.0; 4.0; 6.0 ] in
-  List.iter (Summary.observe a) xs;
-  List.iter (Summary.observe b) ys;
-  List.iter (Summary.observe whole) (xs @ ys);
-  let merged = Summary.merge a b in
-  Alcotest.(check int) "count" (Summary.count whole) (Summary.count merged);
-  Helpers.check_float_eps 1e-9 "mean" (Summary.mean whole) (Summary.mean merged);
-  Helpers.check_float_eps 1e-9 "variance" (Summary.variance whole)
-    (Summary.variance merged);
-  Helpers.check_float "min" (Summary.min whole) (Summary.min merged);
-  Helpers.check_float "max" (Summary.max whole) (Summary.max merged)
 
 let test_cdf_quantiles () =
   let c = Cdf.of_samples [ 4.0; 1.0; 3.0; 2.0 ] in
@@ -63,41 +35,6 @@ let test_cdf_series_monotone () =
     | [ _ ] | [] -> ()
   in
   check series
-
-let test_histogram_basic () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:5 in
-  List.iter (Histogram.observe h) [ 1.0; 3.0; 3.5; 9.9 ];
-  Alcotest.(check int) "count" 4 (Histogram.count h);
-  Helpers.check_float "bucket 0" 1.0
-    (match List.nth (Histogram.buckets h) 0 with _, _, w -> w);
-  Helpers.check_float "bucket 1" 2.0
-    (match List.nth (Histogram.buckets h) 1 with _, _, w -> w);
-  Helpers.check_float "fraction" 0.5 (Histogram.fraction_in h 1)
-
-let test_histogram_overflow () =
-  let h = Histogram.create ~lo:0.0 ~hi:1.0 ~buckets:2 in
-  Histogram.observe h (-1.0);
-  Histogram.observe h 5.0;
-  Histogram.observe h 1.0 (* hi edge goes to overflow *);
-  Helpers.check_float "underflow" 1.0 (Histogram.underflow h);
-  Helpers.check_float "overflow" 2.0 (Histogram.overflow h)
-
-let test_histogram_weighted () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:2 in
-  Histogram.observe_weighted h 1.0 10.0;
-  Histogram.observe_weighted h 6.0 30.0;
-  Helpers.check_float "weight" 40.0 (Histogram.total_weight h);
-  Helpers.check_float "fraction" 0.75 (Histogram.fraction_in h 1)
-
-let test_histogram_custom_edges () =
-  let h = Histogram.create_edges [| 0.0; 1.0; 100.0 |] in
-  Histogram.observe h 0.5;
-  Histogram.observe h 50.0;
-  Histogram.observe h 99.0;
-  Helpers.check_float "first" 1.0 (Histogram.fraction_in h 0 *. 3.0);
-  Alcotest.check_raises "bad edges"
-    (Invalid_argument "Histogram.create_edges: edges must increase strictly")
-    (fun () -> ignore (Histogram.create_edges [| 1.0; 1.0 |]))
 
 let test_table_render () =
   let t = Table.create [ "name"; "value" ] in
@@ -139,18 +76,8 @@ let qcheck_cdf_quantile_monotone =
       let lo = Float.min q1 q2 and hi = Float.max q1 q2 in
       Cdf.quantile c lo <= Cdf.quantile c hi +. 1e-9)
 
-let qcheck_summary_mean_bounds =
-  QCheck.Test.make ~name:"summary mean within min/max" ~count:200
-    QCheck.(list_of_size Gen.(int_range 1 100) (float_bound_exclusive 1e6))
-    (fun samples ->
-      QCheck.assume (samples <> []);
-      let s = Summary.create () in
-      List.iter (Summary.observe s) samples;
-      Summary.mean s >= Summary.min s -. 1e-6
-      && Summary.mean s <= Summary.max s +. 1e-6)
-
-(* --- NaN rejection: a NaN poisons sorts, Welford means and bucket
-   search silently, so every ingestion point refuses it loudly -------- *)
+(* --- NaN rejection: a NaN poisons sorts silently, so every ingestion
+   point refuses it loudly -------------------------------------------- *)
 
 let test_nan_rejected_everywhere () =
   Alcotest.check_raises "cdf of_array"
@@ -159,34 +86,17 @@ let test_nan_rejected_everywhere () =
   Alcotest.check_raises "cdf of_samples"
     (Invalid_argument "Cdf.of_array: NaN sample") (fun () ->
       ignore (Cdf.of_samples [ Float.nan ]));
-  Alcotest.check_raises "summary observe"
-    (Invalid_argument "Summary.observe: NaN sample") (fun () ->
-      Summary.observe (Summary.create ()) Float.nan);
-  let h = Histogram.create ~lo:0.0 ~hi:1.0 ~buckets:4 in
-  Alcotest.check_raises "histogram value"
-    (Invalid_argument "Histogram.observe: NaN value") (fun () ->
-      Histogram.observe h Float.nan);
-  Alcotest.check_raises "histogram weight"
-    (Invalid_argument "Histogram.observe: NaN weight") (fun () ->
-      Histogram.observe_weighted h 0.5 Float.nan);
   (* infinities are ordered, not poisonous: still accepted *)
   let cdf = Cdf.of_array [| Float.infinity; 1.0 |] in
   Alcotest.(check (float 0.0)) "infinity sorts last" Float.infinity (Cdf.max cdf)
 
 let suite =
   [
-    Alcotest.test_case "summary empty" `Quick test_summary_empty;
-    Alcotest.test_case "summary basic" `Quick test_summary_basic;
-    Alcotest.test_case "summary merge" `Quick test_summary_merge;
     Alcotest.test_case "cdf quantiles" `Quick test_cdf_quantiles;
     Alcotest.test_case "cdf fraction below" `Quick test_cdf_fraction_below;
     Alcotest.test_case "cdf single sample" `Quick test_cdf_single_sample;
     Alcotest.test_case "cdf empty rejected" `Quick test_cdf_empty_rejected;
     Alcotest.test_case "cdf series monotone" `Quick test_cdf_series_monotone;
-    Alcotest.test_case "histogram basic" `Quick test_histogram_basic;
-    Alcotest.test_case "histogram overflow" `Quick test_histogram_overflow;
-    Alcotest.test_case "histogram weighted" `Quick test_histogram_weighted;
-    Alcotest.test_case "histogram custom edges" `Quick test_histogram_custom_edges;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table pads short rows" `Quick test_table_pads_short_rows;
     Alcotest.test_case "table rejects long rows" `Quick test_table_rejects_long_rows;
@@ -194,5 +104,4 @@ let suite =
     Alcotest.test_case "nan rejected everywhere" `Quick
       test_nan_rejected_everywhere;
     QCheck_alcotest.to_alcotest qcheck_cdf_quantile_monotone;
-    QCheck_alcotest.to_alcotest qcheck_summary_mean_bounds;
   ]
