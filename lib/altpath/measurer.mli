@@ -1,26 +1,16 @@
 (** The alternate-path measurement scheduler.
 
-    Each cycle it picks a random subset of rated prefixes, and for each
-    one routes a measurement sliver over the primary and up to three
-    alternate routes (the DSCP classes), collecting RTT samples into a
-    {!Path_store}. The sliver is small enough (default 0.5 %) that it
-    never meaningfully loads the alternates — matching the paper's
-    deployment, where measurement traffic is a rounding error. *)
-
-type config = {
-  prefixes_per_cycle : int;   (** random prefixes measured each cycle *)
-  samples_per_path : int;     (** RTT samples collected per path *)
-  max_levels : int;           (** alternates measured, <= 3 *)
-  sliver_fraction : float;    (** fraction of the prefix's traffic diverted *)
-}
-
-val default_config : config
-(** 200 prefixes/cycle, 8 samples/path, 3 alternates, 0.5 %. *)
+    Each cycle it picks 200 random rated prefixes, and for each one
+    routes a measurement sliver over the primary and up to three
+    alternate routes (the DSCP classes), collecting 8 RTT samples per
+    path into a {!Path_store}. The sliver (0.5 % of the prefix's
+    traffic) is small enough that it never meaningfully loads the
+    alternates — matching the paper's deployment, where measurement
+    traffic is a rounding error. *)
 
 type t
 
-val create : ?config:config -> seed:int -> unit -> t
-val config : t -> config
+val create : seed:int -> t
 val store : t -> Path_store.t
 
 type cycle_report = {
@@ -37,7 +27,8 @@ val cycle :
   cycle_report
 (** [utilization] maps an interface id to its current utilization, so
     congestion on a path shows up in its measured RTT — exactly how the
-    paper detects that a detour or an overloaded path hurts. *)
+    paper detects that a detour or an overloaded path hurts. It is asked
+    once per measured path. *)
 
 val comparisons :
   t -> Ef_collector.Snapshot.t -> Path_store.comparison list

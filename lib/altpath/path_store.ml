@@ -21,41 +21,55 @@ module Ktbl = Hashtbl.Make (struct
   let hash k = (Bgp.Prefix.hash k.key_prefix * 31) + k.key_peer
 end)
 
-type t = {
-  window : int;
-  samples : float Queue.t Ktbl.t;
+let window = 64
+
+(* a path's last [window] samples in one flat ring: [len] live slots,
+   the oldest at [next - len] (mod [window]); [push] overwrites the
+   oldest once the ring is full, the FIFO eviction of a bounded queue *)
+type path = {
+  ring : Float.Array.t;
+  mutable len : int;
+  mutable next : int;
 }
 
-let create ?(window = 64) () =
-  if window < 1 then invalid_arg "Path_store.create: window must be >= 1";
-  { window; samples = Ktbl.create 256 }
+type t = path Ktbl.t
 
-let observe t ~prefix ~peer_id ~rtt_ms =
+let create () = Ktbl.create 256
+
+let path t ~prefix ~peer_id =
   let key = { key_prefix = prefix; key_peer = peer_id } in
-  let q =
-    match Ktbl.find_opt t.samples key with
-    | Some q -> q
-    | None ->
-        let q = Queue.create () in
-        Ktbl.replace t.samples key q;
-        q
-  in
-  Queue.push rtt_ms q;
-  if Queue.length q > t.window then ignore (Queue.pop q)
+  match Ktbl.find_opt t key with
+  | Some p -> p
+  | None ->
+      let p = { ring = Float.Array.make window 0.0; len = 0; next = 0 } in
+      Ktbl.replace t key p;
+      p
+
+let push p rtt_ms =
+  Float.Array.set p.ring p.next rtt_ms;
+  p.next <- (if p.next = window - 1 then 0 else p.next + 1);
+  if p.len < window then p.len <- p.len + 1
+
+let observe t ~prefix ~peer_id ~rtt_ms = push (path t ~prefix ~peer_id) rtt_ms
 
 let sample_count t ~prefix ~peer_id =
-  match Ktbl.find_opt t.samples { key_prefix = prefix; key_peer = peer_id } with
+  match Ktbl.find_opt t { key_prefix = prefix; key_peer = peer_id } with
   | None -> 0
-  | Some q -> Queue.length q
+  | Some p -> p.len
 
 let median_rtt_ms t ~prefix ~peer_id =
-  match Ktbl.find_opt t.samples { key_prefix = prefix; key_peer = peer_id } with
+  match Ktbl.find_opt t { key_prefix = prefix; key_peer = peer_id } with
   | None -> None
-  | Some q when Queue.is_empty q -> None
-  | Some q ->
-      let arr = Array.of_seq (Queue.to_seq q) in
+  | Some p when p.len = 0 -> None
+  | Some p ->
+      (* oldest first, the order the samples arrived in *)
+      let oldest = p.next - p.len + window in
+      let arr =
+        Array.init p.len (fun i ->
+            Float.Array.get p.ring ((oldest + i) mod window))
+      in
       Array.sort compare arr;
-      let n = Array.length arr in
+      let n = p.len in
       Some
         (if n mod 2 = 1 then arr.(n / 2)
          else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.0)
@@ -93,13 +107,4 @@ let compare_paths t ~prefix ~primary ~alternates =
           })
         best
 
-let paths_measured t = Ktbl.length t.samples
-
-let clear_prefix t prefix =
-  let keys =
-    Ktbl.fold
-      (fun k _ acc ->
-        if Bgp.Prefix.equal k.key_prefix prefix then k :: acc else acc)
-      t.samples []
-  in
-  List.iter (Ktbl.remove t.samples) keys
+let paths_measured t = Ktbl.length t

@@ -5,11 +5,6 @@
     and answers the question the paper's Figure-10 analysis asks: how
     does each alternate's median compare with the primary's? *)
 
-type path_key = {
-  key_prefix : Ef_bgp.Prefix.t;
-  key_peer : int;   (** peer id identifying the egress route *)
-}
-
 type comparison = {
   cmp_prefix : Ef_bgp.Prefix.t;
   primary_peer : int;
@@ -21,10 +16,25 @@ type comparison = {
 
 type t
 
-val create : ?window:int -> unit -> t
-(** [window] samples retained per path (default 64, FIFO eviction). *)
+val window : int
+(** Samples retained per path: 64, FIFO eviction. *)
+
+val create : unit -> t
+
+type path
+(** One (prefix, peer) path's sample window: a flat ring of
+    {!window} floats. *)
+
+val path : t -> prefix:Ef_bgp.Prefix.t -> peer_id:int -> path
+(** The path's window, registered empty on first use (it then counts in
+    {!paths_measured}). Look a path up once and {!push} its samples. *)
+
+val push : path -> float -> unit
+(** Record one RTT sample, evicting the oldest once {!window} are held. *)
 
 val observe : t -> prefix:Ef_bgp.Prefix.t -> peer_id:int -> rtt_ms:float -> unit
+(** [push (path t ~prefix ~peer_id) rtt_ms]. *)
+
 val sample_count : t -> prefix:Ef_bgp.Prefix.t -> peer_id:int -> int
 val median_rtt_ms : t -> prefix:Ef_bgp.Prefix.t -> peer_id:int -> float option
 
@@ -35,4 +45,3 @@ val compare_paths :
     samples. The best alternate is the lowest-median one. *)
 
 val paths_measured : t -> int
-val clear_prefix : t -> Ef_bgp.Prefix.t -> unit

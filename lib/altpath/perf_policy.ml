@@ -42,9 +42,9 @@ let config_of_policy env policy =
       Option.value ap.Ef_policy.ap_perf_guard ~default:d.capacity_guard;
   }
 
-let take n l = List.filteri (fun i _ -> i < n) l
-
 let suggest ?(config = default_config) store snapshot ~projection =
+  (* every measured-better move with a known target interface, in
+     prefix order; the capacity guard is applied below, cumulatively *)
   let candidates =
     List.filter_map
       (fun (prefix, rate) ->
@@ -65,33 +65,46 @@ let suggest ?(config = default_config) store snapshot ~projection =
                 in
                 match target with
                 | None -> None
-                | Some target -> (
-                    match Snapshot.iface_of_route snapshot target with
-                    | None -> None
-                    | Some iface ->
-                        let new_load =
-                          Projection.load_bps projection
-                            ~iface_id:(Ef_netsim.Iface.id iface)
-                          +. rate
-                        in
-                        if
-                          new_load /. Ef_netsim.Iface.capacity_bps iface
-                          <= config.capacity_guard
-                        then
-                          Some
-                            {
-                              sug_prefix = prefix;
-                              sug_target = target;
-                              improvement_ms = -.cmp.Path_store.delta_ms;
-                              rate_bps = rate;
-                            }
-                        else None))
+                | Some target ->
+                    Option.map
+                      (fun iface ->
+                        ( {
+                            sug_prefix = prefix;
+                            sug_target = target;
+                            improvement_ms = -.cmp.Path_store.delta_ms;
+                            rate_bps = rate;
+                          },
+                          iface ))
+                      (Snapshot.iface_of_route snapshot target))
             | Some _ | None -> None))
       (Snapshot.prefix_rates snapshot)
   in
+  (* largest improvement first; a move is accepted only if the target's
+     projected load plus every rate already accepted onto it stays under
+     the guard, so the cycle's suggestions together never breach it *)
+  let accepted_bps = Hashtbl.create 8 in
+  let rec accept n acc = function
+    | [] -> List.rev acc
+    | _ when n >= config.max_suggestions -> List.rev acc
+    | (s, iface) :: rest ->
+        let id = Ef_netsim.Iface.id iface in
+        let moved =
+          Option.value (Hashtbl.find_opt accepted_bps id) ~default:0.0
+        in
+        let new_load =
+          Projection.load_bps projection ~iface_id:id +. moved +. s.rate_bps
+        in
+        if new_load /. Ef_netsim.Iface.capacity_bps iface <= config.capacity_guard
+        then begin
+          Hashtbl.replace accepted_bps id (moved +. s.rate_bps);
+          accept (n + 1) (s :: acc) rest
+        end
+        else accept n acc rest
+  in
   candidates
-  |> List.sort (fun a b -> compare b.improvement_ms a.improvement_ms)
-  |> take config.max_suggestions
+  |> List.stable_sort (fun (a, _) (b, _) ->
+         compare b.improvement_ms a.improvement_ms)
+  |> accept 0 []
 
 let to_overrides suggestions ~snapshot ~projection =
   List.filter_map

@@ -39,9 +39,11 @@ val suggest :
   Ef_collector.Snapshot.t ->
   projection:Edge_fabric.Projection.t ->
   suggestion list
-(** Largest improvements first. A suggestion is emitted only when the
-    measured-better route is a current candidate and moving the prefix's
-    whole rate keeps the target interface under [capacity_guard]. *)
+(** Largest improvements first, at most [max_suggestions]. A suggestion
+    is emitted only when the measured-better route is a current candidate
+    and moving the prefix's whole rate keeps the target interface under
+    [capacity_guard] — counting the rates of the suggestions already
+    accepted onto that interface, so together they never breach it. *)
 
 val to_overrides :
   suggestion list ->

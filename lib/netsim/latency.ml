@@ -51,7 +51,3 @@ let congestion_penalty_ms ~utilization =
 
 let rtt_ms t prefix route ~utilization =
   base_rtt_ms t prefix route +. congestion_penalty_ms ~utilization
-
-let sample_rtt_ms t rng prefix route ~utilization =
-  let noise = Ef_util.Rng.lognormal rng ~mu:0.0 ~sigma:0.05 in
-  rtt_ms t prefix route ~utilization *. noise

@@ -29,16 +29,6 @@ val rtt_ms :
 (** Base RTT plus the congestion penalty for the egress interface's
     current utilization. *)
 
-val sample_rtt_ms :
-  t ->
-  Ef_util.Rng.t ->
-  Ef_bgp.Prefix.t ->
-  Ef_bgp.Route.t ->
-  utilization:float ->
-  float
-(** One measured RTT sample: {!rtt_ms} plus lognormal measurement noise —
-    what the alternate-path measurement pipeline actually sees. *)
-
 val congestion_penalty_ms : utilization:float -> float
 (** 0 below 90 % utilization, then quadratic up to a 150 ms cap at/above
     120 %. Exposed for tests and for the experiment drivers. *)

@@ -217,8 +217,7 @@ let create ?(config = default_config) ?obs ?(trace = Ef_trace.Recorder.noop)
         (Ef_netsim.Pop.interfaces world.Ef_netsim.Topo_gen.pop);
     measurer =
       (if config.measure_altpaths then
-         Some
-           (Ef_altpath.Measurer.create ~seed:(config.seed * 31) ())
+         Some (Ef_altpath.Measurer.create ~seed:(config.seed * 31))
        else None);
     metrics = Metrics.create ();
     obs = obs_handles reg;
@@ -392,20 +391,32 @@ let dropped_bps proj ifaces =
       acc +. Float.max 0.0 (load -. Ef_netsim.Iface.capacity_bps iface))
     0.0 ifaces
 
-(* traffic-weighted mean RTT of a placement, with congestion *)
-let weighted_rtt t proj ~ifaces =
-  let util_of iface_id =
-    match List.find_opt (fun i -> Ef_netsim.Iface.id i = iface_id) ifaces with
-    | None -> 0.0
-    | Some iface -> Ef.Projection.utilization proj iface
+(* every interface's utilization under [proj], indexed by its (dense)
+   id; read with [util_at], which gives 0 for an id not in [ifaces] *)
+let utilizations proj ifaces =
+  let n =
+    List.fold_left (fun n i -> max n (Ef_netsim.Iface.id i + 1)) 0 ifaces
   in
+  let util = Array.make n 0.0 in
+  List.iter
+    (fun i -> util.(Ef_netsim.Iface.id i) <- Ef.Projection.utilization proj i)
+    ifaces;
+  util
+
+let util_at util iface_id =
+  if iface_id >= 0 && iface_id < Array.length util then util.(iface_id)
+  else 0.0
+
+(* traffic-weighted mean RTT of a placement, with congestion; [util] is
+   [utilizations proj] *)
+let weighted_rtt t proj ~util =
   let total, weighted =
     List.fold_left
       (fun (total, weighted) pl ->
         let rtt =
           Ef_netsim.Latency.rtt_ms t.latency pl.Ef.Projection.placed_prefix
             pl.Ef.Projection.route
-            ~utilization:(util_of pl.Ef.Projection.iface_id)
+            ~utilization:(util_at util pl.Ef.Projection.iface_id)
         in
         ( total +. pl.Ef.Projection.rate_bps,
           weighted +. (pl.Ef.Projection.rate_bps *. rtt) ))
@@ -541,6 +552,7 @@ let step t =
     (true_snapshot, actual, Ef.Projection.project true_snapshot)
   in
   let ifaces = fault_ifaces in
+  let util_actual = utilizations actual ifaces in
 
   (* close the provenance loop: the controller committed this step's trace
      cycle from its estimated view; annotate it with the ground-truth
@@ -570,16 +582,9 @@ let step t =
       match t.measurer with
       | None -> ()
       | Some m ->
-          let util_of iface_id =
-            match
-              List.find_opt (fun i -> Ef_netsim.Iface.id i = iface_id) ifaces
-            with
-            | None -> 0.0
-            | Some iface -> Ef.Projection.utilization actual iface
-          in
           ignore
             (Ef_altpath.Measurer.cycle m true_snapshot ~latency:t.latency
-               ~utilization:util_of));
+               ~utilization:(util_at util_actual)));
 
   let row =
     {
@@ -592,8 +597,9 @@ let step t =
       ifaces = iface_stats ~ifaces ~actual ~preferred;
       dropped_bps = dropped_bps actual ifaces;
       dropped_preferred_bps = dropped_bps preferred ifaces;
-      weighted_rtt_ms = weighted_rtt t actual ~ifaces;
-      weighted_rtt_preferred_ms = weighted_rtt t preferred ~ifaces;
+      weighted_rtt_ms = weighted_rtt t actual ~util:util_actual;
+      weighted_rtt_preferred_ms =
+        weighted_rtt t preferred ~util:(utilizations preferred ifaces);
       residual_overloads = count Ef.Controller.residual_overloads stats;
       detour_levels = detour_levels active actual;
       perf_overrides_active = List.length perf_overrides;

@@ -32,15 +32,20 @@ let test_path_store_median () =
     (A.Path_store.median_rtt_ms store ~prefix:p ~peer_id:2)
 
 let test_path_store_window_eviction () =
-  let store = A.Path_store.create ~window:4 () in
+  let store = A.Path_store.create () in
   let p = prefix "10.0.0.0/24" in
-  (* old high samples roll out of the window *)
-  List.iter
-    (fun rtt -> A.Path_store.observe store ~prefix:p ~peer_id:1 ~rtt_ms:rtt)
-    [ 100.0; 100.0; 100.0; 100.0; 10.0; 10.0; 10.0; 10.0 ];
+  let w = A.Path_store.window in
+  (* old high samples roll out of the window: a full window of 100s,
+     then a full window and five more of 10s *)
+  for _ = 1 to w do
+    A.Path_store.observe store ~prefix:p ~peer_id:1 ~rtt_ms:100.0
+  done;
+  for _ = 1 to w + 5 do
+    A.Path_store.observe store ~prefix:p ~peer_id:1 ~rtt_ms:10.0
+  done;
   Alcotest.(check (option (float 1e-9))) "only recent" (Some 10.0)
     (A.Path_store.median_rtt_ms store ~prefix:p ~peer_id:1);
-  Alcotest.(check int) "window bound" 4
+  Alcotest.(check int) "window bound" w
     (A.Path_store.sample_count store ~prefix:p ~peer_id:1)
 
 let test_path_store_compare () =
@@ -63,15 +68,6 @@ let test_path_store_compare_needs_data () =
     (Option.is_none
        (A.Path_store.compare_paths store ~prefix:p ~primary:0 ~alternates:[ 1 ]))
 
-let test_path_store_clear () =
-  let store = A.Path_store.create () in
-  let p = prefix "10.0.0.0/24" in
-  A.Path_store.observe store ~prefix:p ~peer_id:0 ~rtt_ms:10.0;
-  A.Path_store.observe store ~prefix:p ~peer_id:1 ~rtt_ms:10.0;
-  Alcotest.(check int) "two paths" 2 (A.Path_store.paths_measured store);
-  A.Path_store.clear_prefix store p;
-  Alcotest.(check int) "cleared" 0 (A.Path_store.paths_measured store)
-
 (* --- Measurer over the tiny world ------------------------------------- *)
 
 let world = lazy (N.Topo_gen.generate N.Topo_gen.small_config)
@@ -85,17 +81,7 @@ let latency_of_world () =
     ~origin_region:w.N.Topo_gen.origin_region ~seed:5
 
 let test_measurer_collects_samples () =
-  let m =
-    A.Measurer.create
-      ~config:
-        {
-          A.Measurer.prefixes_per_cycle = 10;
-          samples_per_path = 4;
-          max_levels = 3;
-          sliver_fraction = 0.01;
-        }
-      ~seed:3 ()
-  in
+  let m = A.Measurer.create ~seed:3 in
   let snap = snapshot_of_world () in
   let report =
     A.Measurer.cycle m snap ~latency:(latency_of_world ()) ~utilization:(fun _ -> 0.5)
@@ -108,7 +94,7 @@ let test_measurer_collects_samples () =
     (A.Path_store.paths_measured (A.Measurer.store m) > 0)
 
 let test_measurer_comparisons_available () =
-  let m = A.Measurer.create ~seed:4 () in
+  let m = A.Measurer.create ~seed:4 in
   let snap = snapshot_of_world () in
   (* several cycles so most prefixes get both primary and alternates *)
   for _ = 1 to 5 do
@@ -130,8 +116,8 @@ let test_measurer_congestion_visible () =
   let w = Lazy.force world in
   let snap = snapshot_of_world () in
   let latency = latency_of_world () in
-  let m1 = A.Measurer.create ~seed:7 () in
-  let m2 = A.Measurer.create ~seed:7 () in
+  let m1 = A.Measurer.create ~seed:7 in
+  let m2 = A.Measurer.create ~seed:7 in
   ignore (A.Measurer.cycle m1 snap ~latency ~utilization:(fun _ -> 0.2));
   ignore (A.Measurer.cycle m2 snap ~latency ~utilization:(fun _ -> 1.15));
   (* pick any prefix measured by both *)
@@ -212,6 +198,45 @@ let test_perf_policy_capacity_guard () =
   Alcotest.(check int) "guarded" 0
     (List.length (A.Perf_policy.suggest store snap ~projection))
 
+let test_perf_policy_guard_is_cumulative () =
+  let fx = Test_core.fixture () in
+  (* public port at 0.70; pfx_a and pfx_b (1 Gbps each) both measure
+     faster via peer 1. Either move alone keeps it at 0.80, under the
+     0.85 guard; both together would put it at 0.90 *)
+  let rib = N.Pop.rib fx.Test_core.pop in
+  let bg = prefix "10.9.0.0/16" in
+  ignore
+    (Bgp.Rib.announce rib ~peer_id:1 bg
+       (attrs ~path:[ 200; 900 ] ~next_hop:"172.16.0.1" ()));
+  ignore
+    (Bgp.Rib.announce rib ~peer_id:1 Test_core.pfx_b
+       (attrs ~path:[ 200; 300 ] ~next_hop:"172.16.0.1" ()));
+  let snap =
+    Test_core.snapshot fx
+      [ (Test_core.pfx_a, 1e9); (Test_core.pfx_b, 1e9); (bg, 7e9) ]
+  in
+  let store = A.Path_store.create () in
+  List.iter
+    (fun (p, peer, rtt) ->
+      A.Path_store.observe store ~prefix:p ~peer_id:peer ~rtt_ms:rtt)
+    [
+      (Test_core.pfx_a, 0, 80.0);
+      (Test_core.pfx_a, 1, 40.0);
+      (Test_core.pfx_b, 0, 90.0);
+      (Test_core.pfx_b, 1, 40.0);
+    ];
+  let projection = Edge_fabric.Projection.project snap in
+  let public = N.Iface.id fx.Test_core.iface_public in
+  Helpers.check_float "public starts at 0.70" 0.70
+    (Edge_fabric.Projection.load_bps projection ~iface_id:public
+    /. N.Iface.capacity_bps fx.Test_core.iface_public);
+  match A.Perf_policy.suggest store snap ~projection with
+  | [ s ] ->
+      (* the larger improvement wins the room *)
+      Alcotest.check prefix_t "pfx_b first" Test_core.pfx_b
+        s.A.Perf_policy.sug_prefix
+  | l -> Alcotest.failf "expected one suggestion, got %d" (List.length l)
+
 let suite =
   [
     Alcotest.test_case "dscp levels" `Quick test_dscp_levels;
@@ -220,7 +245,6 @@ let suite =
     Alcotest.test_case "path store compare" `Quick test_path_store_compare;
     Alcotest.test_case "path store needs data" `Quick
       test_path_store_compare_needs_data;
-    Alcotest.test_case "path store clear" `Quick test_path_store_clear;
     Alcotest.test_case "measurer collects" `Quick test_measurer_collects_samples;
     Alcotest.test_case "measurer comparisons" `Quick
       test_measurer_comparisons_available;
@@ -232,4 +256,6 @@ let suite =
       test_perf_policy_respects_tolerance;
     Alcotest.test_case "perf policy capacity guard" `Quick
       test_perf_policy_capacity_guard;
+    Alcotest.test_case "perf policy guard is cumulative" `Quick
+      test_perf_policy_guard_is_cumulative;
   ]

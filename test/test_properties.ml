@@ -1369,6 +1369,77 @@ let prop_enforced_equals_cold =
       done;
       true)
 
+(* --- Path_store: the ring is the last-[window]-samples queue ----------- *)
+
+(* interleaved observations over two prefixes x two peers, long enough
+   that every path wraps its ring; after each one the store must answer
+   exactly as a list of each path's last [window] samples does *)
+let prop_path_store_is_last_window =
+  let module Ps = Ef_altpath.Path_store in
+  let prefixes = [| Helpers.prefix "10.0.0.0/24"; Helpers.prefix "10.1.0.0/24" |] in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 300 1000)
+        (triple (int_bound 1) (int_bound 1) (int_bound 400)))
+  in
+  QCheck.Test.make ~name:"path store ring = last-window model" ~count:50
+    (QCheck.make gen) (fun steps ->
+      let store = Ps.create () in
+      (* model.(prefix).(peer): newest first, at most [window] samples *)
+      let model = Array.make_matrix 2 2 [] in
+      let median = function
+        | [] -> None
+        | l ->
+            let arr = Array.of_list (List.rev l) in
+            Array.sort compare arr;
+            let n = Array.length arr in
+            Some
+              (if n mod 2 = 1 then arr.(n / 2)
+               else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.0)
+      in
+      List.iteri
+        (fun step (pi, peer, v) ->
+          (* quarter-millisecond samples: repeats, and exact halves *)
+          let rtt = float_of_int v /. 4.0 in
+          Ps.observe store ~prefix:prefixes.(pi) ~peer_id:peer ~rtt_ms:rtt;
+          model.(pi).(peer) <-
+            List.filteri (fun i _ -> i < Ps.window) (rtt :: model.(pi).(peer));
+          Array.iteri
+            (fun pi prefix ->
+              for peer = 0 to 1 do
+                let samples = model.(pi).(peer) in
+                if Ps.sample_count store ~prefix ~peer_id:peer
+                   <> List.length samples
+                then QCheck.Test.fail_reportf "step %d: sample count" step;
+                if
+                  not
+                    (Option.equal Float.equal
+                       (Ps.median_rtt_ms store ~prefix ~peer_id:peer)
+                       (median samples))
+                then QCheck.Test.fail_reportf "step %d: median" step
+              done;
+              let expected =
+                match (median model.(pi).(0), median model.(pi).(1)) with
+                | Some p, Some a ->
+                    Some
+                      {
+                        Ps.cmp_prefix = prefix;
+                        primary_peer = 0;
+                        primary_median_ms = p;
+                        best_alt_peer = 1;
+                        best_alt_median_ms = a;
+                        delta_ms = a -. p;
+                      }
+                | _ -> None
+              in
+              if
+                Ps.compare_paths store ~prefix ~primary:0 ~alternates:[ 1 ]
+                <> expected
+              then QCheck.Test.fail_reportf "step %d: comparison" step)
+            prefixes)
+        steps;
+      true)
+
 let suite =
   [ fuzz_bgp_codec; fuzz_sflow_codec; fuzz_mrt_codec; fuzz_bmp_codec ]
   @ List.map QCheck_alcotest.to_alcotest
@@ -1392,4 +1463,5 @@ let suite =
       prop_working_index_lazy;
       prop_warm_slots_equal_fresh;
       prop_enforced_equals_cold;
+      prop_path_store_is_last_window;
     ]
