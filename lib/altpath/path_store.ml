@@ -18,7 +18,7 @@ module Ktbl = Hashtbl.Make (struct
   type t = path_key
 
   let equal a b = a.key_peer = b.key_peer && Bgp.Prefix.equal a.key_prefix b.key_prefix
-  let hash k = (Bgp.Prefix.hash k.key_prefix * 31) + k.key_peer
+  let hash k = Bgp.Prefix.mix ((Bgp.Prefix.hash k.key_prefix * 31) + k.key_peer)
 end)
 
 let window = 64

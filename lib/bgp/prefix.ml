@@ -32,6 +32,24 @@ let compare a b =
 
 let equal a b = a.length = b.length && Ipv4.equal a.network b.network
 let hash t = (Ipv4.hash t.network * 33) + t.length
+
+(* murmur3's fmix64 finalizer on 63-bit ints (its multipliers cut to
+   62 bits, still odd): every input bit reaches the low bits [Hashtbl]
+   picks buckets by *)
+let mix h =
+  let h = h lxor (h lsr 33) in
+  let h = h * 0x3f51afd7ed558ccd in
+  let h = h lxor (h lsr 33) in
+  let h = h * 0x04ceb9fe1a85ec53 in
+  h lxor (h lsr 33)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash t = mix (hash t)
+end)
+
 let mem addr t = Ipv4.equal (Ipv4.apply_mask addr t.length) t.network
 
 let subsumes a b =

@@ -27,7 +27,21 @@ val compare : t -> t -> int
 (** Total order: by network address (unsigned), then by length. *)
 
 val equal : t -> t -> bool
+
 val hash : t -> int
+(** A stable function of the prefix's bits, [network * 33 + length]. It
+    seeds deterministic per-prefix draws (demand, latency), so its values
+    never change. It is not a table hash: every /24's low eight bits are
+    the same. Key hash tables with {!Tbl}. *)
+
+val mix : int -> int
+(** A finalizer that spreads every bit of its argument into the low bits,
+    where [Hashtbl] picks buckets. [mix (hash p)] is {!Tbl}'s hash; a
+    table keyed on a prefix plus more fields mixes its combined hash the
+    same way. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Prefix-keyed hash table hashing through {!mix}. *)
 
 val mem : Ipv4.t -> t -> bool
 (** [mem addr t]: does [addr] fall inside [t]? *)

@@ -136,12 +136,7 @@ let int_field fields key ~line =
   | Some v -> v
   | None -> failf "line %d: field %s is not an integer" line key
 
-module Ptbl = Hashtbl.Make (struct
-  type t = Bgp.Prefix.t
-
-  let equal = Bgp.Prefix.equal
-  let hash = Bgp.Prefix.hash
-end)
+module Ptbl = Bgp.Prefix.Tbl
 
 type builder = {
   mutable b_time : int;

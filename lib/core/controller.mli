@@ -22,6 +22,15 @@
     evaluations) and [controller.project.redecided] (the prefixes the
     enforced projection re-decided: see {!enforced}).
 
+    Every cycle, degraded ones included, observes its GC deltas:
+    [controller.gc.minor_words] is the words the cycle allocated on the
+    minor heap, exactly ([Gc.minor_words]).
+    [controller.gc.major_words] and [controller.gc.promoted_words] come
+    from [Gc.quick_stat], whose counters move only when a collection
+    runs: a cycle reads 0 unless a collection fell inside it, and then
+    the whole collection's words. [controller.gc.compactions] counts
+    compactions.
+
     {b Graceful degradation.} The controller fails static: when its
     inputs cannot be trusted it refuses to recompute and holds the
     last-good override set instead of oscillating on garbage. Two rungs

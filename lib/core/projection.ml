@@ -507,3 +507,20 @@ module Working = struct
        with the same inputs retracts and re-adds the same set entry) *)
     if !added then add_iface w ~snapshot ?overrides ~iface_id:(-1) ()
 end
+
+(* A working image of [t] with only [keys] re-decided: each key's dirty
+   record carries its rate in [snapshot] (none when unrated), so
+   [apply_dirty] places, unplaces or drops it by the cold pass's rule. *)
+let redecide t snapshot ~overrides keys =
+  let img = Working.of_projection t in
+  let dirty =
+    List.map
+      (fun prefix ->
+        let r = Snapshot.rate_of snapshot prefix in
+        let r = if r > 0.0 then Some r else None in
+        { Snapshot.ch_prefix = prefix; ch_old_rate = r; ch_new_rate = r;
+          ch_routes = false })
+      keys
+  in
+  Working.apply_dirty img ~snapshot ~overrides ~dirty ();
+  Working.seal img

@@ -272,3 +272,17 @@ module Working : sig
       first, may repeat). The allocator re-checks only these against the
       overload threshold instead of rescanning every interface. *)
 end
+
+val redecide :
+  t ->
+  Ef_collector.Snapshot.t ->
+  overrides:(Ef_bgp.Prefix.t -> Ef_bgp.Route.t option) ->
+  Ef_bgp.Prefix.t list ->
+  t
+(** [redecide t snapshot ~overrides keys] re-decides only [keys] against
+    [snapshot] under [overrides] (the {!Working.apply_dirty} rule) and
+    keeps every other placement of [t]: O(keys · log n). When [t] is a
+    projection of [snapshot] whose override assignment agrees with
+    [overrides] outside [keys], the result equals [project ~overrides
+    snapshot] field for field. Keys may repeat, and a key [snapshot] does
+    not rate is simply absent from the result. [t] is not mutated. *)

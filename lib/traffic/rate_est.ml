@@ -1,12 +1,7 @@
 module Bgp = Ef_bgp
 open Ef_util
 
-module Ptbl = Hashtbl.Make (struct
-  type t = Bgp.Prefix.t
-
-  let equal = Bgp.Prefix.equal
-  let hash = Bgp.Prefix.hash
-end)
+module Ptbl = Bgp.Prefix.Tbl
 
 type entry = {
   ewma : Ewma.t;

@@ -311,6 +311,34 @@ let qcheck_trie_update_vs_reference =
       in
       ok)
 
+(* Prefix.Tbl picks buckets by the low bits of [mix (hash p)]; the raw
+   [hash] of every /24 shares its low eight bits, which piled pop-a's
+   1,309 prefixes into 9 buckets with a 346-long chain. pop-a fills
+   Rate_est's 1,024 buckets and the /24s 65,536: a load of about one
+   entry per bucket, so the longest chain measures the spread, not the
+   load factor. *)
+let test_prefix_tbl_spread () =
+  let longest_chain ~size prefixes =
+    let tbl = Bgp.Prefix.Tbl.create size in
+    List.iter (fun p -> Bgp.Prefix.Tbl.replace tbl p ()) prefixes;
+    Alcotest.(check int) "all distinct" (List.length prefixes)
+      (Bgp.Prefix.Tbl.length tbl);
+    (Bgp.Prefix.Tbl.stats tbl).Hashtbl.max_bucket_length
+  in
+  let pop_a =
+    (Ef_netsim.Topo_gen.generate
+       Ef_netsim.Scenario.pop_a.Ef_netsim.Scenario.topo)
+      .Ef_netsim.Topo_gen.all_prefixes
+  in
+  Alcotest.(check bool) "pop-a chains <= 8" true
+    (longest_chain ~size:1024 pop_a <= 8);
+  let base = ip "10.0.0.0" in
+  let slash24s =
+    List.init 65_536 (fun i -> Bgp.Prefix.make (Bgp.Ipv4.add base (i * 256)) 24)
+  in
+  Alcotest.(check bool) "65,536 consecutive /24s chains <= 8" true
+    (longest_chain ~size:65_536 slash24s <= 8)
+
 let qcheck_prefix_subnets_cover =
   QCheck.Test.make ~name:"subnets partition the parent" ~count:200
     QCheck.(
@@ -343,6 +371,7 @@ let suite =
     Alcotest.test_case "prefix split" `Quick test_prefix_split;
     Alcotest.test_case "prefix subnets" `Quick test_prefix_subnets;
     Alcotest.test_case "prefix size" `Quick test_prefix_size;
+    Alcotest.test_case "prefix table spreads /24s" `Quick test_prefix_tbl_spread;
     Alcotest.test_case "ptrie add/find" `Quick test_ptrie_add_find;
     Alcotest.test_case "ptrie replace" `Quick test_ptrie_replace;
     Alcotest.test_case "ptrie remove" `Quick test_ptrie_remove;

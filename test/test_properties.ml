@@ -1196,6 +1196,50 @@ let prop_warm_slots_equal_fresh =
       (* the sequence must actually have carried slots *)
       !carried > 0)
 
+(* --- Projection.redecide: the engine's actual placement ------------------ *)
+
+(* The engine derives its actual placement by re-deciding only the active
+   overrides' prefixes on the BGP-preferred projection. For any override
+   set, the result must equal a cold projection under that set, field
+   for field. Each
+   override targets one of its prefix's own candidates or a route drawn
+   from the whole world, whose peer often does not offer the prefix (a
+   stale target); the prefix is drawn from the whole world too, so some
+   are not rated in the snapshot, and prefixes may repeat, with different
+   targets. *)
+let prop_redecide_equals_cold =
+  QCheck.Test.make ~name:"redecide of the preferred projection = cold project"
+    ~count:200
+    QCheck.(
+      pair arb_rates
+        (list_of_size Gen.(int_range 0 30) (triple small_nat bool small_nat)))
+    (fun (rates, picks) ->
+      let w = Lazy.force world in
+      let snap = snapshot_of rates in
+      let prefixes = Array.of_list w.N.Topo_gen.all_prefixes in
+      let pool =
+        Array.of_list
+          (List.concat_map (C.Snapshot.routes snap) w.N.Topo_gen.all_prefixes)
+      in
+      let overrides =
+        List.map
+          (fun (i, own, j) ->
+            let prefix = prefixes.(i mod Array.length prefixes) in
+            let target =
+              match C.Snapshot.routes snap prefix with
+              | _ :: _ as rs when own -> List.nth rs (j mod List.length rs)
+              | _ -> pool.(j mod Array.length pool)
+            in
+            Ef.Override.make ~prefix ~target ~from_iface:0 ~to_iface:0
+              ~preference_level:1 ~rate_bps:0.0)
+          picks
+      in
+      let lookup = Ef.Override.lookup overrides in
+      let keys = List.map (fun (o : Ef.Override.t) -> o.Ef.Override.prefix) overrides in
+      Ef.Projection.redecide (Ef.Projection.project snap) snap ~overrides:lookup
+        keys
+      = Ef.Projection.project ~overrides:lookup snap)
+
 (* --- Controller: the enforced projection ---------------------------------- *)
 
 (* A healthy cycle derives its enforced projection from the allocator's
@@ -1462,6 +1506,7 @@ let suite =
       prop_patch_chain_equals_assemble;
       prop_working_index_lazy;
       prop_warm_slots_equal_fresh;
+      prop_redecide_equals_cold;
       prop_enforced_equals_cold;
       prop_path_store_is_last_window;
     ]
