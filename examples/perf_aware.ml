@@ -4,9 +4,9 @@
 
    Runs the alternate-path measurement pipeline for a simulated hour —
    a sliver of flows per prefix is pinned to 2nd/3rd/4th-preference
-   routes via DSCP marking — then asks the performance policy which
-   prefixes would be better off somewhere other than where BGP puts
-   them, and prints the evidence. *)
+   routes (the paper does this with DSCP marking) — then asks the
+   performance policy which prefixes would be better off somewhere
+   other than where BGP puts them, and prints the evidence. *)
 
 module Bgp = Ef_bgp
 module N = Ef_netsim

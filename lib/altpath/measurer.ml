@@ -5,7 +5,7 @@ open Ef_util
 let prefixes_per_cycle = 200
 let samples_per_path = 8
 
-(* alternates measured: the DSCP classes express three *)
+(* alternates measured: the paper's DSCP classes express three *)
 let max_levels = 3
 let sliver_fraction = 0.005
 

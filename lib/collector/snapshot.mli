@@ -1,11 +1,12 @@
 (** The controller's input: one coherent view per cycle.
 
-    Every allocator run starts from a snapshot combining the three feeds —
-    candidate routes per prefix (BMP), estimated per-prefix rates (sFlow),
-    and interface capacities (SNMP/config). The allocator never touches
-    live router state; it recomputes from the snapshot alone, which is
-    what makes the controller stateless and restartable (§5 of the
-    paper). *)
+    Every allocator run starts from a snapshot combining what the paper
+    collects over BMP, sFlow and SNMP: candidate routes per prefix (here
+    read from the PoP's RIB), estimated per-prefix rates (from
+    in-simulator sampling) and interface capacities. The allocator
+    never touches live router state; it recomputes from the snapshot
+    alone, which is what makes the controller stateless and restartable
+    (§5 of the paper). *)
 
 type t
 
@@ -76,8 +77,8 @@ val of_pop :
   prefix_rates:(Ef_bgp.Prefix.t * float) list ->
   time_s:int ->
   t
-(** Assemble directly from a PoP (simulator fast path — identical content
-    to the BMP-reconstructed view, which tests verify). Candidates are
+(** Assemble directly from a PoP: the RIB stands in for the BMP feed
+    that mirrors it in the paper. Candidates are
     read through {!Ef_bgp.Rib.ranked_view}, so the snapshot sees the
     PoP's RIB as it stood at the call: later RIB updates reach the
     controller only through a new snapshot. [ifaces]

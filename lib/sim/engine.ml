@@ -110,7 +110,6 @@ type t = {
   latency : Ef_netsim.Latency.t;
   controller : Ef.Controller.t option;
   estimator : Ef_traffic.Rate_est.t;
-  snmp : Ef_collector.Snmp.t;
   measurer : Ef_altpath.Measurer.t option;
   metrics : Metrics.t;
   obs : obs_handles;
@@ -212,9 +211,6 @@ let create ?(config = default_config) ?obs ?(trace = Ef_trace.Recorder.noop)
               ())
        else None);
     estimator = Ef_traffic.Rate_est.create Ef_traffic.Sflow.default_config;
-    snmp =
-      Ef_collector.Snmp.create
-        (Ef_netsim.Pop.interfaces world.Ef_netsim.Topo_gen.pop);
     measurer =
       (if config.measure_altpaths then
          Some (Ef_altpath.Measurer.create ~seed:(config.seed * 31))
@@ -576,19 +572,8 @@ let step t =
             (id, Ef.Projection.load_bps actual ~iface_id:id))
           ifaces));
 
+  (* alternate-path measurement sees post-placement congestion *)
   Obs.Span.time_h ob.reg ob.sp_accounting (fun () ->
-      (* SNMP counters see the actual egress volumes *)
-      List.iter
-        (fun iface ->
-          let id = Ef_netsim.Iface.id iface in
-          Ef_collector.Snmp.account_rate t.snmp ~iface_id:id
-            ~rate_bps:(Ef.Projection.load_bps actual ~iface_id:id)
-            ~interval_s:(float_of_int t.config.cycle_s))
-        ifaces;
-      ignore
-        (Ef_collector.Snmp.poll t.snmp ~interval_s:(float_of_int t.config.cycle_s));
-
-      (* alternate-path measurement sees post-placement congestion *)
       match t.measurer with
       | None -> ()
       | Some m ->

@@ -8,13 +8,16 @@ type entry = {
   mutable updated_this_interval : bool;
 }
 
+(* reacts within a few 30 s intervals without following single-interval
+   sampling noise *)
+let alpha = 0.3
+
 type t = {
-  alpha : float;
   config : Sflow.config;
   entries : entry Ptbl.t;
 }
 
-let create ?(alpha = 0.3) config = { alpha; config; entries = Ptbl.create 1024 }
+let create config = { config; entries = Ptbl.create 1024 }
 
 let observe t samples =
   List.iter
@@ -24,7 +27,7 @@ let observe t samples =
         match Ptbl.find_opt t.entries s.Sflow.sample_prefix with
         | Some e -> e
         | None ->
-            let e = { ewma = Ewma.create ~alpha:t.alpha; updated_this_interval = false } in
+            let e = { ewma = Ewma.create ~alpha; updated_this_interval = false } in
             Ptbl.replace t.entries s.Sflow.sample_prefix e;
             e
       in

@@ -6,9 +6,10 @@
 
 type t
 
-val create : ?alpha:float -> Sflow.config -> t
-(** [alpha] defaults to 0.3: reacts within a few 30 s intervals without
-    following single-interval sampling noise. *)
+val create : Sflow.config -> t
+(** Each EWMA weighs a new interval by 0.3: it reacts within a few 30 s
+    intervals without following single-interval sampling noise. The
+    first interval a prefix is seen seeds its estimate. *)
 
 val observe : t -> Sflow.sample list -> unit
 (** Fold one interval's samples in (absent prefixes are untouched —

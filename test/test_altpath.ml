@@ -1,23 +1,10 @@
-(* ef_altpath: Dscp, Path_store, Measurer, Perf_policy *)
+(* ef_altpath: Path_store, Measurer, Perf_policy *)
 
 module Bgp = Ef_bgp
 module N = Ef_netsim
 module C = Ef_collector
 module A = Ef_altpath
 open Helpers
-
-let test_dscp_levels () =
-  Alcotest.(check bool) "level 0" true
-    (A.Dscp.of_preference_level 0 = Some A.Dscp.default);
-  Alcotest.(check bool) "level 1" true (A.Dscp.of_preference_level 1 = Some A.Dscp.alt1);
-  Alcotest.(check bool) "level 4 unmeasurable" true
-    (A.Dscp.of_preference_level 4 = None);
-  List.iteri
-    (fun i d ->
-      Alcotest.(check (option int)) "roundtrip" (Some (i + 1))
-        (A.Dscp.to_preference_level d))
-    A.Dscp.all_alternates;
-  Alcotest.(check bool) "of_int validates" true (A.Dscp.of_int 99 = None)
 
 let test_path_store_median () =
   let store = A.Path_store.create () in
@@ -239,7 +226,6 @@ let test_perf_policy_guard_is_cumulative () =
 
 let suite =
   [
-    Alcotest.test_case "dscp levels" `Quick test_dscp_levels;
     Alcotest.test_case "path store median" `Quick test_path_store_median;
     Alcotest.test_case "path store window" `Quick test_path_store_window_eviction;
     Alcotest.test_case "path store compare" `Quick test_path_store_compare;

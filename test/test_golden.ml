@@ -1,7 +1,7 @@
 (* Golden wire images: exact byte-level expectations for the codecs.
 
    Expected bytes live in committed files under test/golden/*.hex (hex,
-   one line per image), originally computed by hand from RFC 4271/7854 —
+   one line per image), originally computed by hand from RFC 4271/6396 —
    they pin the wire format so a refactor that still round-trips but
    changes the encoding (field order, widths, flags) is caught.
 
@@ -14,7 +14,6 @@
    rewrites the sandboxed copies). *)
 
 module Bgp = Ef_bgp
-module C = Ef_collector
 open Helpers
 
 let hex_of_string s =
@@ -137,11 +136,6 @@ let test_route_refresh_bytes () =
   check_golden "route_refresh"
     (Bgp.Codec.encode (Bgp.Msg.Route_refresh { afi = 1; safi = 1 }))
 
-let test_bmp_header_bytes () =
-  (* BMP common header: version 3, length 12, type 5 (termination) + TLV
-     (type 1, len 2, reason 1) *)
-  check_golden "bmp_termination" (C.Bmp.encode (C.Bmp.Termination { reason = 1 }))
-
 let test_prefix_padding_bits_masked () =
   (* RFC: trailing bits in the prefix field are irrelevant; decoder must
      mask them. Hand-build an update with 0xff in a /20's last byte. *)
@@ -248,7 +242,6 @@ let suite =
     Alcotest.test_case "notification bytes" `Quick test_notification_bytes;
     Alcotest.test_case "communities bytes" `Quick test_communities_bytes;
     Alcotest.test_case "route refresh bytes" `Quick test_route_refresh_bytes;
-    Alcotest.test_case "bmp header bytes" `Quick test_bmp_header_bytes;
     Alcotest.test_case "prefix padding masked" `Quick
       test_prefix_padding_bits_masked;
     Alcotest.test_case "mrt table dump bytes" `Quick test_mrt_dump_bytes;

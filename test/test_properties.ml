@@ -466,7 +466,8 @@ let prop_diff_iface_roundtrip =
 
 (* Deterministic Rng-driven fuzz (Ef_util.Rng, fixed seeds): round-trip
    decode∘encode = id for each codec, and totality — a decoder fed
-   truncated or bit-flipped bytes returns an error, it never raises. *)
+   truncated, bit-flipped or lying-length bytes returns an error, it
+   never raises. *)
 
 let fuzz_cases = 500
 
@@ -518,6 +519,30 @@ let bit_flip rng s =
 let truncate rng s =
   if String.length s = 0 then s else String.sub s 0 (Ef_util.Rng.int rng (String.length s))
 
+(* overwrite a 1-, 2- or 4-byte big-endian field at a random offset with
+   a boundary or random value: a length or count field that lies *)
+let lying_length rng s =
+  let widths = List.filter (fun w -> w <= String.length s) [ 1; 2; 4 ] in
+  if widths = [] then s
+  else begin
+    let w = Ef_util.Rng.pick_list rng widths in
+    let at = Ef_util.Rng.int rng (String.length s - w + 1) in
+    let v =
+      match Ef_util.Rng.int rng 6 with
+      | 0 -> 0
+      | 1 -> 1
+      | 2 -> 0xFF
+      | 3 -> 0xFFFF
+      | 4 -> 0xFFFFFFFF
+      | _ -> Ef_util.Rng.int rng (1 lsl (8 * w))
+    in
+    let b = Bytes.of_string s in
+    for k = 0 to w - 1 do
+      Bytes.set b (at + k) (Char.chr ((v lsr (8 * (w - 1 - k))) land 0xFF))
+    done;
+    Bytes.to_string b
+  end
+
 let fuzz_bgp_codec =
   rng_fuzz "bgp codec fuzz roundtrip (500)" (fun rng ~case ->
       let msg = gen_bgp_update rng in
@@ -531,49 +556,23 @@ let fuzz_bgp_codec =
       | Error e ->
           Alcotest.failf "case %d: decode of own encoding failed: %s" case
             (Bgp.Codec.error_to_string e));
-      (* totality: truncations and bit flips produce Ok/Error, no raise *)
-      (match Bgp.Codec.decode (truncate rng wire) with Ok _ | Error _ -> ());
-      match Bgp.Codec.decode (bit_flip rng wire) with Ok _ | Error _ -> ())
-
-let gen_sflow_datagram rng =
-  let gen_sample () =
-    {
-      C.Sflow_codec.sample_seq = Ef_util.Rng.int rng 1_000_000;
-      source_id = Ef_util.Rng.int rng 1_000;
-      sampling_rate = 1 + Ef_util.Rng.int rng 10_000;
-      sample_pool = Ef_util.Rng.int rng 10_000_000;
-      drops = Ef_util.Rng.int rng 100;
-      packet =
-        {
-          C.Sflow_codec.dst = gen_ip rng;
-          frame_length = 20 + Ef_util.Rng.int rng 65_000;
-        };
-    }
-  in
-  {
-    C.Sflow_codec.agent = gen_ip rng;
-    sub_agent = Ef_util.Rng.int rng 16;
-    datagram_seq = Ef_util.Rng.int rng 1_000_000;
-    uptime_ms = Ef_util.Rng.int rng 1_000_000_000;
-    samples =
-      List.init
-        (Ef_util.Rng.int rng (C.Sflow_codec.max_samples_per_datagram + 1))
-        (fun _ -> gen_sample ());
-  }
-
-let fuzz_sflow_codec =
-  rng_fuzz "sflow codec fuzz roundtrip (500)" (fun rng ~case ->
-      let dg = gen_sflow_datagram rng in
-      let wire = C.Sflow_codec.encode dg in
-      (match C.Sflow_codec.decode wire with
-      | Ok decoded ->
-          if decoded <> dg then Alcotest.failf "case %d: datagram mismatch" case
+      (* totality: truncations, bit flips and lying lengths produce
+         Ok/Error, no raise *)
+      List.iter
+        (fun mutated ->
+          match Bgp.Codec.decode mutated with Ok _ | Error _ -> ())
+        [ truncate rng wire; bit_flip rng wire; lying_length rng wire ];
+      (* the path-attribute block MRT entries carry, on its own *)
+      let attrs = gen_attrs rng in
+      let block = Bgp.Codec.encode_path_attributes attrs in
+      (match Bgp.Codec.decode_path_attributes block with
+      | Ok decoded when Bgp.Attrs.equal attrs decoded -> ()
+      | Ok _ -> Alcotest.failf "case %d: path attributes roundtrip mismatch" case
       | Error e ->
-          Alcotest.failf "case %d: decode of own encoding failed: %s" case
-            (Format.asprintf "%a" C.Sflow_codec.pp_error e));
-      (match C.Sflow_codec.decode (truncate rng wire) with
-      | Ok _ | Error _ -> ());
-      match C.Sflow_codec.decode (bit_flip rng wire) with Ok _ | Error _ -> ())
+          Alcotest.failf "case %d: decode of own path attributes failed: %s" case
+            (Bgp.Codec.error_to_string e));
+      match Bgp.Codec.decode_path_attributes (lying_length rng block) with
+      | Ok _ | Error _ -> ())
 
 let gen_mrt rng =
   let peers =
@@ -618,71 +617,9 @@ let fuzz_mrt_codec =
       | Error e ->
           Alcotest.failf "case %d: decode of own encoding failed: %s" case
             (Format.asprintf "%a" Bgp.Mrt.pp_error e));
-      (match Bgp.Mrt.decode (truncate rng wire) with Ok _ | Error _ -> ());
-      match Bgp.Mrt.decode (bit_flip rng wire) with Ok _ | Error _ -> ())
-
-let gen_bmp_msg rng =
-  let u32 () = Ef_util.Rng.int rng 0x3FFFFFFF in
-  let header () =
-    {
-      C.Bmp.peer_id = u32 ();
-      peer_addr = gen_ip rng;
-      peer_asn = Bgp.Asn.of_int (1 + Ef_util.Rng.int rng 100_000);
-      peer_bgp_id = gen_ip rng;
-      timestamp_s = u32 ();
-    }
-  in
-  let text () =
-    String.init (Ef_util.Rng.int rng 24) (fun _ ->
-        Char.chr (32 + Ef_util.Rng.int rng 95))
-  in
-  match Ef_util.Rng.int rng 6 with
-  | 0 -> (
-      match gen_bgp_update rng with
-      | Bgp.Msg.Update update -> C.Bmp.Route_monitoring { header = header (); update }
-      | _ -> assert false)
-  | 1 -> C.Bmp.Initiation { sys_name = text (); sys_descr = text () }
-  | 2 -> C.Bmp.Termination { reason = Ef_util.Rng.int rng 0x10000 }
-  | 3 ->
-      C.Bmp.Peer_up
-        {
-          header = header ();
-          local_addr = gen_ip rng;
-          local_port = Ef_util.Rng.int rng 0x10000;
-          remote_port = Ef_util.Rng.int rng 0x10000;
-        }
-  | 4 -> C.Bmp.Peer_down { header = header (); reason = Ef_util.Rng.int rng 0x100 }
-  | _ -> C.Bmp.Stats_report { header = header (); routes_monitored = u32 () }
-
-let fuzz_bmp_codec =
-  rng_fuzz "bmp codec fuzz roundtrip (500)" (fun rng ~case ->
-      let msgs = List.init (1 + Ef_util.Rng.int rng 4) (fun _ -> gen_bmp_msg rng) in
-      let wire = String.concat "" (List.map C.Bmp.encode msgs) in
-      let first = List.hd msgs in
-      (match C.Bmp.decode wire with
-      | Ok (decoded, consumed) ->
-          if
-            consumed <> String.length (C.Bmp.encode first)
-            || not (C.Bmp.equal first decoded)
-          then
-            Alcotest.failf "case %d: roundtrip mismatch for %s" case
-              (Format.asprintf "%a" C.Bmp.pp first)
-      | Error e ->
-          Alcotest.failf "case %d: decode of own encoding failed: %s" case
-            (Format.asprintf "%a" C.Bmp.pp_error e));
-      (match C.Bmp.decode_all wire with
-      | Ok decoded ->
-          if not (List.equal C.Bmp.equal msgs decoded) then
-            Alcotest.failf "case %d: decode_all mismatch" case
-      | Error e ->
-          Alcotest.failf "case %d: decode_all of own encoding failed: %s" case
-            (Format.asprintf "%a" C.Bmp.pp_error e));
-      (* totality: truncations and bit flips produce Ok/Error, no raise *)
       List.iter
-        (fun mutated ->
-          (match C.Bmp.decode mutated with Ok _ | Error _ -> ());
-          match C.Bmp.decode_all mutated with Ok _ | Error _ -> ())
-        [ truncate rng wire; bit_flip rng wire ])
+        (fun mutated -> match Bgp.Mrt.decode mutated with Ok _ | Error _ -> ())
+        [ truncate rng wire; bit_flip rng wire; lying_length rng wire ])
 
 (* --- Patch chains against fresh assembly ------------------------------- *)
 
@@ -1485,7 +1422,7 @@ let prop_path_store_is_last_window =
       true)
 
 let suite =
-  [ fuzz_bgp_codec; fuzz_sflow_codec; fuzz_mrt_codec; fuzz_bmp_codec ]
+  [ fuzz_bgp_codec; fuzz_mrt_codec ]
   @ List.map QCheck_alcotest.to_alcotest
     [
       prop_projection_conserves;

@@ -170,21 +170,21 @@ let test_sflow_thin_prefix_can_vanish () =
 
 let test_rate_est_tracks () =
   let config = { T.Sflow.sampling_rate = 1; interval_s = 1.0 } in
-  let est = T.Rate_est.create ~alpha:1.0 config in
+  let est = T.Rate_est.create config in
   let p = prefix "10.0.0.0/24" in
-  (* alpha=1: estimate equals the last interval's scaled sample *)
+  (* the first interval seeds the estimate with its scaled sample *)
   T.Rate_est.observe est [ { T.Sflow.sample_prefix = p; sampled_packets = 125 } ];
   T.Rate_est.tick_absent est;
   Helpers.check_float "tracks exactly" (125.0 *. 8000.0) (T.Rate_est.estimate_bps est p)
 
 let test_rate_est_decays_absent () =
   let config = { T.Sflow.sampling_rate = 1; interval_s = 1.0 } in
-  let est = T.Rate_est.create ~alpha:0.5 config in
+  let est = T.Rate_est.create config in
   let p = prefix "10.0.0.0/24" in
   T.Rate_est.observe est [ { T.Sflow.sample_prefix = p; sampled_packets = 100 } ];
   T.Rate_est.tick_absent est;
   let before = T.Rate_est.estimate_bps est p in
-  (* two silent intervals *)
+  (* two silent intervals leave 0.7^2 = 0.49 of it *)
   T.Rate_est.tick_absent est;
   T.Rate_est.tick_absent est;
   let after = T.Rate_est.estimate_bps est p in
@@ -201,7 +201,7 @@ let test_rate_est_drop_below () =
 
 let test_rate_est_snapshot_sorted () =
   let config = { T.Sflow.sampling_rate = 1; interval_s = 1.0 } in
-  let est = T.Rate_est.create ~alpha:1.0 config in
+  let est = T.Rate_est.create config in
   T.Rate_est.observe est
     [
       { T.Sflow.sample_prefix = prefix "10.0.0.0/24"; sampled_packets = 10 };
@@ -219,7 +219,7 @@ let test_rate_est_snapshot_tie_break () =
      Projection.compare_placement, so a snapshot is one canonical list
      regardless of hash-table iteration order *)
   let config = { T.Sflow.sampling_rate = 1; interval_s = 1.0 } in
-  let est = T.Rate_est.create ~alpha:1.0 config in
+  let est = T.Rate_est.create config in
   let ps = [ "10.0.2.0/24"; "10.0.0.0/24"; "10.0.1.0/24" ] in
   T.Rate_est.observe est
     (List.map
